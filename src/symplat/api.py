@@ -14,12 +14,11 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
 
 from .core import ApiError
+from .telemetry import Channel
 
 MAX_LINE_BYTES = 1 << 20
-PUSH_BUFFER_DEPTH = 1024
 
 
 def parse_listen(listen):
@@ -30,52 +29,30 @@ def parse_listen(listen):
     return ("unix", listen, None)
 
 
-class _Outbox:
-    """Per-connection ordered write queue.
+class _Outbox(Channel):
+    """Per-connection ordered write queue, shared with the writer thread.
 
-    Responses are never dropped; pushes beyond PUSH_BUFFER_DEPTH drop oldest
-    first and surface as a gap marker, so a slow consumer cannot stall the
-    simulation clock.
+    Responses are put non-droppable and pushes droppable, so a slow consumer
+    cannot stall the simulation clock, a response is never lost, and a push
+    made while serving a request goes out before that request's response.
     """
 
     def __init__(self):
-        self._q = deque()
-        self._pushes = 0
-        self._gap = 0
+        super().__init__()
         self._cond = threading.Condition()
         self.closed = False
 
-    def put(self, line, is_push):
+    def put(self, msg, droppable=True):
         with self._cond:
-            if self.closed:
-                return
-            if is_push and self._pushes >= PUSH_BUFFER_DEPTH:
-                for i, (other, other_push) in enumerate(self._q):
-                    if other_push:
-                        del self._q[i]
-                        break
-                self._pushes -= 1
-                self._gap += 1
-            self._q.append((line, is_push))
-            if is_push:
-                self._pushes += 1
-            self._cond.notify()
+            if not self.closed:
+                super().put(msg, droppable)
+                self._cond.notify()
 
     def get(self, timeout=0.5):
         with self._cond:
-            if not self._q and not self.closed:
+            if not self._items and not self.closed:
                 self._cond.wait(timeout)
-            out = []
-            if self._gap:
-                gap = json.dumps({"id": None, "push": {"type": "gap", "dropped": self._gap}})
-                out.append(gap)
-                self._gap = 0
-            while self._q:
-                line, is_push = self._q.popleft()
-                if is_push:
-                    self._pushes -= 1
-                out.append(line)
-            return out
+            return self.poll()
 
     def close(self):
         with self._cond:
@@ -95,21 +72,20 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 
     def _write_loop(self):
         while True:
-            lines = self.outbox.get()
-            if not lines and self.outbox.closed:
+            msgs = self.outbox.get()
+            if not msgs and self.outbox.closed:
                 return
-            for line in lines:
+            for msg in msgs:
+                # responses carry an id; anything else (gap markers too) is a push
+                obj = msg if "id" in msg else {"id": None, "push": msg}
                 try:
-                    self.request.sendall(line.encode("utf-8") + b"\n")
+                    self.request.sendall(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
                 except OSError:
                     self.outbox.close()
                     return
 
-    def _send(self, obj, is_push=False):
-        self.outbox.put(json.dumps(obj, sort_keys=True), is_push)
-
-    def _push_sink(self, msg):
-        self._send({"id": None, "push": msg}, is_push=True)
+    def _send(self, obj):
+        self.outbox.put(obj, droppable=False)
 
     def handle(self):
         buf = b""
@@ -174,7 +150,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             with self.server.core_lock:
                 result = self.server.core.handle(
                     op, payload, tenant=self.tenant, operator=self.operator,
-                    sink=self._push_sink,
+                    outbox=self.outbox,
                 )
                 if op in ("subscribe_metrics", "subscribe_events"):
                     self.sub_ids.append(result["subscription_id"])
@@ -195,7 +171,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
         deadline = time.monotonic() + 1.0
         while time.monotonic() < deadline:
             with self.outbox._cond:
-                if not self.outbox._q:
+                if not self.outbox._items:
                     break
             time.sleep(0.01)
         self.outbox.close()

@@ -9,8 +9,6 @@ I/O reservations are ignored: all I/O becomes best-effort.
 
 from __future__ import annotations
 
-import itertools
-
 from . import model
 from .engine import SimEngine
 from .model import (
@@ -18,21 +16,13 @@ from .model import (
     LogicalStatus,
     PlatformEnvEvent,
     ResourceVector,
+    SymplatError,
 )
-from .scheduler import ReservationScheduler, SchedulerError
-from .telemetry import BoundaryCondition, MetricBus, Subscription, TelemetryError
+from .scheduler import ReservationScheduler
+from .telemetry import EVENT_KINDS, BoundaryCondition, MetricBus
 
-
-class ApiError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
-class PolicyDisabled(ApiError):
-    def __init__(self, op):
-        super().__init__("policy_disabled", f"{op} is not available in asymmetric mode")
-
+# Every refused operation raises this base (or a subclass) with its wire code.
+ApiError = SymplatError
 
 OPERATOR_OPS = {"drain_node", "freeze_app", "thaw_app"}
 SYMMETRIC_ONLY_OPS = {"adjust", "register_boundary", "drop_boundary",
@@ -59,8 +49,6 @@ class PlatformCore:
         self.latest_node_samples: dict[str, model.NodeSample] = {}
         self._pending_completions: dict[int, list[str]] = {}
         self._pending_error_kill: dict[int, list[str]] = {}
-        self._event_subs: dict[str, tuple[Subscription, str | None]] = {}
-        self._sub_seq = itertools.count(1)
         self.last_tick_result = None
 
     # ------------------------------------------------------------------
@@ -68,11 +56,7 @@ class PlatformCore:
 
     def _record_event(self, ev):
         self.event_log.append({"type": "env_event", **ev.to_json()})
-        msg = {"type": "event", **ev.to_json()}
-        for sub_id in sorted(self._event_subs):
-            sub, app_filter = self._event_subs[sub_id]
-            if app_filter is None or app_filter == ev.app_id:
-                sub.deliver(msg)
+        self.bus.fan_out({"type": "event", **ev.to_json()})
 
     def _record_lifecycle(self, name, app_id, t, **extra):
         self.event_log.append({"type": "lifecycle", "event": name, "app_id": app_id,
@@ -145,31 +129,30 @@ class PlatformCore:
 
     def active_or_pending(self):
         live = {a for a, r in self.scheduler.reservations.items()
-                if r.status in ("Queued", "Scheduled", "Active", "Frozen")}
+                if r.status in ("Queued", "Active", "Frozen")}
         return live or self._pending_completions or self._pending_error_kill
 
     # ------------------------------------------------------------------
     # operation table
 
-    def handle(self, op, payload, tenant=None, operator=False, sink=None):
-        """Run one API operation. Raises ApiError with a machine-readable code."""
+    def handle(self, op, payload, tenant=None, operator=False, outbox=None):
+        """Run one API operation. Raises ApiError with a machine-readable code.
+
+        `outbox` is the caller's wire connection channel: subscriptions made
+        by this call deliver into it, and only its own subscriptions (or any,
+        for an operator) can be unsubscribed through it.
+        """
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
             raise ApiError("unknown_op", f"unknown operation {op!r}")
         if op in OPERATOR_OPS and not operator:
             raise ApiError("forbidden", f"{op} requires the operator flag")
         if op in SYMMETRIC_ONLY_OPS and self.mode != "symmetric":
-            raise PolicyDisabled(op)
+            raise ApiError("policy_disabled", f"{op} is not available in asymmetric mode")
         if not isinstance(payload, dict):
             raise ApiError("malformed_message", "payload must be an object")
         try:
-            return handler(payload, tenant=tenant, operator=operator, sink=sink)
-        except model.ModelError as exc:
-            raise ApiError(exc.code, str(exc)) from exc
-        except SchedulerError as exc:
-            raise ApiError(exc.code, str(exc)) from exc
-        except TelemetryError as exc:
-            raise ApiError(exc.code, str(exc)) from exc
+            return handler(payload, tenant=tenant, operator=operator, outbox=outbox)
         except KeyError as exc:
             raise ApiError("malformed_message", f"missing field {exc}") from exc
 
@@ -302,32 +285,24 @@ class PlatformCore:
         self.bus.drop_boundary(payload["bc_id"])
         return {"bc_id": payload["bc_id"]}
 
-    def _op_subscribe_metrics(self, payload, sink=None, **_):
+    def _op_subscribe_metrics(self, payload, outbox=None, **_):
         subject = payload.get("subject") or {}
-        sub = self.bus.subscribe(
-            subject_kind=subject.get("kind"),
-            subject_id=subject.get("id"),
-            sink=sink,
-        )
+        sub = self.bus.subscribe(subject.get("kind"), subject.get("id"), outbox=outbox)
         return {"subscription_id": sub.sub_id}
 
-    def _op_unsubscribe(self, payload, **_):
+    def _op_subscribe_events(self, payload, outbox=None, **_):
+        sub = self.bus.subscribe("app", payload.get("app_id"), kinds=EVENT_KINDS, outbox=outbox)
+        return {"subscription_id": sub.sub_id}
+
+    def _op_unsubscribe(self, payload, operator=False, outbox=None, **_):
         sub_id = payload["subscription_id"]
-        if sub_id in self._event_subs:
-            del self._event_subs[sub_id]
-            return {"subscription_id": sub_id}
+        sub = self.bus.subscriptions.get(sub_id)
+        if sub is not None and not operator and sub.outbox is not outbox:
+            raise ApiError("forbidden", f"subscription {sub_id} belongs to another connection")
         self.bus.unsubscribe(sub_id)
         return {"subscription_id": sub_id}
 
-    def _op_subscribe_events(self, payload, sink=None, **_):
-        sub_id = f"evsub-{next(self._sub_seq)}"
-        sub = Subscription(sub_id, matcher=lambda m: True, sink=sink)
-        self._event_subs[sub_id] = (sub, payload.get("app_id"))
-        return {"subscription_id": sub_id}
-
     def poll_subscription(self, sub_id):
-        if sub_id in self._event_subs:
-            return self._event_subs[sub_id][0].poll()
         sub = self.bus.subscriptions.get(sub_id)
         if sub is None:
             raise ApiError("unknown_subscription", f"no subscription {sub_id}")

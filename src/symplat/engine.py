@@ -19,17 +19,14 @@ from .model import (
     PhysicalSample,
     NodeSample,
     ResourceVector,
+    SymplatError,
     ZERO,
 )
 
 BEST_EFFORT_DIMS = ("net_in_bps", "net_out_bps", "fs_bps", "fs_iops")
 
 
-class EngineError(Exception):
-    code = "engine_error"
-
-
-class UnknownApp(EngineError):
+class UnknownApp(SymplatError):
     code = "unknown_app"
 
 

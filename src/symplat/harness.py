@@ -70,8 +70,6 @@ class ScenarioRunner:
             grace_s=scenario.grace_s, retention_s=scenario.retention_s,
         )
         self.op_log = []
-        self._started_at = {}
-        self._finished_at = {}
 
     def _exec(self, op, payload, tenant=None, operator=False):
         entry = {"t": self.core.now, "op": op}
@@ -97,14 +95,9 @@ class ScenarioRunner:
             while script and script[0].at_ms <= core.now:
                 op = script.pop(0)
                 self._exec(op.op, op.payload, tenant=op.tenant, operator=op.operator)
-            seen_start = set(self._started_at)
             core.tick()
             if on_tick is not None:
                 on_tick(core)
-            for entry in core.event_log:
-                if entry["type"] == "lifecycle" and entry["event"] == "Started" \
-                        and entry["app_id"] not in seen_start:
-                    self._started_at.setdefault(entry["app_id"], entry["t"])
             if not submits and not script and not core.active_or_pending():
                 break
 
@@ -112,21 +105,22 @@ class ScenarioRunner:
 
     def _build_report(self):
         core = self.core
+        # last Started, and last Completed or Terminating, per app
+        started_at, finished_at = {}, {}
+        for entry in core.event_log:
+            kind = (entry["type"], entry["event"])
+            if kind == ("lifecycle", "Started"):
+                started_at[entry["app_id"]] = entry["t"]
+            elif kind in (("lifecycle", "Completed"), ("env_event", "Terminating")):
+                finished_at[entry["app_id"]] = entry.get("t", entry.get("effective_at"))
         outcomes = {}
         summary = {}
         for app_id in sorted(core.scheduler.reservations):
             res = core.scheduler.reservations[app_id]
             outcome = core.outcomes.get(app_id, res.status)
             outcomes[app_id] = outcome
-            started = finished = None
-            for entry in core.event_log:
-                if entry.get("app_id") != app_id:
-                    continue
-                if entry["type"] == "lifecycle" and entry["event"] == "Started":
-                    started = entry["t"]
-                if (entry["type"] == "lifecycle" and entry["event"] == "Completed") or (
-                        entry["type"] == "env_event" and entry["event"] == "Terminating"):
-                    finished = entry.get("t", entry.get("effective_at"))
+            started = started_at.get(app_id)
+            finished = finished_at.get(app_id)
             summary[app_id] = {"outcome": outcome}
             summary[app_id]["started_at_s"] = started // 1000 if started is not None else None
             summary[app_id]["finished_at_s"] = finished // 1000 if finished is not None else None

@@ -32,7 +32,6 @@ LOGICAL_STATES = ("Running", "Checkpointing", "Restoring", "Idle", "Error")
 ENV_EVENTS = ("Draining", "Terminating", "Adjusting", "Freezing", "Thawed")
 RESERVATION_STATUSES = (
     "Queued",
-    "Scheduled",
     "Active",
     "Frozen",
     "Completed",
@@ -43,29 +42,39 @@ RESERVATION_STATUSES = (
 PHASE_KINDS = ("compute", "fs_io", "net_io", "checkpoint", "idle")
 
 
-class ModelError(Exception):
-    """Base for domain rule violations; `code` is the machine-readable name."""
+class SymplatError(Exception):
+    """Base of every refused operation; `code` is its machine-readable wire name.
 
-    code = "model_error"
+    Raise the base as `SymplatError(code, message)`; a subclass fixes `code`
+    as a class attribute and takes only the message.
+    """
 
-    def __init__(self, message=""):
-        super().__init__(message or self.code)
+    code = "symplat_error"
+
+    def __init__(self, *args):
+        if len(args) == 2:
+            self.code = args[0]
+        super().__init__(args[-1])
 
 
-class ComponentOverflow(ModelError):
+class ComponentOverflow(SymplatError):
     code = "component_overflow"
 
 
-class TerminalState(ModelError):
+class TerminalState(SymplatError):
     code = "terminal_state"
 
 
-class ProgressRegression(ModelError):
+class ProgressRegression(SymplatError):
     code = "progress_regression"
 
 
-class InvalidValue(ModelError):
+class InvalidValue(SymplatError):
     code = "invalid_value"
+
+
+class EmptyRange(SymplatError):
+    code = "empty_range"
 
 
 @dataclass(frozen=True)
@@ -77,9 +86,6 @@ class ResourceVector:
     fs_bps: int = 0
     fs_iops: int = 0
     storage_bytes: int = 0
-
-    def components(self):
-        return tuple(getattr(self, d) for d in RV_DIMS)
 
     def get(self, dim):
         return getattr(self, dim)
@@ -114,10 +120,6 @@ class ResourceVector:
 
     def is_zero(self):
         return all(getattr(self, d) == 0 for d in RV_DIMS)
-
-    def clamp_floor(self, other):
-        """max(self, other) per component."""
-        return ResourceVector(**{d: max(getattr(self, d), getattr(other, d)) for d in RV_DIMS})
 
     def min_with(self, other):
         return ResourceVector(**{d: min(getattr(self, d), getattr(other, d)) for d in RV_DIMS})

@@ -16,45 +16,32 @@ from .model import (
     IO_DIMS,
     RV_DIMS,
     ApplicationSpec,
+    EmptyRange,
     PlatformEnvEvent,
     Reservation,
     ResourceVector,
+    SymplatError,
     ZERO,
 )
 
 
-class SchedulerError(Exception):
-    code = "scheduler_error"
-
-    def __init__(self, message=""):
-        super().__init__(message or self.code)
-
-
-class InsufficientCapacity(SchedulerError):
+class InsufficientCapacity(SymplatError):
     code = "insufficient_capacity"
 
 
-class UnknownImage(SchedulerError):
-    code = "unknown_image"
-
-
-class NoSuchApp(SchedulerError):
+class NoSuchApp(SymplatError):
     code = "no_such_app"
 
 
-class NotActive(SchedulerError):
+class NotActive(SymplatError):
     code = "not_active"
 
 
-class NativeAppRestriction(SchedulerError):
+class NativeAppRestriction(SymplatError):
     code = "native_app_restriction"
 
 
-class EmptyRange(SchedulerError):
-    code = "empty_range"
-
-
-class DuplicateApp(SchedulerError):
+class DuplicateApp(SymplatError):
     code = "duplicate_app"
 
 
@@ -184,29 +171,25 @@ class ReservationScheduler:
         queued = [a for a, r in self.reservations.items() if r.status == "Queued"]
         return sorted(queued, key=lambda a: self._submit_order[a])
 
-    def _earliest_fit(self, timelines, app_id, now, min_start=None):
+    def _earliest_fit(self, timelines, app_id, now):
         """Earliest (start, placement) for a queued job against `timelines`."""
         res = self.reservations[app_id]
         per_task = self.effective_per_task(res.per_task)
         wall = res.walltime_ms()
-        candidates = {now if min_start is None else max(now, min_start)}
-        base = now if min_start is None else max(now, min_start)
+        candidates = {now}
         for ivs in timelines.values():
             for iv in ivs:
-                if iv.end > base:
+                if iv.end > now:
                     candidates.add(iv.end)
         for s in sorted(candidates):
             free = {
                 n: _min_free_over_window(self.capacity[n], timelines[n], s, s + wall)
                 for n in self.node_ids
             }
-            placement = _first_fit(self.node_ids, free, per_task, len(res.placement) or self._task_count(app_id))
+            placement = _first_fit(self.node_ids, free, per_task, self.specs[app_id].task_count)
             if placement is not None:
                 return s, placement
         return None, None
-
-    def _task_count(self, app_id):
-        return self.specs[app_id].task_count
 
     def _commit(self, timelines, app_id, start, placement, per_task, wall):
         counts = {}
@@ -240,7 +223,7 @@ class ReservationScheduler:
         self._submit_order[spec.app_id] = (now, spec.app_id)
         return res
 
-    def plan(self, now, fcfs_only=False):
+    def plan(self, now):
         """Plan all queued jobs.
 
         A queued job's planned start, once published, is a promise: replanning
@@ -255,24 +238,17 @@ class ReservationScheduler:
         for _ in range(len(order) + 1):
             timelines = self._active_intervals()
             planned = {}
-            prev_start = None
             for app_id in order:
                 res = self.reservations[app_id]
-                if not fcfs_only and app_id in pinned:
+                if app_id in pinned:
                     start, placement = self._promised[app_id]
                 else:
-                    min_start = prev_start if fcfs_only else None
-                    start, placement = self._earliest_fit(
-                        timelines, app_id, now, min_start=min_start)
+                    start, placement = self._earliest_fit(timelines, app_id, now)
                 planned[app_id] = (start, placement)
                 self._commit(
                     timelines, app_id, start, placement,
                     self.effective_per_task(res.per_task), res.walltime_ms(),
                 )
-                if fcfs_only:
-                    prev_start = start
-            if fcfs_only:
-                break
             violators = [
                 a for a in order
                 if a in self._promised and planned[a][0] > max(self._promised[a][0], now)
@@ -287,10 +263,9 @@ class ReservationScheduler:
             if not newly:
                 break
             pinned |= newly
-        if not fcfs_only:
-            for a in order:
-                if a not in self._promised or planned[a][0] <= self._promised[a][0]:
-                    self._promised[a] = planned[a]
+        for a in order:
+            if a not in self._promised or planned[a][0] <= self._promised[a][0]:
+                self._promised[a] = planned[a]
         return SchedulePlan(planned=planned, timelines=timelines, order=order)
 
     def activate_due(self, now):
@@ -324,7 +299,7 @@ class ReservationScheduler:
         if res.status != "Active":
             raise NotActive(f"app {app_id} is {res.status}, not Active")
         if delta_per_task.is_zero() and extension_s == 0:
-            raise SchedulerError("adjustment requests at least one change")
+            raise SymplatError("scheduler_error", "adjustment requests at least one change")
 
         plan = self.plan(now)
         timelines = {n: list(ivs) for n, ivs in plan.timelines.items()}
@@ -441,7 +416,7 @@ class ReservationScheduler:
         if app_id not in self.reservations:
             raise NoSuchApp(f"no app {app_id}")
         res = self.reservations[app_id]
-        if res.status in ("Queued", "Scheduled"):
+        if res.status == "Queued":
             res.status = "Cancelled"
             self._promised.pop(app_id, None)
         elif res.status in ("Active", "Frozen"):
@@ -469,12 +444,11 @@ class ReservationScheduler:
                     usage[nid] = usage[nid].add(iv.usage)
         return usage
 
-    def utilization_report(self, t0, t1, usage_log=None):
+    def utilization_report(self, t0, t1):
         """Mean committed/capacity per dimension, plus hollow core-seconds.
 
-        `usage_log` is an optional list of (t, {node_id: ResourceVector}) ticks
-        recorded by the harness; without it the report covers finished and
-        current commitments reconstructible from reservation windows.
+        The report covers finished and current commitments reconstructible
+        from reservation windows.
         """
         if not t0 < t1:
             raise EmptyRange(f"invalid range [{t0}, {t1})")

@@ -9,35 +9,37 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import NODE_METRICS, SAMPLE_METRICS, NodeSample, PhysicalSample
+from .model import (
+    NODE_METRICS,
+    SAMPLE_METRICS,
+    EmptyRange,
+    NodeSample,
+    PhysicalSample,
+    SymplatError,
+)
+
+# Droppable messages a channel holds before it drops the oldest one: a
+# subscription's buffer, or a wire connection's pending pushes.
+CHANNEL_DEPTH = 1024
+METRIC_KINDS = ("sample", "node_sample", "alarm")
+EVENT_KINDS = ("event",)
 
 
-class TelemetryError(Exception):
-    code = "telemetry_error"
-
-    def __init__(self, message=""):
-        super().__init__(message or self.code)
-
-
-class OutOfOrderSample(TelemetryError):
+class OutOfOrderSample(SymplatError):
     code = "out_of_order_sample"
 
 
-class EmptyRange(TelemetryError):
-    code = "empty_range"
-
-
-class UnknownSubject(TelemetryError):
+class UnknownSubject(SymplatError):
     code = "unknown_subject"
 
 
-class UnknownSubscription(TelemetryError):
+class UnknownSubscription(SymplatError):
     code = "unknown_subscription"
 
 
-class InvalidBoundary(TelemetryError):
+class InvalidBoundary(SymplatError):
     code = "invalid_boundary"
 
 
@@ -108,40 +110,82 @@ class Alarm:
         }
 
 
-class Subscription:
-    """Bounded delivery channel: drop-oldest beyond `depth`, with gap markers.
+class Channel:
+    """Bounded ordered message queue with gap markers.
 
-    Pass a `sink` callable to bypass buffering (the caller then owns
-    backpressure); otherwise messages accumulate until poll().
+    Beyond `depth` droppable messages, the oldest droppable one is dropped;
+    the next poll then starts with a {"type": "gap", "dropped": n} marker.
+    Non-droppable messages are never dropped and do not count toward `depth`.
     """
 
-    def __init__(self, sub_id, matcher, depth=1024, sink=None):
-        self.sub_id = sub_id
-        self.matcher = matcher
+    def __init__(self, depth=CHANNEL_DEPTH):
         self.depth = depth
-        self.sink = sink
-        self._buf = deque()
+        self._items = deque()  # (msg, droppable)
+        self._droppable = 0
         self._gap = 0
-        self.delivered = 0
 
-    def deliver(self, msg):
-        self.delivered += 1
-        if self.sink is not None:
-            self.sink(msg)
-            return
-        if len(self._buf) >= self.depth:
-            self._buf.popleft()
-            self._gap += 1
-        self._buf.append(msg)
+    def put(self, msg, droppable=True):
+        if droppable:
+            if self._droppable < self.depth:
+                self._droppable += 1
+            else:
+                self._drop_oldest()
+        self._items.append((msg, droppable))
+
+    def _drop_oldest(self):
+        items = self._items
+        if items[0][1]:  # O(1) whenever the head is droppable
+            items.popleft()
+        else:
+            del items[next(i for i, (_, droppable) in enumerate(items) if droppable)]
+        self._gap += 1
 
     def poll(self):
         out = []
         if self._gap:
             out.append({"type": "gap", "dropped": self._gap})
             self._gap = 0
-        while self._buf:
-            out.append(self._buf.popleft())
+        out.extend(msg for msg, _ in self._items)
+        self._items.clear()
+        self._droppable = 0
         return out
+
+
+class Subscription(Channel):
+    """Bus messages of some `kinds` about one subject kind and/or id.
+
+    Matches go to `outbox` (a wire connection's channel) when one is given,
+    else into this subscription's own buffer until poll().
+    """
+
+    def __init__(self, sub_id, kinds, subject_kind=None, subject_id=None,
+                 depth=CHANNEL_DEPTH, outbox=None):
+        super().__init__(depth)
+        self.sub_id = sub_id
+        self.kinds = kinds
+        self.subject_kind = subject_kind
+        self.subject_id = subject_id
+        self.outbox = outbox
+        self.delivered = 0
+
+    def matches(self, msg):
+        if msg["type"] not in self.kinds:
+            return False
+        if msg["type"] == "alarm":
+            subj = (msg["subject"]["kind"], msg["subject"]["id"])
+        elif msg["type"] == "node_sample":
+            subj = ("node", msg["node_id"])
+        else:
+            subj = ("app", msg["app_id"])
+        if self.subject_kind is not None and subj[0] != self.subject_kind:
+            return False
+        if self.subject_id is not None and subj[1] != self.subject_id:
+            return False
+        return True
+
+    def deliver(self, msg):
+        self.delivered += 1
+        (self if self.outbox is None else self.outbox).put(msg)
 
 
 def _sample_subject(sample):
@@ -149,7 +193,7 @@ def _sample_subject(sample):
         return ("app", sample.app_id)
     if isinstance(sample, NodeSample):
         return ("node", sample.node_id)
-    raise TelemetryError(f"unsupported sample type {type(sample).__name__}")
+    raise SymplatError("telemetry_error", f"unsupported sample type {type(sample).__name__}")
 
 
 @dataclass
@@ -160,7 +204,7 @@ class _BcState:
 
 
 class MetricBus:
-    def __init__(self, retention_s=3600, channel_depth=1024):
+    def __init__(self, retention_s=3600, channel_depth=CHANNEL_DEPTH):
         self.retention_ms = retention_s * 1000
         self.channel_depth = channel_depth
         self.series: dict[tuple, deque] = {}  # (kind, id, metric) -> deque[(t, value)]
@@ -169,7 +213,7 @@ class MetricBus:
         self._bc_state: dict[str, _BcState] = {}
         self.rejected_out_of_order = 0
         self.alarm_log: list[Alarm] = []
-        self._sub_seq = itertools.count(1)
+        self._sub_seq = {"sub": itertools.count(1), "evsub": itertools.count(1)}
         self._known_subjects = set()
 
     # -- store -------------------------------------------------------------
@@ -196,26 +240,12 @@ class MetricBus:
 
     # -- pub/sub -------------------------------------------------------------
 
-    def subscribe(self, subject_kind=None, subject_id=None, metric=None, sink=None,
-                  kinds=("sample", "node_sample", "alarm")):
-        sub_id = f"sub-{next(self._sub_seq)}"
-
-        def matcher(msg):
-            if msg["type"] not in kinds:
-                return False
-            if msg["type"] == "alarm":
-                subj = (msg["subject"]["kind"], msg["subject"]["id"])
-            elif msg["type"] == "node_sample":
-                subj = ("node", msg["node_id"])
-            else:
-                subj = ("app", msg["app_id"])
-            if subject_kind is not None and subj[0] != subject_kind:
-                return False
-            if subject_id is not None and subj[1] != subject_id:
-                return False
-            return True
-
-        sub = Subscription(sub_id, matcher, depth=self.channel_depth, sink=sink)
+    def subscribe(self, subject_kind=None, subject_id=None, kinds=METRIC_KINDS, outbox=None):
+        """New subscription; ids are sub-N, or evsub-N for event subscriptions."""
+        prefix = "evsub" if "event" in kinds else "sub"
+        sub_id = f"{prefix}-{next(self._sub_seq[prefix])}"
+        sub = Subscription(sub_id, kinds, subject_kind, subject_id,
+                           depth=self.channel_depth, outbox=outbox)
         self.subscriptions[sub_id] = sub
         return sub
 
@@ -224,10 +254,10 @@ class MetricBus:
             raise UnknownSubscription(f"no subscription {sub_id}")
         del self.subscriptions[sub_id]
 
-    def _fan_out(self, msg):
+    def fan_out(self, msg):
         for sub_id in sorted(self.subscriptions):
             sub = self.subscriptions[sub_id]
-            if sub.matcher(msg):
+            if sub.matches(msg):
                 sub.deliver(msg)
 
     # -- pipeline --------------------------------------------------------
@@ -241,7 +271,7 @@ class MetricBus:
         self._known_subjects.add(subject)
         msg = sample.to_json()
         msg["type"] = "sample" if isinstance(sample, PhysicalSample) else "node_sample"
-        self._fan_out(msg)
+        self.fan_out(msg)
         return self.evaluate(sample, subject)
 
     # -- analytics ---------------------------------------------------------
@@ -285,7 +315,7 @@ class MetricBus:
                                   observed=mean, threshold=bc.threshold)
                     alarms.append(alarm)
                     self.alarm_log.append(alarm)
-                    self._fan_out(alarm.to_json())
+                    self.fan_out(alarm.to_json())
                     st.armed = False
                 st.in_violation = True
                 st.satisfied_since = None

@@ -85,3 +85,55 @@ def brute_force_placement(node_ids, capacities, per_task, task_count):
         if ok:
             return {tid: combo[tid] for tid in range(task_count)}
     return None
+
+
+def fcfs_starts(sched, now):
+    """Planned starts under pure FCFS (no backfill): app_id -> start.
+
+    Queued jobs go in submit order, each at the first instant no earlier than
+    the job before it where a first-fit placement (tasks to nodes in node-id
+    order) keeps every node within capacity over the job's whole walltime,
+    against the running reservations and the jobs already placed.
+    """
+    tasks = {n: [] for n in sched.node_ids}  # node -> [(start, end, per-task usage)]
+    for res in sched.reservations.values():
+        if res.status in ("Active", "Frozen"):
+            for nid in res.placement.values():
+                tasks[nid].append((res.start_t, res.end_t, sched.effective_per_task(res.per_task)))
+
+    def free(nid, start, end):
+        points = {start} | {a for a, _, _ in tasks[nid] if start < a < end}
+        cap = sched.capacity[nid]
+        return {d: min(getattr(cap, d) - sum(getattr(u, d) for a, b, u in tasks[nid] if a <= p < b)
+                       for p in points)
+                for d in RV_DIMS}
+
+    def first_fit(start, end, per_task, task_count):
+        room = {n: free(n, start, end) for n in sched.node_ids}
+        placement = []
+        for _ in range(task_count):
+            fits = [n for n in sched.node_ids
+                    if all(getattr(per_task, d) <= room[n][d] for d in RV_DIMS)]
+            if not fits:
+                return None
+            for d in RV_DIMS:
+                room[fits[0]][d] -= getattr(per_task, d)
+            placement.append(fits[0])
+        return placement
+
+    queued = sorted((r for r in sched.reservations.values() if r.status == "Queued"),
+                    key=lambda r: (r.start_t, r.app_id))
+    starts = {}
+    base = now
+    for res in queued:
+        per_task = sched.effective_per_task(res.per_task)
+        wall = res.walltime_ms()
+        ends = {b for ivs in tasks.values() for _, b, _ in ivs if b > base}
+        for start in sorted({base} | ends):
+            placement = first_fit(start, start + wall, per_task, sched.specs[res.app_id].task_count)
+            if placement is not None:
+                break
+        for nid in placement:
+            tasks[nid].append((start, start + wall, per_task))
+        starts[res.app_id] = base = start
+    return starts

@@ -1,9 +1,12 @@
 import json
 import socket
+import sys
+import threading
+import time
 
 import pytest
 
-from symplat.api import MAX_LINE_BYTES, WireClient, WireServer, parse_listen
+from symplat.api import MAX_LINE_BYTES, WireClient, WireServer, _Outbox, parse_listen
 from symplat.core import ApiError, PlatformCore
 from symplat.model import (
     ApplicationSpec,
@@ -233,6 +236,120 @@ class TestPushes:
         assert push["push"]["type"] == "sample"
         assert push["push"]["app_id"] == "solver-1"
         client.close()
+
+
+class TestOutbox:
+    def test_pushes_drop_oldest_and_responses_survive(self):
+        outbox = _Outbox()
+        outbox.put({"id": "c1", "result": {}}, droppable=False)
+        for i in range(outbox.depth + 3):
+            outbox.put({"type": "sample", "seq": i})
+        outbox.put({"id": "c2", "result": {}}, droppable=False)
+        msgs = outbox.get()
+        assert msgs[0] == {"type": "gap", "dropped": 3}
+        assert msgs[1] == {"id": "c1", "result": {}}
+        assert [m["seq"] for m in msgs[2:-1]] == list(range(3, outbox.depth + 3))
+        assert msgs[-1] == {"id": "c2", "result": {}}
+        assert outbox.get(timeout=0) == []
+
+    def test_concurrent_writers_lose_nothing(self):
+        outbox = _Outbox()
+        writers, per_writer = 4, 3000
+        received = []
+
+        def write(w):
+            for i in range(per_writer):
+                outbox.put({"id": f"{w}-{i}"}, droppable=False)
+                outbox.put({"type": "sample", "w": w})
+
+        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 30
+            while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
+                received.extend(outbox.get(timeout=0.001))
+            for t in threads:
+                t.join(timeout=5)
+                assert not t.is_alive()
+            received.extend(outbox.get(timeout=0))
+        finally:
+            sys.setswitchinterval(old)
+        for w in range(writers):
+            ids = [m["id"] for m in received if m.get("id", "").startswith(f"{w}-")]
+            assert ids == [f"{w}-{i}" for i in range(per_writer)]
+        pushes = sum(m["type"] == "sample" for m in received if "type" in m)
+        dropped = sum(m["dropped"] for m in received if m.get("type") == "gap")
+        assert pushes + dropped == writers * per_writer
+
+
+class TestEventSubscriptions:
+    def test_event_overflow_yields_gap_marker(self):
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        core.handle("submit", {"spec": app_spec().to_json()}, tenant="alice")
+        core.tick()
+        core.bus.channel_depth = 4
+        sub_id = core.handle("subscribe_events", {"app_id": "solver-1"})["subscription_id"]
+        for _ in range(3):  # six events into a four-deep channel
+            core.handle("freeze_app", {"app_id": "solver-1"}, operator=True)
+            core.handle("thaw_app", {"app_id": "solver-1"}, operator=True)
+        msgs = core.poll_subscription(sub_id)
+        assert msgs[0] == {"type": "gap", "dropped": 2}
+        assert [m["event"] for m in msgs[1:]] == ["Freezing", "Thawed"] * 2
+        assert core.poll_subscription(sub_id) == []
+
+
+class TestErrorCodes:
+    """Every layer's refusals reach API callers as ApiError with their own code."""
+
+    def refusal(self, op, payload):
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        with pytest.raises(ApiError) as err:
+            core.handle(op, payload, tenant="alice")
+        return err.value.code
+
+    def test_model_error_code(self):
+        spec = app_spec().to_json()
+        spec["per_task_reservation"]["gpus"] = 1
+        assert self.refusal("submit", {"spec": spec}) == "invalid_value"
+
+    def test_scheduler_error_code(self):
+        spec = app_spec(cores=1000).to_json()
+        assert self.refusal("submit", {"spec": spec}) == "insufficient_capacity"
+
+    def test_telemetry_error_code(self):
+        payload = {"subscription_id": "sub-99"}
+        assert self.refusal("unsubscribe", payload) == "unknown_subscription"
+
+
+class TestSubscriptionOwnership:
+    def test_unsubscribe_only_own_connection(self, server):
+        alice = WireClient(server.address, tenant="alice")
+        other = WireClient(server.address, tenant="alice")
+        sub_id = alice.request("subscribe_metrics", {})["subscription_id"]
+        with pytest.raises(ApiError) as err:
+            other.request("unsubscribe", {"subscription_id": sub_id})
+        assert err.value.code == "forbidden"
+        assert sub_id in server.core.bus.subscriptions
+        assert alice.request("unsubscribe", {"subscription_id": sub_id}) == {
+            "subscription_id": sub_id}
+        alice.close()
+        other.close()
+
+    def test_operator_and_teardown_end_any_subscription(self, server):
+        alice = WireClient(server.address, tenant="alice")
+        op = WireClient(server.address, tenant="ops", operator=True)
+        first = alice.request("subscribe_metrics", {})["subscription_id"]
+        alice.request("subscribe_events", {})
+        op.request("unsubscribe", {"subscription_id": first})
+        alice.close()
+        deadline = time.monotonic() + 5
+        while server.core.bus.subscriptions and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.core.bus.subscriptions == {}
+        op.close()
 
 
 class TestAsymmetricPolicy:

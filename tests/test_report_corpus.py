@@ -1,0 +1,67 @@
+"""Golden report corpus: the canonical JSON reports must stay byte-identical.
+
+`report_digests.json` holds the sha256 of `Report.to_json_str()` for every
+shipped scenario in both modes and for three generated scenarios. Re-record
+only for an intended change of behaviour:
+
+    PYTHONPATH=src python tests/test_report_corpus.py --record
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from genscen import random_scenario
+from symplat.harness import run_scenario
+from symplat.scenario import load_scenario
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+DIGESTS = os.path.join(HERE, "report_digests.json")
+SCENARIOS = ("amr", "io-contention", "kalman", "native-only")
+MODES = ("symmetric", "asymmetric")
+SEEDS = (3, 17, 42)
+
+
+def corpus():
+    """(name, zero-argument report builder) for every corpus entry."""
+    out = []
+    for name in SCENARIOS:
+        path = os.path.join(ROOT, "scenarios", f"{name}.yaml")
+        for mode in MODES:
+            out.append((f"{name}/{mode}",
+                        lambda p=path, m=mode: run_scenario(load_scenario(p), mode_override=m)))
+    for seed in SEEDS:
+        out.append((f"genscen/{seed}", lambda s=seed: run_scenario(random_scenario(s))))
+    return out
+
+
+def digest(report):
+    return hashlib.sha256(report.to_json_str().encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    with open(DIGESTS) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name,build", corpus(), ids=[n for n, _ in corpus()])
+def test_report_digest(recorded, name, build):
+    assert digest(build()) == recorded[name], f"report {name} changed"
+
+
+def test_corpus_is_complete(recorded):
+    assert sorted(recorded) == sorted(n for n, _ in corpus())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_report_corpus.py --record")
+    with open(DIGESTS, "w") as fh:
+        json.dump({name: digest(build()) for name, build in corpus()}, fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")

@@ -20,7 +20,7 @@ from symplat.scheduler import (
     ReservationScheduler,
 )
 
-from oracles import brute_force_placement
+from oracles import brute_force_placement, fcfs_starts
 
 GIB = 1 << 30
 
@@ -319,9 +319,9 @@ class TestSchedulerProperties:
             sched = ReservationScheduler(two_node_cluster())
             random_queue(rng, sched, rng.randint(2, 10))
             backfill = sched.plan(0)
-            fcfs = sched.plan(0, fcfs_only=True)
+            fcfs = fcfs_starts(sched, 0)
             for app_id in backfill.order:
-                assert backfill.planned[app_id][0] <= fcfs.planned[app_id][0]
+                assert backfill.planned[app_id][0] <= fcfs[app_id]
 
     def test_conservative_prefix_stability(self):
         # planning any prefix of the queue gives the same starts as the full plan

@@ -5,6 +5,7 @@ import pytest
 from symplat.model import PhysicalSample, NodeSample
 from symplat.telemetry import (
     BoundaryCondition,
+    Channel,
     EmptyRange,
     InvalidBoundary,
     MetricBus,
@@ -120,6 +121,37 @@ class TestSubscriptions:
         assert sub.poll() == []
         with pytest.raises(UnknownSubscription):
             bus.unsubscribe(sub.sub_id)
+
+
+class TestChannel:
+    def test_mixed_queue_drops_only_oldest_droppable_in_order(self):
+        ch = Channel(depth=2)
+        ch.put("p1")
+        ch.put("r1", droppable=False)
+        ch.put("p2")
+        ch.put("p3")  # drops p1 from the head
+        ch.put("r2", droppable=False)
+        ch.put("p4")  # drops p2, behind the non-droppable r1
+        assert ch.poll() == [{"type": "gap", "dropped": 2}, "r1", "p3", "r2", "p4"]
+        assert ch.poll() == []
+
+    def test_non_droppable_messages_are_never_dropped(self):
+        ch = Channel(depth=1)
+        for i in range(5):
+            ch.put(i, droppable=False)
+        ch.put("p1")
+        ch.put("p2")
+        assert ch.poll() == [{"type": "gap", "dropped": 1}, 0, 1, 2, 3, 4, "p2"]
+
+    def test_metric_subscriptions_receive_no_events(self):
+        bus = MetricBus()
+        metrics = bus.subscribe()
+        events = bus.subscribe(kinds=("event",))
+        bus.fan_out({"type": "event", "event": "Freezing", "app_id": "app-1"})
+        bus.publish(app_sample(0))
+        assert [m["type"] for m in metrics.poll()] == ["sample"]
+        assert [m["type"] for m in events.poll()] == ["event"]
+        assert (metrics.sub_id, events.sub_id) == ("sub-1", "evsub-1")
 
 
 class TestBoundaryConditions:
