@@ -1,16 +1,23 @@
 """Reservation scheduler: admission, FCFS + conservative backfill, mid-run adjustment.
 
-The committed plan is a per-node set of piecewise-constant intervals. Queued jobs
-are planned in FCFS order (submit time, then app_id); each planned job's intervals
-are committed into the working timeline before the next job is planned, which
-yields conservative backfill: a later job may slot in earlier only where it cannot
-delay any job planned before it.
+Each node's commitments form an availability profile: free capacity as a step
+function of time (the "profile" of conservative backfilling, Mu'alem &
+Feitelson, IEEE TPDS 2001). Queued jobs are planned in FCFS order (submit
+time, then app_id); each planned job is subtracted from the profile before
+the next job is planned, so a later job may slot in earlier only where it
+cannot delay any job planned before it.
+
+The plan is recomputed only when its inputs change: a mutation of the
+reservations, a renewed promise, or a `now` later than the earliest start
+the last computation found.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
+from dataclasses import dataclass
 
 from .model import (
     IO_DIMS,
@@ -23,6 +30,8 @@ from .model import (
     SymplatError,
     ZERO,
 )
+
+_ORIGIN = -(2**63)  # first breakpoint of every profile, before any reservation
 
 
 class InsufficientCapacity(SymplatError):
@@ -45,20 +54,124 @@ class DuplicateApp(SymplatError):
     code = "duplicate_app"
 
 
-@dataclass(frozen=True)
-class Interval:
-    start: int
-    end: int
-    app_id: str
-    usage: ResourceVector  # total committed on this node
+def _vec(rv):
+    return tuple(getattr(rv, d) for d in RV_DIMS)
+
+
+class _FitCounts(dict):
+    """free vector -> how many copies of `need` fit in it, at most `limit`."""
+
+    def __init__(self, need, limit):
+        super().__init__()
+        self.need = need
+        self.limit = limit
+
+    def __missing__(self, free):
+        count = self.limit
+        for f, q in zip(free, self.need):
+            if q > 0:
+                count = min(count, f // q)
+            elif f < q:
+                count = 0
+        self[free] = count = max(count, 0)
+        return count
+
+
+class AvailabilityProfile:
+    """Free capacity of one node as a step function of time.
+
+    `free[i]` (a tuple in RV_DIMS order) is in force on [times[i], times[i+1]);
+    the last entry holds forever.
+    """
+
+    __slots__ = ("times", "free")
+
+    def __init__(self, times, free):
+        self.times = times
+        self.free = free
+
+    def copy(self):
+        return AvailabilityProfile(self.times[:], self.free[:])
+
+    def _split(self, t):
+        """Index of the segment that starts at `t`, adding a breakpoint if needed."""
+        i = bisect_right(self.times, t) - 1
+        if self.times[i] != t:
+            i += 1
+            self.times.insert(i, t)
+            self.free.insert(i, self.free[i - 1])
+        return i
+
+    def reserve(self, start, end, usage):
+        """Subtract `usage` over [start, end); a negative usage releases."""
+        if end <= start:
+            return
+        i, j = self._split(start), self._split(end)
+        for k in range(i, j):
+            self.free[k] = tuple(f - u for f, u in zip(self.free[k], usage))
+        for k in (j, i):  # drop breakpoints across which nothing changes
+            if 0 < k < len(self.times) and self.free[k] == self.free[k - 1]:
+                del self.times[k], self.free[k]
+
+    def min_free(self, start, end):
+        """Component-wise minimum over [start, end); the value at `start` if empty."""
+        i = bisect_right(self.times, start) - 1
+        j = max(i + 1, bisect_left(self.times, end))
+        return tuple(map(min, *self.free[i:j])) if j - i > 1 else self.free[i]
+
+    def first_shortfall(self, start, end, need):
+        """Earliest instant in [start, end) at which `need` does not fit; `end` if none."""
+        i = bisect_right(self.times, start) - 1
+        while i < len(self.times) and self.times[i] < end:
+            if any(q > f for q, f in zip(need, self.free[i])):
+                return max(self.times[i], start)
+            i += 1
+        return end
+
+    def fit_counts(self, fit, wall, now):
+        """Step function [(s, k)]: from instant s >= now on, k tasks fit over
+        all of [s, s + wall) (`fit` counts them in one free vector), until
+        the next step.
+
+        A sliding-window minimum over the segments: the window loses segment
+        a when s reaches its end and gains segment b + 1 once s + wall passes
+        that segment's start.
+        """
+        times = self.times
+        a = bisect_right(times, now) - 1
+        b = bisect_left(times, now + wall) - 1
+        last = len(times) - 1
+        counts = [0] * a + list(map(fit.__getitem__, self.free[a:]))
+        window = deque()  # segment indices with strictly increasing counts
+        for i in range(a, b + 1):
+            while window and counts[window[-1]] >= counts[i]:
+                window.pop()
+            window.append(i)
+        steps = [(now, counts[window[0]])]
+        while a < last:
+            s = times[a + 1]
+            if b < last and times[b + 1] - wall + 1 <= s:
+                b += 1
+                s = times[b] - wall + 1
+                while window and counts[window[-1]] >= counts[b]:
+                    window.pop()
+                window.append(b)
+            if times[a + 1] == s:
+                a += 1
+                if window[0] < a:
+                    window.popleft()
+            if counts[window[0]] != steps[-1][1]:
+                steps.append((s, counts[window[0]]))
+        return steps
 
 
 @dataclass
 class SchedulePlan:
-    """Planned start and placement per queued job, plus the node timelines."""
+    """Planned start and placement per queued job, and the availability
+    profile of every node with all of them committed."""
 
     planned: dict[str, tuple[int, dict[int, str]]]
-    timelines: dict[str, list[Interval]]
+    profile: dict[str, AvailabilityProfile]
     order: list[str]  # queued app_ids in FCFS order
 
 
@@ -90,40 +203,6 @@ class _FinishedJob:
     last_checkpoint_t: int | None
 
 
-def _min_free_over_window(capacity, intervals, start, end):
-    """Component-wise minimum free capacity on one node over [start, end)."""
-    points = {start}
-    for iv in intervals:
-        if iv.end > start and iv.start < end:
-            points.add(max(iv.start, start))
-    free_min = None
-    for p in sorted(points):
-        used = ZERO
-        for iv in intervals:
-            if iv.start <= p < iv.end:
-                used = used.add(iv.usage)
-        free = capacity.sub(used)
-        free_min = free if free_min is None else free_min.min_with(free)
-    return free_min
-
-
-def _first_fit(node_ids, free_by_node, per_task, task_count):
-    """Assign identical tasks to nodes in node_id order; None if infeasible."""
-    placement = {}
-    remaining = {n: free_by_node[n] for n in node_ids}
-    for tid in range(task_count):
-        placed = False
-        for nid in node_ids:
-            if per_task.le(remaining[nid]):
-                placement[tid] = nid
-                remaining[nid] = remaining[nid].sub(per_task)
-                placed = True
-                break
-        if not placed:
-            return None
-    return placement
-
-
 class ReservationScheduler:
     """Single serialized state machine over one cluster's reservations."""
 
@@ -139,7 +218,9 @@ class ReservationScheduler:
         self._drained: set[str] = set()
         self._finished: list[_FinishedJob] = []
         self._promised: dict[str, tuple[int, dict[int, str]]] = {}
-        self._seq = itertools.count()
+        self._plan: SchedulePlan | None = None
+        self._plan_span = (0, 0)  # the instants at which `_plan` is current
+        self.replans = 0  # plan computations, cached returns excluded
 
     # -- helpers -------------------------------------------------------------
 
@@ -154,49 +235,43 @@ class ReservationScheduler:
             return rv
         return ResourceVector(cpu_cores=rv.cpu_cores, memory_bytes=rv.memory_bytes)
 
-    def _active_intervals(self):
-        timelines = {n: [] for n in self.node_ids}
-        for app_id in sorted(self.reservations):
-            res = self.reservations[app_id]
-            if res.status not in ("Active", "Frozen"):
-                continue
-            per_task = self.effective_per_task(res.per_task)
-            for nid, count in res.node_task_counts().items():
-                timelines[nid].append(
-                    Interval(res.start_t, res.end_t, app_id, per_task.scale(count))
-                )
-        return timelines
+    def _active_profile(self):
+        """Availability profile per node of the Active/Frozen reservations."""
+        profile = {n: AvailabilityProfile([_ORIGIN], [_vec(self.capacity[n])])
+                   for n in self.node_ids}
+        for res in self.reservations.values():
+            if res.status in ("Active", "Frozen"):
+                need = _vec(self.effective_per_task(res.per_task))
+                for nid, count in res.node_task_counts().items():
+                    profile[nid].reserve(res.start_t, res.end_t, [q * count for q in need])
+        return profile
 
     def _queued_order(self):
         queued = [a for a, r in self.reservations.items() if r.status == "Queued"]
         return sorted(queued, key=lambda a: self._submit_order[a])
 
-    def _earliest_fit(self, timelines, app_id, now):
-        """Earliest (start, placement) for a queued job against `timelines`."""
-        res = self.reservations[app_id]
-        per_task = self.effective_per_task(res.per_task)
-        wall = res.walltime_ms()
-        candidates = {now}
-        for ivs in timelines.values():
-            for iv in ivs:
-                if iv.end > now:
-                    candidates.add(iv.end)
-        for s in sorted(candidates):
-            free = {
-                n: _min_free_over_window(self.capacity[n], timelines[n], s, s + wall)
-                for n in self.node_ids
-            }
-            placement = _first_fit(self.node_ids, free, per_task, self.specs[app_id].task_count)
-            if placement is not None:
-                return s, placement
-        return None, None
+    def _earliest_fit(self, profile, need, wall, task_count, now):
+        """Earliest (start, placement) for `task_count` tasks of `need` on `profile`.
 
-    def _commit(self, timelines, app_id, start, placement, per_task, wall):
-        counts = {}
-        for tid in sorted(placement):
-            counts[placement[tid]] = counts.get(placement[tid], 0) + 1
-        for nid, count in counts.items():
-            timelines[nid].append(Interval(start, start + wall, app_id, per_task.scale(count)))
+        Tasks go to nodes in node_id order, as many on each as fit over the
+        whole window (first fit); the start is the first instant from `now`
+        at which the nodes together hold all tasks.
+        """
+        fit = _FitCounts(need, task_count)
+        steps = sorted(
+            (s, i, k) for i, nid in enumerate(self.node_ids)
+            for s, k in profile[nid].fit_counts(fit, wall, now)
+        )
+        counts = [0] * len(self.node_ids)
+        total = 0
+        for j, (s, i, k) in enumerate(steps):
+            total += k - counts[i]
+            counts[i] = k
+            if total >= task_count and (j + 1 == len(steps) or steps[j + 1][0] != s):
+                tids = iter(range(task_count))
+                return s, {tid: nid for nid, k in zip(self.node_ids, counts)
+                           for tid in itertools.islice(tids, k)}
+        return None, None
 
     # -- operations ----------------------------------------------------------
 
@@ -204,9 +279,9 @@ class ReservationScheduler:
         spec.validate()
         if spec.app_id in self.reservations:
             raise DuplicateApp(f"app {spec.app_id} already submitted")
-        per_task = self.effective_per_task(spec)
-        free = {n: self.capacity[n] for n in self.node_ids}
-        if _first_fit(self.node_ids, free, per_task, spec.task_count) is None:
+        fit = _FitCounts(_vec(self.effective_per_task(spec)), spec.task_count)
+        room = sum(fit[_vec(self.capacity[n])] for n in self.node_ids)
+        if room < spec.task_count:
             raise InsufficientCapacity(
                 f"app {spec.app_id}: no feasible placement on an empty cluster"
             )
@@ -221,6 +296,7 @@ class ReservationScheduler:
         self.reservations[spec.app_id] = res
         self.specs[spec.app_id] = spec
         self._submit_order[spec.app_id] = (now, spec.app_id)
+        self._plan = None
         return res
 
     def plan(self, now):
@@ -232,23 +308,41 @@ class ReservationScheduler:
         into freed capacity can push a later job past its promise -- so the
         greedy pass is repaired by pinning the moved-up jobs back at their
         promised starts until every promise holds again.
+
+        The result is kept until a mutation clears it and reused for every
+        later `now` up to the earliest start that any pass computed (one
+        instant before it for a job already past its promise, whose promise
+        check reads `now`): up to there every earliest fit and every promise
+        check would come out the same. A computation that renewed a promise
+        is not kept, since the next one starts from the renewed promise.
         """
+        since, until = self._plan_span
+        if self._plan is not None and since <= now <= until:
+            return self._plan
+        self.replans += 1
         order = self._queued_order()
+        jobs = {}
+        for app_id in order:
+            res = self.reservations[app_id]
+            jobs[app_id] = (_vec(self.effective_per_task(res.per_task)), res.walltime_ms(),
+                            self.specs[app_id].task_count)
+        base = self._active_profile()
         pinned: set[str] = set()
+        until = float("inf")
         for _ in range(len(order) + 1):
-            timelines = self._active_intervals()
+            profile = {n: p.copy() for n, p in base.items()}
             planned = {}
             for app_id in order:
-                res = self.reservations[app_id]
+                need, wall, task_count = jobs[app_id]
                 if app_id in pinned:
                     start, placement = self._promised[app_id]
                 else:
-                    start, placement = self._earliest_fit(timelines, app_id, now)
+                    start, placement = self._earliest_fit(profile, need, wall, task_count, now)
+                    past_promise = app_id in self._promised and self._promised[app_id][0] < start
+                    until = min(until, start - 1 if past_promise else start)
                 planned[app_id] = (start, placement)
-                self._commit(
-                    timelines, app_id, start, placement,
-                    self.effective_per_task(res.per_task), res.walltime_ms(),
-                )
+                for nid, count in Counter(placement.values()).items():
+                    profile[nid].reserve(start, start + wall, [q * count for q in need])
             violators = [
                 a for a in order
                 if a in self._promised and planned[a][0] > max(self._promised[a][0], now)
@@ -263,10 +357,15 @@ class ReservationScheduler:
             if not newly:
                 break
             pinned |= newly
+        renewed = False
         for a in order:
             if a not in self._promised or planned[a][0] <= self._promised[a][0]:
+                renewed = renewed or self._promised.get(a) != planned[a]
                 self._promised[a] = planned[a]
-        return SchedulePlan(planned=planned, timelines=timelines, order=order)
+        plan = SchedulePlan(planned=planned, profile=profile, order=order)
+        self._plan = None if renewed else plan
+        self._plan_span = (now, until)
+        return plan
 
     def activate_due(self, now):
         """Start queued jobs whose planned start has arrived. Returns app_ids."""
@@ -282,6 +381,8 @@ class ReservationScheduler:
                 res.status = "Active"
                 self._promised.pop(app_id, None)
                 started.append(app_id)
+        if started:
+            self._plan = None
         return started
 
     def request_adjustment(self, app_id, delta_per_task, extension_s, now):
@@ -301,34 +402,24 @@ class ReservationScheduler:
         if delta_per_task.is_zero() and extension_s == 0:
             raise SymplatError("scheduler_error", "adjustment requests at least one change")
 
+        # the planned profile of each hosting node, less this job's own usage
         plan = self.plan(now)
-        timelines = {n: list(ivs) for n, ivs in plan.timelines.items()}
         counts = res.node_task_counts()
         my_usage = {n: self.effective_per_task(res.per_task).scale(c) for n, c in counts.items()}
+        others = {}
+        for nid, usage in my_usage.items():
+            others[nid] = plan.profile[nid].copy()
+            others[nid].reserve(res.start_t, res.end_t, [-u for u in _vec(usage)])
 
-        # Extension: scan [end_t, end_t + ext) on the job's nodes for the first
-        # instant where the job's current usage no longer fits.
+        # Extension: the largest prefix of [end_t, end_t + ext) over which the
+        # job's current usage still fits on every hosting node.
         granted_ext = 0
         if extension_s > 0:
             new_end = res.end_t + extension_s * 1000
-            conflict_t = new_end
-            for nid, usage in my_usage.items():
-                points = {res.end_t}
-                for iv in timelines[nid]:
-                    if iv.app_id == app_id:
-                        continue
-                    if iv.end > res.end_t and iv.start < new_end:
-                        points.add(max(iv.start, res.end_t))
-                for p in sorted(points):
-                    if p >= conflict_t:
-                        break
-                    used = ZERO
-                    for iv in timelines[nid]:
-                        if iv.app_id != app_id and iv.start <= p < iv.end:
-                            used = used.add(iv.usage)
-                    if not usage.le(self.capacity[nid].sub(used)):
-                        conflict_t = min(conflict_t, p)
-                        break
+            conflict_t = min([new_end] + [
+                others[nid].first_shortfall(res.end_t, new_end, _vec(usage))
+                for nid, usage in my_usage.items()
+            ])
             granted_ext = (conflict_t - res.end_t) // 1000
 
         # Increases: per dimension, the largest per-task amount that fits the
@@ -340,10 +431,7 @@ class ReservationScheduler:
                    for d in RV_DIMS if getattr(delta_per_task, d) < 0}
         if increases:
             for nid, count in counts.items():
-                others = [iv for iv in timelines[nid] if iv.app_id != app_id]
-                free = _min_free_over_window(
-                    self.capacity[nid], others, now, window_end
-                ).sub(my_usage[nid])
+                free = ResourceVector(*others[nid].min_free(now, window_end)).sub(my_usage[nid])
                 for d in increases:
                     if not self.io_reservations and d in IO_DIMS:
                         continue  # best-effort dims: nothing to grant in this mode
@@ -364,6 +452,7 @@ class ReservationScheduler:
 
         res.per_task = res.per_task.add(granted_delta)
         res.end_t += granted_ext * 1000
+        self._plan = None
         if res.app_id in self._drained and now < res.end_t - self.grace_ms:
             self._drained.discard(res.app_id)
         decision = "Granted" if fully else "PartiallyGranted"
@@ -401,6 +490,7 @@ class ReservationScheduler:
     def finish(self, app_id, now, status, last_checkpoint_t=None):
         res = self.reservations[app_id]
         res.status = status
+        self._plan = None
         spec = self.specs[app_id]
         self._finished.append(_FinishedJob(
             app_id=app_id,
@@ -419,8 +509,11 @@ class ReservationScheduler:
         if res.status == "Queued":
             res.status = "Cancelled"
             self._promised.pop(app_id, None)
+            self._plan = None
         elif res.status in ("Active", "Frozen"):
             self.finish(app_id, now, "Cancelled")
+        else:
+            raise NotActive(f"app {app_id} is {res.status}, not live")
         return res
 
     def set_frozen(self, app_id, frozen):
@@ -431,18 +524,17 @@ class ReservationScheduler:
             raise NativeAppRestriction(f"native app {app_id} cannot be frozen")
         if frozen and res.status == "Active":
             res.status = "Frozen"
+            self._plan = None
         elif not frozen and res.status == "Frozen":
             res.status = "Active"
+            self._plan = None
         return res
 
     def committed_at(self, t):
         """Per-node committed usage at instant t (Active/Frozen reservations)."""
-        usage = {n: ZERO for n in self.node_ids}
-        for nid, ivs in self._active_intervals().items():
-            for iv in ivs:
-                if iv.start <= t < iv.end:
-                    usage[nid] = usage[nid].add(iv.usage)
-        return usage
+        profile = self._active_profile()
+        return {n: self.capacity[n].sub(ResourceVector(*profile[n].min_free(t, t)))
+                for n in self.node_ids}
 
     def utilization_report(self, t0, t1):
         """Mean committed/capacity per dimension, plus hollow core-seconds.

@@ -6,10 +6,12 @@ without touching the implementation paths they check.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
-from symplat.model import RV_DIMS
+from symplat.model import RV_DIMS, ZERO
 
 
 def waterfill_oracle(pool, demands):
@@ -137,3 +139,110 @@ def fcfs_starts(sched, now):
             tasks[nid].append((start, start + wall, per_task))
         starts[res.app_id] = base = start
     return starts
+
+
+def _ref_min_free_over_window(capacity, intervals, start, end):
+    points = {start}
+    for iv_start, iv_end, _ in intervals:
+        if iv_end > start and iv_start < end:
+            points.add(max(iv_start, start))
+    free_min = None
+    for p in sorted(points):
+        used = ZERO
+        for iv_start, iv_end, usage in intervals:
+            if iv_start <= p < iv_end:
+                used = used.add(usage)
+        free = capacity.sub(used)
+        free_min = free if free_min is None else free_min.min_with(free)
+    return free_min
+
+
+def _ref_first_fit(node_ids, free_by_node, per_task, task_count):
+    placement = {}
+    remaining = dict(free_by_node)
+    for tid in range(task_count):
+        for nid in node_ids:
+            if per_task.le(remaining[nid]):
+                placement[tid] = nid
+                remaining[nid] = remaining[nid].sub(per_task)
+                break
+        else:
+            return None
+    return placement
+
+
+def active_intervals(sched):
+    """node -> [(start, end, usage)] of the Active/Frozen reservations."""
+    timelines = {n: [] for n in sched.node_ids}
+    for app_id in sorted(sched.reservations):
+        res = sched.reservations[app_id]
+        if res.status in ("Active", "Frozen"):
+            per_task = sched.effective_per_task(res.per_task)
+            for nid, count in res.node_task_counts().items():
+                timelines[nid].append((res.start_t, res.end_t, per_task.scale(count)))
+    return timelines
+
+
+def plan_intervals(sched, plan):
+    """node -> [(start, end, usage)] committed by `plan`: the Active/Frozen
+    reservations plus every queued job at its planned start and placement."""
+    timelines = active_intervals(sched)
+    for app_id, (start, placement) in plan.planned.items():
+        res = sched.reservations[app_id]
+        per_task = sched.effective_per_task(res.per_task)
+        for nid in placement.values():
+            timelines[nid].append((start, start + res.walltime_ms(), per_task))
+    return timelines
+
+
+def reference_plan(sched, now):
+    """The queue plan by the original interval-rescan planner: FCFS with
+    conservative backfill plus promise repair, every candidate start rechecked
+    against every interval.
+
+    Reads `sched` and returns a SimpleNamespace with `planned` and `order`;
+    the promise bookkeeping runs on a deep copy of `sched._promised`.
+    """
+    promised = copy.deepcopy(sched._promised)
+    order = sorted((a for a, r in sched.reservations.items() if r.status == "Queued"),
+                   key=lambda a: sched._submit_order[a])
+
+    def earliest_fit(timelines, app_id):
+        res = sched.reservations[app_id]
+        per_task = sched.effective_per_task(res.per_task)
+        wall = res.walltime_ms()
+        candidates = {now} | {end for ivs in timelines.values() for _, end, _ in ivs if end > now}
+        for s in sorted(candidates):
+            free = {n: _ref_min_free_over_window(sched.capacity[n], timelines[n], s, s + wall)
+                    for n in sched.node_ids}
+            placement = _ref_first_fit(sched.node_ids, free, per_task,
+                                       sched.specs[app_id].task_count)
+            if placement is not None:
+                return s, placement
+        return None, None
+
+    pinned = set()
+    for _ in range(len(order) + 1):
+        timelines = active_intervals(sched)
+        planned = {}
+        for app_id in order:
+            res = sched.reservations[app_id]
+            if app_id in pinned:
+                start, placement = promised[app_id]
+            else:
+                start, placement = earliest_fit(timelines, app_id)
+            planned[app_id] = (start, placement)
+            per_task = sched.effective_per_task(res.per_task)
+            for nid in placement.values():
+                timelines[nid].append((start, start + res.walltime_ms(), per_task))
+        violators = [a for a in order
+                     if a in promised and planned[a][0] > max(promised[a][0], now)]
+        if not violators:
+            break
+        cutoff = order.index(violators[0])
+        newly = {a for a in order[:cutoff]
+                 if a in promised and a not in pinned and planned[a] != promised[a]}
+        if not newly:
+            break
+        pinned |= newly
+    return SimpleNamespace(planned=planned, order=order)

@@ -323,6 +323,25 @@ class TestErrorCodes:
         payload = {"subscription_id": "sub-99"}
         assert self.refusal("unsubscribe", payload) == "unknown_subscription"
 
+    def test_cancel_of_finished_app_is_refused(self):
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        spec = ApplicationSpec(
+            app_id="short", kind="container", image="img-1", task_count=1,
+            per_task_reservation=ResourceVector(cpu_cores=4, memory_bytes=GIB),
+            walltime_limit_s=60,
+            trace=(Phase(kind="compute", work_amount=8, demand=ResourceVector(cpu_cores=4),
+                         progress_at_end=1.0),),
+        )
+        core.handle("submit", {"spec": spec.to_json()}, tenant="alice")
+        for _ in range(10):
+            core.tick()
+        assert core.outcomes["short"] == "Completed"
+        with pytest.raises(ApiError) as err:
+            core.handle("cancel", {"app_id": "short"}, tenant="alice")
+        assert err.value.code == "not_active"
+        assert core.outcomes["short"] == "Completed"
+        assert core.scheduler.reservations["short"].status == "Completed"
+
 
 class TestSubscriptionOwnership:
     def test_unsubscribe_only_own_connection(self, server):

@@ -1,0 +1,130 @@
+"""The scheduler's plan equals the original interval-rescan planner.
+
+`oracles.reference_plan` is the planner as it was before availability
+profiles and cached plans. (a) compares the two on random histories of
+submits, activations, releases, grows, extensions, cancels, completions and
+freezes, with promises made at one instant and broken at a later one; (b)
+compares them after every tick of the report corpus, which guards the cache
+of the current plan.
+"""
+
+import os
+import random
+
+import pytest
+
+from genscen import random_scenario
+from oracles import reference_plan
+from symplat.harness import ScenarioRunner
+from symplat.model import ApplicationSpec, NodeSpec, Phase, ResourceVector
+from symplat.scenario import load_scenario
+from symplat.scheduler import InsufficientCapacity, ReservationScheduler
+
+GIB = 1 << 30
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def assert_same_plan(sched, now, context):
+    expected = reference_plan(sched, now)  # before plan(): it may renew promises
+    got = sched.plan(now)
+    assert got.order == expected.order, context
+    assert got.planned == expected.planned, context
+
+
+def random_nodes(rng):
+    nodes = []
+    for i in range(rng.randint(1, 3)):
+        cap = ResourceVector(cpu_cores=rng.choice([8, 16]), memory_bytes=32 * GIB,
+                             fs_bps=rng.choice([400, 1000]) * 10**6,
+                             net_in_bps=10**9, net_out_bps=10**9, fs_iops=10**5,
+                             storage_bytes=10**12)
+        nodes.append(NodeSpec(f"n{i:02d}", cap))
+    return nodes
+
+
+def random_spec(rng, app_id):
+    cores = rng.choice([2, 4, 8])
+    return ApplicationSpec(
+        app_id=app_id, kind="container", image="img", task_count=rng.randint(1, 3),
+        per_task_reservation=ResourceVector(cpu_cores=cores, memory_bytes=GIB,
+                                            fs_bps=rng.choice([0, 100, 300]) * 10**6),
+        walltime_limit_s=rng.choice([60, 300, 900]),
+        trace=(Phase(kind="compute", work_amount=cores, demand=ResourceVector(cpu_cores=cores),
+                     progress_at_end=1.0),),
+    )
+
+
+def random_step(rng, sched, now, serial):
+    """Apply one random scheduler operation at `now`."""
+    live = sorted(a for a, r in sched.reservations.items()
+                  if r.status in ("Queued", "Active", "Frozen"))
+    active = [a for a in live if sched.reservations[a].status == "Active"]
+    roll = rng.random()
+    if roll < 0.4 or not live:
+        try:
+            sched.submit(random_spec(rng, f"job-{serial:03d}"), now)
+        except InsufficientCapacity:
+            pass
+    elif roll < 0.6:
+        sched.activate_due(now)
+    elif roll < 0.68:
+        sched.cancel(rng.choice(live), now)
+    elif roll < 0.76 and active:
+        sched.finish(rng.choice(active), now, "Completed")
+    elif roll < 0.9 and active:
+        delta = ResourceVector(cpu_cores=rng.choice([-4, -2, 2, 8]),
+                               fs_bps=rng.choice([0, 0, -100 * 10**6, 200 * 10**6]))
+        ext = rng.choice([0, 0, 60, 600])
+        if delta.is_zero() and ext == 0:
+            ext = 60
+        sched.request_adjustment(rng.choice(active), delta, ext, now)
+    elif active or any(sched.reservations[a].status == "Frozen" for a in live):
+        frozen = [a for a in live if sched.reservations[a].status == "Frozen"]
+        app_id = rng.choice(active + frozen)
+        sched.set_frozen(app_id, app_id in active)
+
+
+@pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
+def test_random_queues_match_reference(io_reservations):
+    rng = random.Random(11 if io_reservations else 12)
+    compared = 0
+    for trial in range(500):
+        sched = ReservationScheduler(random_nodes(rng), io_reservations=io_reservations)
+        now = 0
+        for step in range(rng.randint(3, 10)):
+            random_step(rng, sched, now, step)
+            assert_same_plan(sched, now, f"trial {trial} step {step} at {now}")
+            compared += 1
+            # quiet instants, where the plan may come from the cache: some
+            # later, some exactly at the next planned start, where it expires
+            for _ in range(rng.randint(0, 2)):
+                starts = [s for s, _ in sched.plan(now).planned.values() if s > now]
+                if starts and rng.random() < 0.5:
+                    now = min(starts)
+                else:
+                    now += rng.choice([0, 1000, 60_000, 300_000])
+                assert_same_plan(sched, now, f"trial {trial} step {step} quiet at {now}")
+            now += rng.choice([0, 1000, 30_000, 120_000])
+    assert compared >= 1000
+
+
+def corpus():
+    out = [(f"{name}/{mode}", os.path.join(ROOT, "scenarios", f"{name}.yaml"), mode, None)
+           for name in ("amr", "io-contention", "kalman", "native-only")
+           for mode in ("symmetric", "asymmetric")]
+    out += [(f"genscen/{seed}", None, None, seed) for seed in (3, 17, 42)]
+    return out
+
+
+@pytest.mark.parametrize("name,path,mode,seed", corpus(), ids=[c[0] for c in corpus()])
+def test_plan_matches_reference_after_every_tick(name, path, mode, seed):
+    scenario = load_scenario(path) if path else random_scenario(seed)
+    ticks = 0
+
+    def check(core):
+        nonlocal ticks
+        ticks += 1
+        assert_same_plan(core.scheduler, core.now, f"{name} at {core.now}")
+
+    ScenarioRunner(scenario, mode_override=mode).run(on_tick=check)
+    assert ticks > 0

@@ -1,8 +1,10 @@
 import copy
+import os
 import random
 
 import pytest
 
+from symplat.harness import ScenarioRunner
 from symplat.model import (
     RV_DIMS,
     ApplicationSpec,
@@ -19,10 +21,12 @@ from symplat.scheduler import (
     EmptyRange,
     ReservationScheduler,
 )
+from symplat.scenario import load_scenario
 
-from oracles import brute_force_placement, fcfs_starts
+from oracles import brute_force_placement, fcfs_starts, plan_intervals
 
 GIB = 1 << 30
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def two_node_cluster():
@@ -105,7 +109,7 @@ class TestPlanBackfill:
         assert plan.planned["j3"][0] == 2000  # backfilled immediately
         # no-delay: J2's start equals its start when planned without J3
         probe = copy.deepcopy(sched)
-        probe.reservations["j3"].status = "Cancelled"
+        probe.cancel("j3", 2000)
         assert probe.plan(2000).planned["j2"][0] == 3_600_000
 
     def test_backfill_never_delays_earlier_job(self):
@@ -282,6 +286,41 @@ class TestUtilizationReport:
             sched.utilization_report(5000, 5000)
 
 
+class TestEventDrivenReplan:
+    def test_quiet_ticks_reuse_the_plan(self):
+        # one running job fills the cluster, one blocked wide job waits behind it
+        sched = ReservationScheduler(two_node_cluster())
+        sched.submit(make_spec("running", cores=16, tasks=2, walltime=3600), now=0)
+        sched.activate_due(0)
+        sched.submit(make_spec("blocked", cores=16, tasks=2, walltime=3600), now=0)
+        sched.plan(0)
+        sched.plan(0)  # the first computation promised a start; the second kept it
+        replans = sched.replans
+        for t in range(1000, 600_000, 1000):  # what each tick and a model read ask for
+            assert sched.activate_due(t) == []
+            assert sched.enforce_walltime(t) == []
+            assert sched.plan(t).planned["blocked"][0] == 3_600_000
+        assert sched.replans == replans
+        decision, _, _, _ = sched.request_adjustment(
+            "running", ResourceVector(cpu_cores=1), 0, 600_000)
+        assert decision == "Denied"
+        sched.plan(600_000)
+        assert sched.replans == replans  # a denial changes no input
+
+    def test_kalman_replans_only_on_input_changes(self):
+        runner = ScenarioRunner(load_scenario(os.path.join(ROOT, "scenarios", "kalman.yaml")),
+                                mode_override="symmetric")
+        ticks = 0
+
+        def count(core):
+            nonlocal ticks
+            ticks += 1
+
+        runner.run(on_tick=count)
+        assert ticks == 14401
+        assert runner.core.scheduler.replans <= 10
+
+
 def random_queue(rng, sched, n_jobs):
     t = 0
     for i in range(n_jobs):
@@ -302,15 +341,15 @@ class TestSchedulerProperties:
             sched = ReservationScheduler(two_node_cluster())
             random_queue(rng, sched, rng.randint(1, 10))
             sched.activate_due(0)
-            plan = sched.plan(0)
-            boundaries = sorted({iv.start for ivs in plan.timelines.values() for iv in ivs})
-            for nid, ivs in plan.timelines.items():
+            timelines = plan_intervals(sched, sched.plan(0))
+            boundaries = sorted({start for ivs in timelines.values() for start, _, _ in ivs})
+            for nid, ivs in timelines.items():
                 cap = sched.capacity[nid]
                 for t in boundaries:
                     used = ZERO
-                    for iv in ivs:
-                        if iv.start <= t < iv.end:
-                            used = used.add(iv.usage)
+                    for start, end, usage in ivs:
+                        if start <= t < end:
+                            used = used.add(usage)
                     assert used.le(cap), f"trial {trial}: node {nid} over capacity at {t}"
 
     def test_backfill_no_delay_vs_pure_fcfs(self):
@@ -334,7 +373,7 @@ class TestSchedulerProperties:
             for k in range(1, len(order)):
                 probe = copy.deepcopy(sched)
                 for app_id in order[k:]:
-                    probe.reservations[app_id].status = "Cancelled"
+                    probe.cancel(app_id, 0)
                 partial = probe.plan(0)
                 for app_id in order[:k]:
                     assert partial.planned[app_id][0] == full.planned[app_id][0], \
@@ -366,14 +405,14 @@ class TestSchedulerProperties:
                 "base", delta, rng.choice([0, 600]), 1000)
             for d in RV_DIMS:
                 assert abs(getattr(granted, d)) <= abs(getattr(delta, d))
-            plan = sched.plan(1000)
-            boundaries = sorted({iv.start for ivs in plan.timelines.values() for iv in ivs})
-            for nid, ivs in plan.timelines.items():
+            timelines = plan_intervals(sched, sched.plan(1000))
+            boundaries = sorted({start for ivs in timelines.values() for start, _, _ in ivs})
+            for nid, ivs in timelines.items():
                 for t in boundaries:
                     used = ZERO
-                    for iv in ivs:
-                        if iv.start <= t < iv.end:
-                            used = used.add(iv.usage)
+                    for start, end, usage in ivs:
+                        if start <= t < end:
+                            used = used.add(usage)
                     assert used.le(sched.capacity[nid])
 
     def test_plan_deterministic(self):
