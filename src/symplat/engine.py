@@ -13,21 +13,39 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import (
-    IO_DIMS,
     TICK_MS,
     LogicalStatus,
     PhysicalSample,
     NodeSample,
     ResourceVector,
     SymplatError,
-    ZERO,
 )
 
 BEST_EFFORT_DIMS = ("net_in_bps", "net_out_bps", "fs_bps", "fs_iops")
+# the dimensions a tick allocates: cpu and memory, then the best-effort ones
+ALLOC_DIMS = ("cpu_cores", "memory_bytes", *BEST_EFFORT_DIMS)
+_IDLE = (0,) * len(ALLOC_DIMS)
 
 
 class UnknownApp(SymplatError):
     code = "unknown_app"
+
+
+def _dims(rv):
+    """`rv` as a tuple over ALLOC_DIMS."""
+    return (rv.cpu_cores, rv.memory_bytes, rv.net_in_bps, rv.net_out_bps, rv.fs_bps, rv.fs_iops)
+
+
+def _task_demand(app, task, wire_free):
+    """The task's demand this tick over ALLOC_DIMS. `wire_free`: the app has
+    several tasks, all on one node, so its net_io traffic never touches the wire."""
+    if task.frozen or task.done:
+        return _IDLE
+    phase = app.trace[task.phase_index]
+    demand = _dims(phase.demand)
+    if phase.kind == "net_io" and wire_free:
+        return demand[:2] + (0, 0) + demand[4:]
+    return demand
 
 
 def water_fill(pool, demands):
@@ -103,9 +121,10 @@ class SimEngine:
     def __init__(self, nodes, io_guarantees=True):
         self.nodes = sorted(nodes, key=lambda n: n.node_id)
         self.capacity = {n.node_id: n.capacity for n in self.nodes}
+        self._cap = {nid: _dims(cap) for nid, cap in self.capacity.items()}
         self.apps: dict[str, AppRuntime] = {}
         self.io_guarantees = io_guarantees
-        self.last_allocations = []  # (app_id, task_id, dim, demand, reserved, effective)
+        self._alloc_rows = []  # per node: the last tick's rows, see step_tick
 
     # -- lifecycle -------------------------------------------------------
 
@@ -152,88 +171,74 @@ class SimEngine:
 
     # -- tick ------------------------------------------------------------
 
-    def _task_demand(self, app, task):
-        if task.frozen or task.done:
-            return ZERO
-        phase = app.trace[task.phase_index]
-        demand = phase.demand
-        if phase.kind == "net_io" and len(app.tasks) > 1 and app.colocated():
-            # intra-app traffic between co-located tasks never touches the wire
-            demand = ResourceVector(**{
-                d: 0 if d in ("net_in_bps", "net_out_bps") else getattr(demand, d)
-                for d in demand.to_json()
-            })
-        return demand
-
-    def _guaranteed(self, demand, reserved, dim):
-        if dim in BEST_EFFORT_DIMS and not self.io_guarantees:
-            return 0
-        return min(demand.get(dim), reserved.get(dim))
+    @property
+    def last_allocations(self):
+        """(app_id, task_id, dim, demand, reserved, effective) of the last tick:
+        node by node, cpu and memory task by task, then each best-effort
+        dimension across the node's tasks."""
+        out = []
+        for rows in self._alloc_rows:
+            out += [(a, t, ALLOC_DIMS[i], d[i], r[i], e[i])
+                    for a, t, d, r, e in rows for i in (0, 1)]
+            out += [(a, t, ALLOC_DIMS[i], d[i], r[i], e[i])
+                    for i in range(2, len(ALLOC_DIMS)) for a, t, d, r, e in rows]
+        return out
 
     def step_tick(self, now):
         """Advance all tasks over [now, now+1000). Samples are stamped `now`."""
-        self.last_allocations = []
-        rates = {}  # (app_id, task_id) -> {dim: effective}
-        node_used = {n.node_id: {d: 0 for d in ("cpu_cores", "memory_bytes", *BEST_EFFORT_DIMS, "storage_bytes")} for n in self.nodes}
-
+        io_guarantees = self.io_guarantees
         ordered_apps = [self.apps[a] for a in sorted(self.apps)]
-        tasks_by_node = {n.node_id: [] for n in self.nodes}
+        # one row per task: [app_id, task_id, demand, reserved, effective],
+        # the vectors as tuples over ALLOC_DIMS
+        by_node = {n.node_id: [] for n in self.nodes}
+        by_app = []
         for app in ordered_apps:
+            reserved = _dims(app.reserved)
+            wire_free = len(app.tasks) > 1 and app.colocated()
+            tasks = []
             for tid in sorted(app.tasks):
                 task = app.tasks[tid]
-                tasks_by_node[task.node_id].append((app, task))
-                rates[(app.app_id, tid)] = {}
+                row = [app.app_id, tid, _task_demand(app, task, wire_free), reserved, None]
+                by_node[task.node_id].append(row)
+                tasks.append((task, row))
+            by_app.append((app, wire_free, tasks))
 
-        for nid, pairs in tasks_by_node.items():
-            cap = self.capacity[nid]
+        node_used = {}
+        for nid, rows in by_node.items():
+            if not rows:
+                node_used[nid] = [0] * (len(ALLOC_DIMS) + 1)
+                continue
+            cap = self._cap[nid]
             # hard dimensions: never more than reserved
-            for app, task in pairs:
-                demand = self._task_demand(app, task)
-                for dim in ("cpu_cores", "memory_bytes"):
-                    eff = min(demand.get(dim), app.reserved.get(dim))
-                    rates[(app.app_id, task.task_id)][dim] = eff
-                    node_used[nid][dim] += eff
-                    self.last_allocations.append(
-                        (app.app_id, task.task_id, dim, demand.get(dim),
-                         app.reserved.get(dim), eff)
-                    )
+            effs = [[min(d[0], r[0]), min(d[1], r[1])] for _, _, d, r, _ in rows]
             # contended rate dimensions: guarantee + max-min split of residual
-            for dim in BEST_EFFORT_DIMS:
-                guaranteed = []
-                extras = []
-                for app, task in pairs:
-                    demand = self._task_demand(app, task)
-                    g = self._guaranteed(demand, app.reserved, dim)
-                    guaranteed.append(g)
-                    extras.append(max(0, demand.get(dim) - g))
-                residual = cap.get(dim) - sum(guaranteed)
-                shares = water_fill(residual, extras)
-                for (app, task), g, share in zip(pairs, guaranteed, shares):
-                    demand = self._task_demand(app, task)
-                    eff = g + share
-                    rates[(app.app_id, task.task_id)][dim] = eff
-                    node_used[nid][dim] += eff
-                    self.last_allocations.append(
-                        (app.app_id, task.task_id, dim, demand.get(dim),
-                         app.reserved.get(dim), eff)
-                    )
+            for i in range(2, len(ALLOC_DIMS)):
+                guaranteed = ([min(d[i], r[i]) for _, _, d, r, _ in rows] if io_guarantees
+                              else [0] * len(rows))
+                extras = [max(0, row[2][i] - g) for row, g in zip(rows, guaranteed)]
+                shares = water_fill(cap[i] - sum(guaranteed), extras)
+                for e, g, share in zip(effs, guaranteed, shares):
+                    e.append(g + share)
+            for row, e in zip(rows, effs):
+                row[4] = e
+            node_used[nid] = [sum(col) for col in zip(*effs)] + [0]  # storage_bytes, summed below
+        self._alloc_rows = list(by_node.values())
 
         samples = []
         completions = []
         errors = []
-        for app in ordered_apps:
+        for app, wire_free, tasks in by_app:
             app_finished_tasks = 0
-            for tid in sorted(app.tasks):
-                task = app.tasks[tid]
-                r = rates[(app.app_id, tid)]
+            for task, row in tasks:
+                r = row[4]  # cpu, memory, net_in, net_out, fs, fs_iops
                 phase = app.trace[task.phase_index] if not task.done else None
                 interproc = 0
                 if phase is not None and not task.frozen:
                     advance = 0
                     if phase.kind == "compute":
-                        advance = r["cpu_cores"] * (TICK_MS // 1000)
+                        advance = r[0] * (TICK_MS // 1000)
                     elif phase.kind == "fs_io":
-                        advance = r["fs_bps"] * (TICK_MS // 1000)
+                        advance = r[4] * (TICK_MS // 1000)
                         if phase.demand.storage_bytes > 0:
                             task.storage_used += advance
                             # storage is a stock: writing past the reservation
@@ -245,14 +250,14 @@ class SimEngine:
                                     state="Error", progress=app.status.progress, updated_at=now)
                                 errors.append(app.app_id)
                     elif phase.kind == "net_io":
-                        if len(app.tasks) > 1 and app.colocated():
+                        if wire_free:
                             # free intra-node traffic at the demanded rate
                             interproc = max(phase.demand.net_in_bps, phase.demand.net_out_bps)
                             advance = interproc * (TICK_MS // 1000)
                         else:
-                            advance = (r["net_in_bps"] + r["net_out_bps"]) * (TICK_MS // 1000)
+                            advance = (r[2] + r[3]) * (TICK_MS // 1000)
                             if len(app.tasks) > 1:
-                                interproc = r["net_in_bps"] + r["net_out_bps"]
+                                interproc = r[2] + r[3]
                     elif phase.kind in ("checkpoint", "idle"):
                         advance = TICK_MS // 1000
                     task.work_done += advance
@@ -264,18 +269,18 @@ class SimEngine:
                 samples.append(PhysicalSample(
                     t=now,
                     app_id=app.app_id,
-                    task_id=tid,
+                    task_id=task.task_id,
                     node_id=task.node_id,
-                    cpu_cores_used=r["cpu_cores"],
-                    memory_bytes_used=r["memory_bytes"],
-                    fs_bps_used=r["fs_bps"],
-                    fs_iops_used=r["fs_iops"],
+                    cpu_cores_used=r[0],
+                    memory_bytes_used=r[1],
+                    fs_bps_used=r[4],
+                    fs_iops_used=r[5],
                     storage_bytes_used=task.storage_used,
-                    net_in_bps_used=r["net_in_bps"],
-                    net_out_bps_used=r["net_out_bps"],
+                    net_in_bps_used=r[2],
+                    net_out_bps_used=r[3],
                     interproc_bps_used=interproc,
                 ))
-                node_used[task.node_id]["storage_bytes"] += task.storage_used
+                node_used[task.node_id][6] += task.storage_used
                 if task.done:
                     app_finished_tasks += 1
             if app.tasks and app_finished_tasks == len(app.tasks):
@@ -285,15 +290,15 @@ class SimEngine:
             NodeSample(
                 t=now,
                 node_id=nid,
-                cpu_cores_used=node_used[nid]["cpu_cores"],
-                memory_bytes_used=node_used[nid]["memory_bytes"],
-                fs_bps_used=node_used[nid]["fs_bps"],
-                fs_iops_used=node_used[nid]["fs_iops"],
-                storage_bytes_used=node_used[nid]["storage_bytes"],
-                net_in_bps_used=node_used[nid]["net_in_bps"],
-                net_out_bps_used=node_used[nid]["net_out_bps"],
+                cpu_cores_used=used[0],
+                memory_bytes_used=used[1],
+                fs_bps_used=used[4],
+                fs_iops_used=used[5],
+                storage_bytes_used=used[6],
+                net_in_bps_used=used[2],
+                net_out_bps_used=used[3],
             )
-            for nid in sorted(node_used)
+            for nid, used in node_used.items()
         ]
         return TickResult(samples=samples, node_samples=node_samples,
                           completions=completions, errors=errors)

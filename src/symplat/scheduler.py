@@ -546,7 +546,6 @@ class ReservationScheduler:
             raise EmptyRange(f"invalid range [{t0}, {t1})")
         span = t1 - t0
         per_node = {}
-        committed = {n: 0 for n in self.node_ids}
         sums = {n: {d: 0 for d in RV_DIMS} for n in self.node_ids}
         for app_id in sorted(self.reservations):
             res = self.reservations[app_id]

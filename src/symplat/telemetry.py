@@ -7,9 +7,11 @@ and re-arm only after a full window of continuous satisfaction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import (
     NODE_METRICS,
@@ -45,6 +47,14 @@ class InvalidBoundary(SymplatError):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
+    """Alarm when the mean of `metric` over the trailing `window_s` seconds of
+    `subject`'s samples crosses `threshold` (below it for "min", above for "max").
+
+    The mean covers only points the bus still retains, so a window longer
+    than the bus's `retention_s` acts as `retention_s`; a boundary registered
+    after samples exist sees the points already retained.
+    """
+
     bc_id: str
     subject: tuple[str, str]  # ("app", app_id) | ("node", node_id)
     metric: str
@@ -196,8 +206,40 @@ def _sample_subject(sample):
     raise SymplatError("telemetry_error", f"unsupported sample type {type(sample).__name__}")
 
 
-@dataclass
+class _Window:
+    """Running integer sum of one series' points with t in (newest - width, newest].
+
+    `width` is min(window_s, retention) in ms: points older than retention are
+    evicted from the series, so no wider window could see them. Boundaries on
+    the same series and width share one window; `users` counts them.
+    """
+
+    __slots__ = ("width", "points", "total", "users")
+
+    def __init__(self, width, retained):
+        self.width = width
+        self.points = deque()
+        self.total = 0
+        self.users = 0
+        for point in retained:
+            self.push(point)
+
+    def push(self, point):
+        points = self.points
+        points.append(point)
+        self.total += point[1]
+        lo = point[0] - self.width
+        while points and points[0][0] <= lo:
+            self.total -= points.popleft()[1]
+
+    def mean(self):
+        # integer sums: equal to sum(values) / len(values) of a rescan
+        return self.total / len(self.points) if self.points else None
+
+
+@dataclass(slots=True)
 class _BcState:
+    window: _Window
     in_violation: bool = False
     satisfied_since: int | None = None
     armed: bool = True
@@ -210,30 +252,47 @@ class MetricBus:
         self.series: dict[tuple, deque] = {}  # (kind, id, metric) -> deque[(t, value)]
         self.subscriptions: dict[str, Subscription] = {}
         self.boundaries: dict[str, BoundaryCondition] = {}
-        self._bc_state: dict[str, _BcState] = {}
-        self.rejected_out_of_order = 0
         self.alarm_log: list[Alarm] = []
         self._sub_seq = {"sub": itertools.count(1), "evsub": itertools.count(1)}
-        self._known_subjects = set()
+        self._fan_order: list[Subscription] = []  # by sub_id, as fan_out delivers
+        self._bc_state: dict[str, _BcState] = {}
+        self._bc_ids: dict[tuple, list[str]] = {}  # subject -> sorted bc_ids
+        # (kind, id, metric) -> attached windows; a feed shares the list object
+        self._windows: dict[tuple, list[_Window]] = {}
+        # subject -> [(metric, series deque, windows)], from its first publish
+        self._feeds: dict[tuple, list] = {}
 
     # -- store -------------------------------------------------------------
 
-    def _append(self, subject, metric, t, value):
-        key = (subject[0], subject[1], metric)
-        dq = self.series.setdefault(key, deque())
-        if dq and t < dq[-1][0]:
-            raise OutOfOrderSample(
-                f"sample at {t} behind {dq[-1][0]} for {key}")
-        dq.append((t, value))
+    def _feed(self, subject, metrics):
+        feed = self._feeds[subject] = []
+        for m in metrics:
+            key = (subject[0], subject[1], m)
+            feed.append((m, self.series.setdefault(key, deque()),
+                         self._windows.setdefault(key, [])))
+        return feed
+
+    def _append(self, subject, feed, values):
+        """Store one sample's metrics (`values`: its to_json()) and push them
+        into the attached windows."""
+        t = values["t"]
         horizon = t - self.retention_ms
-        while dq and dq[0][0] <= horizon:
-            dq.popleft()
+        for metric, dq, windows in feed:
+            if dq and t < dq[-1][0]:
+                raise OutOfOrderSample(
+                    f"sample at {t} behind {dq[-1][0]} for {(*subject, metric)}")
+            point = (t, values[metric])
+            dq.append(point)
+            while dq and dq[0][0] <= horizon:
+                dq.popleft()
+            for w in windows:
+                w.push(point)
 
     def query(self, subject, metric, t0, t1):
         """Retained points with t in [t0, t1), time-ordered."""
         if not t0 < t1:
             raise EmptyRange(f"invalid range [{t0}, {t1})")
-        if subject not in self._known_subjects:
+        if subject not in self._feeds:
             raise UnknownSubject(f"no samples ever published for {subject}")
         dq = self.series.get((subject[0], subject[1], metric), ())
         return [(t, v) for t, v in dq if t0 <= t < t1]
@@ -247,16 +306,16 @@ class MetricBus:
         sub = Subscription(sub_id, kinds, subject_kind, subject_id,
                            depth=self.channel_depth, outbox=outbox)
         self.subscriptions[sub_id] = sub
+        bisect.insort(self._fan_order, sub, key=attrgetter("sub_id"))
         return sub
 
     def unsubscribe(self, sub_id):
         if sub_id not in self.subscriptions:
             raise UnknownSubscription(f"no subscription {sub_id}")
-        del self.subscriptions[sub_id]
+        self._fan_order.remove(self.subscriptions.pop(sub_id))
 
     def fan_out(self, msg):
-        for sub_id in sorted(self.subscriptions):
-            sub = self.subscriptions[sub_id]
+        for sub in self._fan_order:
             if sub.matches(msg):
                 sub.deliver(msg)
 
@@ -265,50 +324,67 @@ class MetricBus:
     def publish(self, sample):
         """Store, fan out, evaluate; returns alarms raised by this sample."""
         subject = _sample_subject(sample)
-        metrics = SAMPLE_METRICS if isinstance(sample, PhysicalSample) else NODE_METRICS
-        for m in metrics:
-            self._append(subject, m, sample.t, getattr(sample, m))
-        self._known_subjects.add(subject)
+        physical = isinstance(sample, PhysicalSample)
+        feed = self._feeds.get(subject)
+        if feed is None:
+            feed = self._feed(subject, SAMPLE_METRICS if physical else NODE_METRICS)
         msg = sample.to_json()
-        msg["type"] = "sample" if isinstance(sample, PhysicalSample) else "node_sample"
+        self._append(subject, feed, msg)
+        msg["type"] = "sample" if physical else "node_sample"
         self.fan_out(msg)
         return self.evaluate(sample, subject)
 
     # -- analytics ---------------------------------------------------------
 
     def register_boundary(self, bc):
+        """Add `bc`, or replace the boundary with its bc_id and reset its state.
+
+        Its window starts from the points already retained."""
         bc.validate()
+        if bc.bc_id in self.boundaries:
+            self._detach(bc.bc_id)
+        key = (bc.subject[0], bc.subject[1], bc.metric)
+        width = min(bc.window_s * 1000, self.retention_ms)
+        windows = self._windows.setdefault(key, [])
+        window = next((w for w in windows if w.width == width), None)
+        if window is None:
+            window = _Window(width, self.series.get(key, ()))
+            windows.append(window)
+        window.users += 1
         self.boundaries[bc.bc_id] = bc
-        self._bc_state[bc.bc_id] = _BcState()
+        self._bc_state[bc.bc_id] = _BcState(window)
+        bisect.insort(self._bc_ids.setdefault(bc.subject, []), bc.bc_id)
         return bc
 
     def drop_boundary(self, bc_id):
         if bc_id not in self.boundaries:
             raise InvalidBoundary(f"no boundary condition {bc_id}")
-        del self.boundaries[bc_id]
-        del self._bc_state[bc_id]
+        self._detach(bc_id)
 
-    def _window_mean(self, subject, metric, t, window_s):
-        dq = self.series.get((subject[0], subject[1], metric), ())
-        lo = t - window_s * 1000
-        vals = [v for ts, v in dq if lo < ts <= t]
-        if not vals:
-            return None
-        return sum(vals) / len(vals)
+    def _detach(self, bc_id):
+        bc = self.boundaries.pop(bc_id)
+        window = self._bc_state.pop(bc_id).window
+        window.users -= 1
+        if not window.users:
+            self._windows[(bc.subject[0], bc.subject[1], bc.metric)].remove(window)
+        self._bc_ids[bc.subject].remove(bc_id)
 
     def evaluate(self, sample, subject=None):
+        """Alarms raised by the boundaries on `sample`'s subject, in bc_id order.
+
+        Windows are updated on publish, so this reads the windowed means as of
+        the last published sample. A boundary whose window holds no point (a
+        metric this kind of sample lacks) is not evaluated."""
         if subject is None:
             subject = _sample_subject(sample)
         alarms = []
-        for bc_id in sorted(self.boundaries):
-            bc = self.boundaries[bc_id]
-            if bc.subject != subject or not hasattr(sample, bc.metric):
-                continue
-            mean = self._window_mean(subject, bc.metric, sample.t, bc.window_s)
+        for bc_id in self._bc_ids.get(subject, ()):
+            st = self._bc_state[bc_id]
+            mean = st.window.mean()
             if mean is None:
                 continue
+            bc = self.boundaries[bc_id]
             violated = mean < bc.threshold if bc.bound == "min" else mean > bc.threshold
-            st = self._bc_state[bc_id]
             if violated:
                 if st.armed and not st.in_violation:
                     alarm = Alarm(bc_id=bc_id, subject=subject, t=sample.t,

@@ -68,6 +68,68 @@ def alarm_oracle(stream, bc):
     return fired
 
 
+def reference_window_mean(bus, subject, metric, t, window_s):
+    """Mean of `bus`'s retained points of (subject, metric) with t in
+    (t - window_s, t], by a full scan, or None when there are none.
+
+    Only retained points count, so a window wider than the bus's retention
+    covers the retention, and a boundary registered late sees what is
+    already retained.
+    """
+    dq = bus.series.get((subject[0], subject[1], metric), ())
+    lo = t - window_s * 1000
+    vals = [v for ts, v in dq if lo < ts <= t]
+    if not vals:
+        return None
+    return sum(vals) / len(vals)
+
+
+class ReferenceBoundaries:
+    """Boundary conditions re-evaluated with `reference_window_mean`.
+
+    Mirror `register_boundary`/`drop_boundary` here and call `evaluate` after
+    each `MetricBus.publish`: it returns the alarms the bus should have raised
+    (as (bc_id, subject, t, observed, threshold) tuples, in bc_id order) and
+    keeps each boundary's (in_violation, satisfied_since, armed) state.
+    Alarms are edge-triggered and re-arm after a full window of satisfaction;
+    registering an existing bc_id replaces it and resets its state.
+    """
+
+    def __init__(self):
+        self.boundaries = {}
+        self.state = {}
+
+    def register(self, bc):
+        self.boundaries[bc.bc_id] = bc
+        self.state[bc.bc_id] = (False, None, True)
+
+    def drop(self, bc_id):
+        del self.boundaries[bc_id]
+        del self.state[bc_id]
+
+    def evaluate(self, bus, sample, subject):
+        alarms = []
+        for bc_id in sorted(self.boundaries):
+            bc = self.boundaries[bc_id]
+            if bc.subject != subject or not hasattr(sample, bc.metric):
+                continue
+            mean = reference_window_mean(bus, subject, bc.metric, sample.t, bc.window_s)
+            if mean is None:
+                continue
+            in_violation, since, armed = self.state[bc_id]
+            if mean < bc.threshold if bc.bound == "min" else mean > bc.threshold:
+                if armed and not in_violation:
+                    alarms.append((bc_id, subject, sample.t, mean, bc.threshold))
+                    armed = False
+                in_violation, since = True, None
+            elif in_violation or not armed:
+                since = sample.t if since is None else since
+                if sample.t - since + 1000 >= bc.window_s * 1000:
+                    in_violation, since, armed = False, None, True
+            self.state[bc_id] = (in_violation, since, armed)
+        return alarms
+
+
 def brute_force_placement(node_ids, capacities, per_task, task_count):
     """Lexicographically smallest feasible task -> node map, or None.
 

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from genscen import random_scenario
-from symplat.harness import run_scenario
+from symplat.harness import ScenarioRunner
 from symplat.scenario import load_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -27,15 +27,17 @@ SEEDS = (3, 17, 42)
 
 
 def corpus():
-    """(name, zero-argument report builder) for every corpus entry."""
+    """(name, report builder) for every corpus entry; a builder takes an
+    optional `on_tick(core)` callback for `ScenarioRunner.run`."""
     out = []
     for name in SCENARIOS:
         path = os.path.join(ROOT, "scenarios", f"{name}.yaml")
         for mode in MODES:
-            out.append((f"{name}/{mode}",
-                        lambda p=path, m=mode: run_scenario(load_scenario(p), mode_override=m)))
+            out.append((f"{name}/{mode}", lambda on_tick=None, p=path, m=mode:
+                        ScenarioRunner(load_scenario(p), mode_override=m).run(on_tick)))
     for seed in SEEDS:
-        out.append((f"genscen/{seed}", lambda s=seed: run_scenario(random_scenario(s))))
+        out.append((f"genscen/{seed}", lambda on_tick=None, s=seed:
+                    ScenarioRunner(random_scenario(s)).run(on_tick)))
     return out
 
 
