@@ -14,8 +14,6 @@ from .model import (
     Reservation,
     ResourceVector,
     logical_transition,
-    rv_add,
-    rv_le,
 )
 from .core import PlatformCore
 from .harness import Report, ScenarioRunner, run_scenario
@@ -39,7 +37,5 @@ __all__ = [
     "load_scenario",
     "logical_transition",
     "run_scenario",
-    "rv_add",
-    "rv_le",
     "scenario_from_dict",
 ]

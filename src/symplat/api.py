@@ -180,10 +180,13 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 class _TcpServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    # socketserver's default backlog of 5 resets clients that connect together
+    request_queue_size = socket.SOMAXCONN
 
 
 class _UnixServer(socketserver.ThreadingUnixStreamServer):
     daemon_threads = True
+    request_queue_size = socket.SOMAXCONN
 
 
 class WireServer:

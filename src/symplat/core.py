@@ -13,6 +13,7 @@ from . import model
 from .engine import SimEngine
 from .model import (
     TICK_MS,
+    InvalidValue,
     LogicalStatus,
     PlatformEnvEvent,
     ResourceVector,
@@ -258,6 +259,8 @@ class PlatformCore:
         self._require_owner(app_id, tenant, operator)
         delta = ResourceVector.from_json(payload.get("delta_per_task", {}))
         extension_s = payload.get("walltime_extension_s", 0)
+        if not isinstance(extension_s, int) or isinstance(extension_s, bool) or extension_s < 0:
+            raise InvalidValue(f"walltime_extension_s must be an integer >= 0, got {extension_s!r}")
         decision, granted_delta, granted_ext, reason = self.scheduler.request_adjustment(
             app_id, delta, extension_s, self.now)
         if decision != "Denied":

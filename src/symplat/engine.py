@@ -17,23 +17,20 @@ from .model import (
     LogicalStatus,
     PhysicalSample,
     NodeSample,
+    RV_DIMS,
     ResourceVector,
     SymplatError,
 )
 
-BEST_EFFORT_DIMS = ("net_in_bps", "net_out_bps", "fs_bps", "fs_iops")
-# the dimensions a tick allocates: cpu and memory, then the best-effort ones
-ALLOC_DIMS = ("cpu_cores", "memory_bytes", *BEST_EFFORT_DIMS)
+# the dimensions a tick allocates, cpu and memory then the best-effort ones, in
+# RV_DIMS order so that a vector indexes as a row (storage_bytes is a stock)
+ALLOC_DIMS = RV_DIMS[:6]
+BEST_EFFORT_DIMS = ALLOC_DIMS[2:]
 _IDLE = (0,) * len(ALLOC_DIMS)
 
 
 class UnknownApp(SymplatError):
     code = "unknown_app"
-
-
-def _dims(rv):
-    """`rv` as a tuple over ALLOC_DIMS."""
-    return (rv.cpu_cores, rv.memory_bytes, rv.net_in_bps, rv.net_out_bps, rv.fs_bps, rv.fs_iops)
 
 
 def _task_demand(app, task, wire_free):
@@ -42,10 +39,9 @@ def _task_demand(app, task, wire_free):
     if task.frozen or task.done:
         return _IDLE
     phase = app.trace[task.phase_index]
-    demand = _dims(phase.demand)
     if phase.kind == "net_io" and wire_free:
-        return demand[:2] + (0, 0) + demand[4:]
-    return demand
+        return phase.demand[:2] + (0, 0) + phase.demand[4:]
+    return phase.demand
 
 
 def water_fill(pool, demands):
@@ -121,7 +117,6 @@ class SimEngine:
     def __init__(self, nodes, io_guarantees=True):
         self.nodes = sorted(nodes, key=lambda n: n.node_id)
         self.capacity = {n.node_id: n.capacity for n in self.nodes}
-        self._cap = {nid: _dims(cap) for nid, cap in self.capacity.items()}
         self.apps: dict[str, AppRuntime] = {}
         self.io_guarantees = io_guarantees
         self._alloc_rows = []  # per node: the last tick's rows, see step_tick
@@ -189,11 +184,11 @@ class SimEngine:
         io_guarantees = self.io_guarantees
         ordered_apps = [self.apps[a] for a in sorted(self.apps)]
         # one row per task: [app_id, task_id, demand, reserved, effective],
-        # the vectors as tuples over ALLOC_DIMS
+        # the vectors indexed in ALLOC_DIMS order
         by_node = {n.node_id: [] for n in self.nodes}
         by_app = []
         for app in ordered_apps:
-            reserved = _dims(app.reserved)
+            reserved = app.reserved
             wire_free = len(app.tasks) > 1 and app.colocated()
             tasks = []
             for tid in sorted(app.tasks):
@@ -208,7 +203,7 @@ class SimEngine:
             if not rows:
                 node_used[nid] = [0] * (len(ALLOC_DIMS) + 1)
                 continue
-            cap = self._cap[nid]
+            cap = self.capacity[nid]
             # hard dimensions: never more than reserved
             effs = [[min(d[0], r[0]), min(d[1], r[1])] for _, _, d, r, _ in rows]
             # contended rate dimensions: guarantee + max-min split of residual

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import ApiError, PlatformCore
-from .model import TICK_MS
 
 
 @dataclass

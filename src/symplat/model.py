@@ -6,25 +6,11 @@ all rates are integer base-units per second evaluated over 1000 ms ticks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+import operator
+from dataclasses import dataclass
+from typing import NamedTuple
 
 TICK_MS = 1000
-
-RV_DIMS = (
-    "cpu_cores",
-    "memory_bytes",
-    "net_in_bps",
-    "net_out_bps",
-    "fs_bps",
-    "fs_iops",
-    "storage_bytes",
-)
-
-# cpu/memory are hard allocations; the rest are rate dimensions that can
-# receive a best-effort share of a node's residual capacity.
-HARD_DIMS = ("cpu_cores", "memory_bytes")
-RATE_DIMS = ("cpu_cores", "net_in_bps", "net_out_bps", "fs_bps", "fs_iops")
-IO_DIMS = ("net_in_bps", "net_out_bps", "fs_bps", "fs_iops", "storage_bytes")
 
 _COMPONENT_MAX = 2**63 - 1
 
@@ -77,8 +63,9 @@ class EmptyRange(SymplatError):
     code = "empty_range"
 
 
-@dataclass(frozen=True)
-class ResourceVector:
+class ResourceVector(NamedTuple):
+    """An extended resource vector: an immutable tuple in RV_DIMS order."""
+
     cpu_cores: int = 0
     memory_bytes: int = 0
     net_in_bps: int = 0
@@ -87,73 +74,70 @@ class ResourceVector:
     fs_iops: int = 0
     storage_bytes: int = 0
 
+    # vector arithmetic goes through the methods below, never through tuple
+    # concatenation or repetition
+    __add__ = __mul__ = __rmul__ = None
+
     def get(self, dim):
         return getattr(self, dim)
 
+    def _checked(self, vals, op):
+        if max(vals) > _COMPONENT_MAX:
+            d = next(d for d, v in zip(RV_DIMS, vals) if v > _COMPONENT_MAX)
+            raise ComponentOverflow(f"{d} overflows on {op}")
+        return self._make(vals)
+
     def add(self, other):
-        out = {}
-        for d in RV_DIMS:
-            v = getattr(self, d) + getattr(other, d)
-            if v > _COMPONENT_MAX:
-                raise ComponentOverflow(f"{d} overflows on add")
-            out[d] = v
-        return ResourceVector(**out)
+        return self._checked(tuple(map(operator.add, self, other)), "add")
 
     def sub(self, other):
         """Component-wise difference; may go negative (used for deltas)."""
-        return ResourceVector(**{d: getattr(self, d) - getattr(other, d) for d in RV_DIMS})
+        return self._make(map(operator.sub, self, other))
 
     def scale(self, k):
-        out = {}
-        for d in RV_DIMS:
-            v = getattr(self, d) * k
-            if v > _COMPONENT_MAX:
-                raise ComponentOverflow(f"{d} overflows on scale")
-            out[d] = v
-        return ResourceVector(**out)
+        return self._checked(tuple(v * k for v in self), "scale")
 
     def le(self, other):
-        return all(getattr(self, d) <= getattr(other, d) for d in RV_DIMS)
+        return all(map(operator.le, self, other))
 
     def is_nonnegative(self):
-        return all(getattr(self, d) >= 0 for d in RV_DIMS)
+        return min(self) >= 0
 
     def is_zero(self):
-        return all(getattr(self, d) == 0 for d in RV_DIMS)
+        return not any(self)
 
     def min_with(self, other):
-        return ResourceVector(**{d: min(getattr(self, d), getattr(other, d)) for d in RV_DIMS})
+        return self._make(map(min, self, other))
 
     def only(self, dims):
         """Copy with every dimension not in `dims` zeroed."""
-        return ResourceVector(**{d: getattr(self, d) for d in dims})
+        return self._make(v if d in dims else 0 for d, v in zip(RV_DIMS, self))
 
     def to_json(self):
-        return {d: getattr(self, d) for d in RV_DIMS}
+        return dict(zip(RV_DIMS, self))
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict):
+            raise InvalidValue(f"a resource vector must be an object, got {obj!r}")
         unknown = set(obj) - set(RV_DIMS)
         if unknown:
             raise InvalidValue(f"unknown resource dimensions: {sorted(unknown)}")
-        vals = {}
-        for d in RV_DIMS:
-            v = obj.get(d, 0)
+        vals = [obj.get(d, 0) for d in RV_DIMS]
+        for d, v in zip(RV_DIMS, vals):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InvalidValue(f"{d} must be an integer, got {v!r}")
-            vals[d] = v
-        return cls(**vals)
+        return cls._make(vals)
 
+
+RV_DIMS = ResourceVector._fields
+
+# cpu/memory are hard allocations; the rest are rate dimensions that can
+# receive a best-effort share of a node's residual capacity.
+HARD_DIMS = ("cpu_cores", "memory_bytes")
+IO_DIMS = ("net_in_bps", "net_out_bps", "fs_bps", "fs_iops", "storage_bytes")
 
 ZERO = ResourceVector()
-
-
-def rv_add(a, b):
-    return a.add(b)
-
-
-def rv_le(a, b):
-    return a.le(b)
 
 
 @dataclass(frozen=True)
@@ -279,9 +263,6 @@ class ApplicationSpec:
             prev = ph.progress_at_end
         if self.trace and self.trace[-1].progress_at_end != 1.0:
             raise InvalidValue(f"app {self.app_id}: final phase must end at progress 1.0")
-
-    def total_reservation(self):
-        return self.per_task_reservation.scale(self.task_count)
 
     def to_json(self):
         obj = {

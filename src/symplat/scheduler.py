@@ -20,6 +20,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .model import (
+    HARD_DIMS,
     IO_DIMS,
     RV_DIMS,
     ApplicationSpec,
@@ -52,10 +53,6 @@ class NativeAppRestriction(SymplatError):
 
 class DuplicateApp(SymplatError):
     code = "duplicate_app"
-
-
-def _vec(rv):
-    return tuple(getattr(rv, d) for d in RV_DIMS)
 
 
 class _FitCounts(dict):
@@ -224,24 +221,20 @@ class ReservationScheduler:
 
     # -- helpers -------------------------------------------------------------
 
-    def effective_per_task(self, spec_or_rv):
+    def effective_per_task(self, rv):
         """Reservation vector as the scheduler accounts it.
 
         With I/O reservations disabled (asymmetric baseline) the I/O dimensions
         are ignored for admission and placement: everything I/O is best-effort.
         """
-        rv = spec_or_rv if isinstance(spec_or_rv, ResourceVector) else spec_or_rv.per_task_reservation
-        if self.io_reservations:
-            return rv
-        return ResourceVector(cpu_cores=rv.cpu_cores, memory_bytes=rv.memory_bytes)
+        return rv if self.io_reservations else rv.only(HARD_DIMS)
 
     def _active_profile(self):
         """Availability profile per node of the Active/Frozen reservations."""
-        profile = {n: AvailabilityProfile([_ORIGIN], [_vec(self.capacity[n])])
-                   for n in self.node_ids}
+        profile = {n: AvailabilityProfile([_ORIGIN], [self.capacity[n]]) for n in self.node_ids}
         for res in self.reservations.values():
             if res.status in ("Active", "Frozen"):
-                need = _vec(self.effective_per_task(res.per_task))
+                need = self.effective_per_task(res.per_task)
                 for nid, count in res.node_task_counts().items():
                     profile[nid].reserve(res.start_t, res.end_t, [q * count for q in need])
         return profile
@@ -279,8 +272,8 @@ class ReservationScheduler:
         spec.validate()
         if spec.app_id in self.reservations:
             raise DuplicateApp(f"app {spec.app_id} already submitted")
-        fit = _FitCounts(_vec(self.effective_per_task(spec)), spec.task_count)
-        room = sum(fit[_vec(self.capacity[n])] for n in self.node_ids)
+        fit = _FitCounts(self.effective_per_task(spec.per_task_reservation), spec.task_count)
+        room = sum(fit[self.capacity[n]] for n in self.node_ids)
         if room < spec.task_count:
             raise InsufficientCapacity(
                 f"app {spec.app_id}: no feasible placement on an empty cluster"
@@ -324,7 +317,7 @@ class ReservationScheduler:
         jobs = {}
         for app_id in order:
             res = self.reservations[app_id]
-            jobs[app_id] = (_vec(self.effective_per_task(res.per_task)), res.walltime_ms(),
+            jobs[app_id] = (self.effective_per_task(res.per_task), res.walltime_ms(),
                             self.specs[app_id].task_count)
         base = self._active_profile()
         pinned: set[str] = set()
@@ -409,7 +402,7 @@ class ReservationScheduler:
         others = {}
         for nid, usage in my_usage.items():
             others[nid] = plan.profile[nid].copy()
-            others[nid].reserve(res.start_t, res.end_t, [-u for u in _vec(usage)])
+            others[nid].reserve(res.start_t, res.end_t, [-u for u in usage])
 
         # Extension: the largest prefix of [end_t, end_t + ext) over which the
         # job's current usage still fits on every hosting node.
@@ -417,7 +410,7 @@ class ReservationScheduler:
         if extension_s > 0:
             new_end = res.end_t + extension_s * 1000
             conflict_t = min([new_end] + [
-                others[nid].first_shortfall(res.end_t, new_end, _vec(usage))
+                others[nid].first_shortfall(res.end_t, new_end, usage)
                 for nid, usage in my_usage.items()
             ])
             granted_ext = (conflict_t - res.end_t) // 1000
@@ -425,27 +418,18 @@ class ReservationScheduler:
         # Increases: per dimension, the largest per-task amount that fits the
         # residual on every hosting node over the (possibly extended) window.
         window_end = res.end_t + granted_ext * 1000
-        increases = {d: getattr(delta_per_task, d) for d in RV_DIMS if getattr(delta_per_task, d) > 0}
-        # reductions always succeed, but a reservation cannot go below zero
-        granted = {d: -min(-getattr(delta_per_task, d), res.per_task.get(d))
-                   for d in RV_DIMS if getattr(delta_per_task, d) < 0}
-        if increases:
+        room = delta_per_task
+        if max(delta_per_task) > 0:
             for nid, count in counts.items():
-                free = ResourceVector(*others[nid].min_free(now, window_end)).sub(my_usage[nid])
-                for d in increases:
-                    if not self.io_reservations and d in IO_DIMS:
-                        continue  # best-effort dims: nothing to grant in this mode
-                    room = getattr(free, d) // count
-                    increases[d] = max(0, min(increases[d], room))
-            for d, v in increases.items():
-                if not self.io_reservations and d in IO_DIMS:
-                    v = 0
-                granted[d] = v
-
-        granted_delta = ResourceVector(**granted)
-        fully = granted_ext == extension_s and all(
-            getattr(granted_delta, d) == getattr(delta_per_task, d) for d in RV_DIMS
+                free = others[nid].min_free(now, window_end)
+                room = [min(r, (f - u) // count) for r, f, u in zip(room, free, my_usage[nid])]
+        granted_delta = ResourceVector._make(
+            max(q, -have) if q <= 0  # reductions always succeed, but never below zero
+            else 0 if not self.io_reservations and d in IO_DIMS  # best-effort in this mode
+            else max(0, r)
+            for d, q, have, r in zip(RV_DIMS, delta_per_task, res.per_task, room)
         )
+        fully = granted_ext == extension_s and granted_delta == delta_per_task
         nothing = granted_delta.is_zero() and granted_ext == 0
         if nothing:
             return "Denied", ZERO, 0, "no capacity for any requested increase"
@@ -533,7 +517,7 @@ class ReservationScheduler:
     def committed_at(self, t):
         """Per-node committed usage at instant t (Active/Frozen reservations)."""
         profile = self._active_profile()
-        return {n: self.capacity[n].sub(ResourceVector(*profile[n].min_free(t, t)))
+        return {n: self.capacity[n].sub(profile[n].min_free(t, t))
                 for n in self.node_ids}
 
     def utilization_report(self, t0, t1):

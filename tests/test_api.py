@@ -342,6 +342,36 @@ class TestErrorCodes:
         assert core.outcomes["short"] == "Completed"
         assert core.scheduler.reservations["short"].status == "Completed"
 
+    @pytest.mark.parametrize("field, value", [
+        ("walltime_extension_s", "10"),
+        ("walltime_extension_s", 1.5),
+        ("walltime_extension_s", True),
+        ("walltime_extension_s", -5),
+        ("delta_per_task", ["cpu_cores"]),
+    ])
+    def test_malformed_adjust_is_invalid_value(self, field, value):
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        core.handle("submit", {"spec": app_spec().to_json()}, tenant="alice")
+        core.tick()  # activates the app
+        before = core.scheduler.reservations["solver-1"].to_json()
+        payload = {"app_id": "solver-1", "delta_per_task": {"cpu_cores": 1}, field: value}
+        with pytest.raises(ApiError) as err:
+            core.handle("adjust", payload, tenant="alice")
+        assert err.value.code == "invalid_value"
+        assert core.scheduler.reservations["solver-1"].to_json() == before
+
+    def test_malformed_adjust_keeps_the_connection(self, server):
+        client = WireClient(server.address, tenant="alice")
+        client.request("submit", {"spec": app_spec().to_json()})
+        with server.core_lock:
+            server.core.tick()  # activates the app
+        with pytest.raises(ApiError) as err:
+            client.request("adjust", {"app_id": "solver-1", "walltime_extension_s": "10"})
+        assert err.value.code == "invalid_value"
+        out = client.request("adjust", {"app_id": "solver-1", "walltime_extension_s": 10})
+        assert (out["decision"], out["granted_extension_s"]) == ("Granted", 10)
+        client.close()
+
 
 class TestSubscriptionOwnership:
     def test_unsubscribe_only_own_connection(self, server):

@@ -9,6 +9,7 @@ from symplat.model import (
     ApplicationSpec,
     ComponentOverflow,
     EnvironmentImage,
+    InvalidValue,
     LogicalStatus,
     NodeSpec,
     Phase,
@@ -20,8 +21,6 @@ from symplat.model import (
     TerminalState,
     ZERO,
     logical_transition,
-    rv_add,
-    rv_le,
 )
 
 GIB = 1 << 30
@@ -33,48 +32,74 @@ rvs = st.builds(ResourceVector, **{d: rv_values for d in RV_DIMS})
 class TestResourceVector:
     def test_add_zero_identity(self):
         b = ResourceVector(cpu_cores=4, memory_bytes=8 * GIB)
-        assert rv_add(ZERO, b) == b
+        assert ZERO.add(b) == b
 
     def test_add_component_sums(self):
         a = ResourceVector(cpu_cores=2, fs_bps=100_000_000)
         b = ResourceVector(cpu_cores=2, fs_bps=50_000_000)
-        assert rv_add(a, b) == ResourceVector(cpu_cores=4, fs_bps=150_000_000)
+        assert a.add(b) == ResourceVector(cpu_cores=4, fs_bps=150_000_000)
 
     def test_fold_sixteen_tasks(self):
         total = ZERO
         for _ in range(16):
-            total = rv_add(total, ResourceVector(cpu_cores=8))
+            total = total.add(ResourceVector(cpu_cores=8))
         assert total.cpu_cores == 128
 
     def test_add_overflow_is_hard_error(self):
         huge = ResourceVector(cpu_cores=2**62)
         with pytest.raises(ComponentOverflow):
-            rv_add(huge, huge)
+            huge.add(huge)
 
     def test_le_zero_vector(self):
-        assert rv_le(ZERO, ResourceVector(cpu_cores=1))
+        assert ZERO.le(ResourceVector(cpu_cores=1))
 
     def test_le_reflexive(self):
         a = ResourceVector(cpu_cores=4, memory_bytes=8 * GIB)
-        assert rv_le(a, a)
+        assert a.le(a)
 
     def test_le_single_component_violation(self):
         a = ResourceVector(cpu_cores=5, memory_bytes=8 * GIB)
         b = ResourceVector(cpu_cores=4, memory_bytes=8 * GIB)
-        assert not rv_le(a, b)
+        assert not a.le(b)
 
     @given(rvs, rvs, rvs)
     def test_partial_order_transitive(self, a, b, c):
-        if rv_le(a, b) and rv_le(b, c):
-            assert rv_le(a, c)
+        if a.le(b) and b.le(c):
+            assert a.le(c)
 
     @given(rvs, rvs)
     def test_le_of_own_sum(self, a, b):
-        assert rv_le(a, rv_add(a, b))
+        assert a.le(a.add(b))
 
     @given(rvs, rvs)
     def test_add_commutative(self, a, b):
-        assert rv_add(a, b) == rv_add(b, a)
+        assert a.add(b) == b.add(a)
+
+    @given(rvs)
+    def test_tuple_in_rv_dims_order(self, v):
+        assert list(v.to_json()) == list(RV_DIMS)
+        assert ResourceVector.from_json(v.to_json()) == v
+        assert ResourceVector(*v) == v
+
+    @given(rvs, rvs)
+    def test_no_tuple_arithmetic(self, v, w):
+        for op in (lambda: v + w, lambda: v * 2, lambda: 2 * v):
+            with pytest.raises(TypeError):
+                op()
+
+    @given(rvs, st.integers(min_value=0, max_value=len(RV_DIMS) - 1))
+    def test_overflow_names_first_dimension(self, v, first):
+        # every dimension from `first` on overflows when doubled
+        big = ResourceVector(*(x + 2**62 if i >= first else x for i, x in enumerate(v)))
+        with pytest.raises(ComponentOverflow, match=f"^{RV_DIMS[first]} overflows on add"):
+            big.add(big)
+        with pytest.raises(ComponentOverflow, match=f"^{RV_DIMS[first]} overflows on scale"):
+            big.scale(2)
+
+    def test_from_json_rejects_a_non_object(self):
+        for obj in (["cpu_cores"], "cpu_cores", 4, None):
+            with pytest.raises(InvalidValue):
+                ResourceVector.from_json(obj)
 
 
 class TestLogicalTransition:

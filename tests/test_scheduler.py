@@ -214,6 +214,20 @@ class TestAdjustment:
         with pytest.raises(NativeAppRestriction):
             sched.request_adjustment("nat", ResourceVector(cpu_cores=1), 0, 1000)
 
+    def test_asymmetric_mode_grants_no_io_increase(self):
+        sched = ReservationScheduler(two_node_cluster(), io_reservations=False)
+        self._active(sched, make_spec("j", cores=4, fs_bps=100_000_000))
+        decision, delta, _, _ = sched.request_adjustment(
+            "j", ResourceVector(cpu_cores=4, fs_bps=50_000_000), 0, now=1000)
+        assert decision == "PartiallyGranted"
+        assert delta == ResourceVector(cpu_cores=4)
+        # a reduction of a best-effort dimension is still granted
+        decision, delta, _, _ = sched.request_adjustment(
+            "j", ResourceVector(fs_bps=-40_000_000), 0, now=2000)
+        assert decision == "Granted" and delta == ResourceVector(fs_bps=-40_000_000)
+        assert sched.reservations["j"].per_task == ResourceVector(
+            cpu_cores=8, memory_bytes=GIB, fs_bps=60_000_000)
+
 
 class TestWalltime:
     def test_drain_and_terminate_times(self):
