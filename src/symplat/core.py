@@ -156,6 +156,8 @@ class PlatformCore:
             return handler(payload, tenant=tenant, operator=operator, outbox=outbox)
         except KeyError as exc:
             raise ApiError("malformed_message", f"missing field {exc}") from exc
+        except (TypeError, AttributeError) as exc:  # a field of the wrong type
+            raise InvalidValue(f"malformed field: {exc}") from exc
 
     def _require_owner(self, app_id, tenant, operator):
         if operator:

@@ -6,6 +6,11 @@ max-min fair split of the node's residual capacity among tasks demanding more
 than their guarantee. cpu and memory are hard allocations (no best-effort):
 a task never exceeds its reservation there. I/O dimensions are guaranteed only
 when I/O reservations are enabled; otherwise everything I/O is best-effort.
+
+Rates are piecewise constant: they are recomputed (a node re-filled) only when
+one of its inputs changes, that is the node's task set, a task's phase, frozen
+or done state, or an app's reservation. A quiet tick only advances work, adds
+storage and emits samples.
 """
 
 from __future__ import annotations
@@ -87,6 +92,9 @@ class TaskRuntime:
     frozen: bool = False
     storage_used: int = 0
     done: bool = False
+    # [app_id, task_id, demand, reserved, effective] as of its node's last fill,
+    # the vectors indexed in ALLOC_DIMS order
+    row: list = field(default_factory=list, repr=False)
 
 
 @dataclass
@@ -119,7 +127,11 @@ class SimEngine:
         self.capacity = {n.node_id: n.capacity for n in self.nodes}
         self.apps: dict[str, AppRuntime] = {}
         self.io_guarantees = io_guarantees
-        self._alloc_rows = []  # per node: the last tick's rows, see step_tick
+        self.refills = 0  # nodes re-filled
+        self._layout = None  # (by app, by node) task order; None: rebuild on the next tick
+        self._stale = set()  # nodes to re-fill on the next tick
+        self._alloc_rows = []  # per node: its tasks' rows, see step_tick
+        self._used = {nid: _IDLE for nid in self.capacity}  # per node: summed effective
 
     # -- lifecycle -------------------------------------------------------
 
@@ -134,10 +146,19 @@ class SimEngine:
         for tid in sorted(placement):
             app.tasks[tid] = TaskRuntime(app_id=spec.app_id, task_id=tid, node_id=placement[tid])
         self.apps[spec.app_id] = app
+        self._layout = None
+        self._invalidate(app)
         return app
 
     def remove_app(self, app_id):
-        return self.apps.pop(app_id, None)
+        app = self.apps.pop(app_id, None)
+        if app is not None:
+            self._layout = None
+            self._invalidate(app)
+        return app
+
+    def _invalidate(self, app):
+        self._stale.update(t.node_id for t in app.tasks.values())
 
     def apply_env_event(self, ev):
         app = self.apps.get(ev.app_id)
@@ -147,15 +168,14 @@ class SimEngine:
             app.drain_deadline = ev.effective_at
         elif ev.event == "Terminating":
             self.remove_app(ev.app_id)
-        elif ev.event == "Freezing":
+        elif ev.event in ("Freezing", "Thawed"):
             for t in app.tasks.values():
-                t.frozen = True
-        elif ev.event == "Thawed":
-            for t in app.tasks.values():
-                t.frozen = False
+                t.frozen = ev.event == "Freezing"
+            self._invalidate(app)
         elif ev.event == "Adjusting":
             if ev.detail is not None:
                 app.reserved = app.reserved.add(ev.detail)
+                self._invalidate(app)
         return app
 
     def set_logical_status(self, app_id, status):
@@ -179,53 +199,60 @@ class SimEngine:
                     for i in range(2, len(ALLOC_DIMS)) for a, t, d, r, e in rows]
         return out
 
+    def _lay_out(self):
+        """Order the tasks by app then task id, per app and per node."""
+        by_node = {nid: [] for nid in self.capacity}
+        by_app = []
+        for app_id in sorted(self.apps):
+            app = self.apps[app_id]
+            wire_free = len(app.tasks) > 1 and app.colocated()
+            tasks = [app.tasks[tid] for tid in sorted(app.tasks)]
+            for task in tasks:
+                by_node[task.node_id].append((app, task, wire_free))
+            by_app.append((app, wire_free, tasks))
+        self._layout = by_app, by_node
+        self._alloc_rows = [[task.row for _, task, _ in members] for members in by_node.values()]
+
+    def _fill(self, nid, members):
+        """Recompute the rows of node `nid`'s tasks and its summed effective rates."""
+        rows = []
+        for app, task, wire_free in members:
+            demand = _task_demand(app, task, wire_free)
+            task.row[:] = app.app_id, task.task_id, demand, app.reserved, None
+            rows.append(task.row)
+        cap = self.capacity[nid]
+        # hard dimensions: never more than reserved
+        effs = [[min(d[0], r[0]), min(d[1], r[1])] for _, _, d, r, _ in rows]
+        # contended rate dimensions: guarantee + max-min split of residual
+        for i in range(2, len(ALLOC_DIMS)):
+            guaranteed = ([min(d[i], r[i]) for _, _, d, r, _ in rows] if self.io_guarantees
+                          else [0] * len(rows))
+            extras = [max(0, row[2][i] - g) for row, g in zip(rows, guaranteed)]
+            shares = water_fill(cap[i] - sum(guaranteed), extras)
+            for e, g, share in zip(effs, guaranteed, shares):
+                e.append(g + share)
+        for row, e in zip(rows, effs):
+            row[4] = e
+        self._used[nid] = [sum(col) for col in zip(*effs)] if effs else _IDLE
+
     def step_tick(self, now):
         """Advance all tasks over [now, now+1000). Samples are stamped `now`."""
-        io_guarantees = self.io_guarantees
-        ordered_apps = [self.apps[a] for a in sorted(self.apps)]
-        # one row per task: [app_id, task_id, demand, reserved, effective],
-        # the vectors indexed in ALLOC_DIMS order
-        by_node = {n.node_id: [] for n in self.nodes}
-        by_app = []
-        for app in ordered_apps:
-            reserved = app.reserved
-            wire_free = len(app.tasks) > 1 and app.colocated()
-            tasks = []
-            for tid in sorted(app.tasks):
-                task = app.tasks[tid]
-                row = [app.app_id, tid, _task_demand(app, task, wire_free), reserved, None]
-                by_node[task.node_id].append(row)
-                tasks.append((task, row))
-            by_app.append((app, wire_free, tasks))
-
-        node_used = {}
-        for nid, rows in by_node.items():
-            if not rows:
-                node_used[nid] = [0] * (len(ALLOC_DIMS) + 1)
-                continue
-            cap = self.capacity[nid]
-            # hard dimensions: never more than reserved
-            effs = [[min(d[0], r[0]), min(d[1], r[1])] for _, _, d, r, _ in rows]
-            # contended rate dimensions: guarantee + max-min split of residual
-            for i in range(2, len(ALLOC_DIMS)):
-                guaranteed = ([min(d[i], r[i]) for _, _, d, r, _ in rows] if io_guarantees
-                              else [0] * len(rows))
-                extras = [max(0, row[2][i] - g) for row, g in zip(rows, guaranteed)]
-                shares = water_fill(cap[i] - sum(guaranteed), extras)
-                for e, g, share in zip(effs, guaranteed, shares):
-                    e.append(g + share)
-            for row, e in zip(rows, effs):
-                row[4] = e
-            node_used[nid] = [sum(col) for col in zip(*effs)] + [0]  # storage_bytes, summed below
-        self._alloc_rows = list(by_node.values())
+        if self._layout is None:
+            self._lay_out()
+        by_app, by_node = self._layout
+        for nid in self._stale:
+            self._fill(nid, by_node[nid])
+        self.refills += len(self._stale)
+        self._stale.clear()
+        storage = dict.fromkeys(self.capacity, 0)
 
         samples = []
         completions = []
         errors = []
         for app, wire_free, tasks in by_app:
             app_finished_tasks = 0
-            for task, row in tasks:
-                r = row[4]  # cpu, memory, net_in, net_out, fs, fs_iops
+            for task in tasks:
+                r = task.row[4]  # cpu, memory, net_in, net_out, fs, fs_iops
                 phase = app.trace[task.phase_index] if not task.done else None
                 interproc = 0
                 if phase is not None and not task.frozen:
@@ -275,7 +302,7 @@ class SimEngine:
                     net_out_bps_used=r[3],
                     interproc_bps_used=interproc,
                 ))
-                node_used[task.node_id][6] += task.storage_used
+                storage[task.node_id] += task.storage_used
                 if task.done:
                     app_finished_tasks += 1
             if app.tasks and app_finished_tasks == len(app.tasks):
@@ -289,11 +316,11 @@ class SimEngine:
                 memory_bytes_used=used[1],
                 fs_bps_used=used[4],
                 fs_iops_used=used[5],
-                storage_bytes_used=used[6],
+                storage_bytes_used=storage[nid],
                 net_in_bps_used=used[2],
                 net_out_bps_used=used[3],
             )
-            for nid, used in node_used.items()
+            for nid, used in self._used.items()
         ]
         return TickResult(samples=samples, node_samples=node_samples,
                           completions=completions, errors=errors)
@@ -307,6 +334,7 @@ class SimEngine:
         return app.trace[task.phase_index - 1].progress_at_end
 
     def _complete_phase(self, app, task, phase, completed_at):
+        self._stale.add(task.node_id)
         task.work_done = 0
         task.phase_index += 1
         if task.phase_index >= len(app.trace):

@@ -259,29 +259,30 @@ class MetricBus:
         self._bc_ids: dict[tuple, list[str]] = {}  # subject -> sorted bc_ids
         # (kind, id, metric) -> attached windows; a feed shares the list object
         self._windows: dict[tuple, list[_Window]] = {}
-        # subject -> [(metric, series deque, windows)], from its first publish
-        self._feeds: dict[tuple, list] = {}
+        # subject -> (metric getter, [(metric, series deque, windows)]), from its first publish
+        self._feeds: dict[tuple, tuple] = {}
 
     # -- store -------------------------------------------------------------
 
     def _feed(self, subject, metrics):
-        feed = self._feeds[subject] = []
+        slots = []
         for m in metrics:
             key = (subject[0], subject[1], m)
-            feed.append((m, self.series.setdefault(key, deque()),
-                         self._windows.setdefault(key, [])))
+            slots.append((m, self.series.setdefault(key, deque()),
+                          self._windows.setdefault(key, [])))
+        feed = self._feeds[subject] = (attrgetter(*metrics), slots)
         return feed
 
-    def _append(self, subject, feed, values):
-        """Store one sample's metrics (`values`: its to_json()) and push them
-        into the attached windows."""
-        t = values["t"]
+    def _append(self, subject, feed, sample):
+        """Store one sample's metrics and push them into the attached windows."""
+        values, slots = feed
+        t = sample.t
         horizon = t - self.retention_ms
-        for metric, dq, windows in feed:
+        for (metric, dq, windows), value in zip(slots, values(sample)):
             if dq and t < dq[-1][0]:
                 raise OutOfOrderSample(
                     f"sample at {t} behind {dq[-1][0]} for {(*subject, metric)}")
-            point = (t, values[metric])
+            point = (t, value)
             dq.append(point)
             while dq and dq[0][0] <= horizon:
                 dq.popleft()
@@ -328,10 +329,11 @@ class MetricBus:
         feed = self._feeds.get(subject)
         if feed is None:
             feed = self._feed(subject, SAMPLE_METRICS if physical else NODE_METRICS)
-        msg = sample.to_json()
-        self._append(subject, feed, msg)
-        msg["type"] = "sample" if physical else "node_sample"
-        self.fan_out(msg)
+        self._append(subject, feed, sample)
+        if self._fan_order:
+            msg = sample.to_json()
+            msg["type"] = "sample" if physical else "node_sample"
+            self.fan_out(msg)
         return self.evaluate(sample, subject)
 
     # -- analytics ---------------------------------------------------------

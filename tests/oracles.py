@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
+from symplat.engine import ALLOC_DIMS, _task_demand, water_fill
 from symplat.model import RV_DIMS, ZERO
 
 
@@ -128,6 +129,56 @@ class ReferenceBoundaries:
                     in_violation, since, armed = False, None, True
             self.state[bc_id] = (in_violation, since, armed)
         return alarms
+
+
+def reference_allocations(engine):
+    """The allocation `engine`'s next tick should run with, computed from
+    scratch over every node as each tick did before allocations were cached.
+
+    Call it before `step_tick`. Returns (allocations in `last_allocations`
+    order, {node_id: summed effective rates over ALLOC_DIMS}), nodes in
+    `engine.nodes` order.
+    """
+    io_guarantees = engine.io_guarantees
+    ordered_apps = [engine.apps[a] for a in sorted(engine.apps)]
+    # one row per task: [app_id, task_id, demand, reserved, effective],
+    # the vectors indexed in ALLOC_DIMS order
+    by_node = {n.node_id: [] for n in engine.nodes}
+    for app in ordered_apps:
+        reserved = app.reserved
+        wire_free = len(app.tasks) > 1 and app.colocated()
+        for tid in sorted(app.tasks):
+            task = app.tasks[tid]
+            row = [app.app_id, tid, _task_demand(app, task, wire_free), reserved, None]
+            by_node[task.node_id].append(row)
+
+    node_used = {}
+    for nid, rows in by_node.items():
+        if not rows:
+            node_used[nid] = [0] * len(ALLOC_DIMS)
+            continue
+        cap = engine.capacity[nid]
+        # hard dimensions: never more than reserved
+        effs = [[min(d[0], r[0]), min(d[1], r[1])] for _, _, d, r, _ in rows]
+        # contended rate dimensions: guarantee + max-min split of residual
+        for i in range(2, len(ALLOC_DIMS)):
+            guaranteed = ([min(d[i], r[i]) for _, _, d, r, _ in rows] if io_guarantees
+                          else [0] * len(rows))
+            extras = [max(0, row[2][i] - g) for row, g in zip(rows, guaranteed)]
+            shares = water_fill(cap[i] - sum(guaranteed), extras)
+            for e, g, share in zip(effs, guaranteed, shares):
+                e.append(g + share)
+        for row, e in zip(rows, effs):
+            row[4] = e
+        node_used[nid] = [sum(col) for col in zip(*effs)]
+
+    allocations = []
+    for rows in by_node.values():
+        allocations += [(a, t, ALLOC_DIMS[i], d[i], r[i], e[i])
+                        for a, t, d, r, e in rows for i in (0, 1)]
+        allocations += [(a, t, ALLOC_DIMS[i], d[i], r[i], e[i])
+                        for i in range(2, len(ALLOC_DIMS)) for a, t, d, r, e in rows]
+    return allocations, node_used
 
 
 def brute_force_placement(node_ids, capacities, per_task, task_count):

@@ -360,6 +360,38 @@ class TestErrorCodes:
         assert err.value.code == "invalid_value"
         assert core.scheduler.reservations["solver-1"].to_json() == before
 
+    @pytest.mark.parametrize("op, payload", [
+        ("status", {"app_id": ["a"]}),
+        ("utilization_report", {"t0": "a"}),
+        ("submit", {"spec": []}),
+        ("submit", {"spec": {**app_spec("solver-2").to_json(), "task_count": "2"}}),
+        ("set_logical_state", {"app_id": "solver-1", "progress": "x"}),
+        ("report_progress", {"app_id": "solver-1", "progress": "x"}),
+        ("subscribe_metrics", {"subject": 5}),
+    ])
+    def test_malformed_field_is_invalid_value(self, op, payload):
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        core.handle("submit", {"spec": app_spec().to_json()}, tenant="alice")
+        core.tick()  # activates the app
+        before = (core.scheduler.reservations["solver-1"].to_json(),
+                  core.engine.apps["solver-1"].status, len(core.event_log))
+        with pytest.raises(ApiError) as err:
+            core.handle(op, payload, tenant="alice")
+        assert err.value.code == "invalid_value"
+        assert (core.scheduler.reservations["solver-1"].to_json(),
+                core.engine.apps["solver-1"].status, len(core.event_log)) == before
+        assert sorted(core.scheduler.reservations) == ["solver-1"]
+
+    def test_malformed_field_keeps_the_connection(self, server):
+        client = WireClient(server.address, tenant="alice")
+        client.request("submit", {"spec": app_spec().to_json()})
+        with pytest.raises(ApiError) as err:
+            client.request("status", {"app_id": ["solver-1"]})
+        assert err.value.code == "invalid_value"
+        out = client.request("status", {"app_id": "solver-1"})
+        assert out["reservation"]["app_id"] == "solver-1"
+        client.close()
+
     def test_malformed_adjust_keeps_the_connection(self, server):
         client = WireClient(server.address, tenant="alice")
         client.request("submit", {"spec": app_spec().to_json()})

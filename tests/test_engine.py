@@ -1,19 +1,24 @@
+import os
 import random
 
 from hypothesis import given, settings, strategies as st
 
 from symplat.engine import BEST_EFFORT_DIMS, SimEngine, water_fill
+from symplat.harness import ScenarioRunner
 from symplat.model import (
     ApplicationSpec,
+    LogicalStatus,
     NodeSpec,
     Phase,
     PlatformEnvEvent,
     ResourceVector,
 )
+from symplat.scenario import load_scenario
 
 from oracles import waterfill_oracle
 
 GIB = 1 << 30
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def one_node(cpu=32, fs=500_000_000, net=1_000_000_000):
@@ -321,6 +326,62 @@ class TestProgressAndCompletion:
         for s in result.samples:
             assert s.net_in_bps_used == 0 and s.net_out_bps_used == 0
             assert s.interproc_bps_used == 500_000_000
+
+
+class TestEventDrivenEngine:
+    """Nodes are re-filled only when one of their inputs changes."""
+
+    def two_nodes(self):
+        cap = one_node()[0].capacity
+        return [NodeSpec("n01", cap), NodeSpec("n02", cap)]
+
+    def event(self, name, app_id, detail=None):
+        return PlatformEnvEvent(event=name, app_id=app_id, reason="test",
+                                effective_at=0, detail=detail)
+
+    def test_quiet_ticks_refill_nothing(self):
+        engine = SimEngine(self.two_nodes())
+        engine.add_app(compute_app("a", cores=4, work=10**9, tasks=2), {0: "n01", 1: "n02"}, 0)
+        engine.add_app(fs_app("b", 400_000_000, 10**12), {0: "n02"}, 0)
+        engine.step_tick(0)
+        assert engine.refills == 2  # both nodes gained tasks
+        # a logical status write and a drain change no rate
+        engine.set_logical_status("a", LogicalStatus("Idle", 0.5, 1000))
+        engine.apply_env_event(self.event("Draining", "b"))
+        for tick in range(1, 200):
+            result = engine.step_tick(tick * 1000)
+            assert [(s.cpu_cores_used, s.fs_bps_used) for s in result.samples] == \
+                [(4, 0), (4, 0), (0, 400_000_000)]
+        assert engine.refills == 2
+
+    def test_granted_adjust_refills_only_the_apps_nodes(self):
+        engine = SimEngine(self.two_nodes())
+        engine.add_app(compute_app("a", cores=8, work=10**9, reserved_cores=4),
+                       {0: "n01"}, 0)
+        engine.add_app(compute_app("b", cores=8, work=10**9, reserved_cores=4),
+                       {0: "n02"}, 0)
+        engine.step_tick(0)
+        refills = engine.refills
+        engine.apply_env_event(self.event("Adjusting", "a", ResourceVector(cpu_cores=2)))
+        result = engine.step_tick(1000)
+        assert engine.refills == refills + 1
+        assert [s.cpu_cores_used for s in result.samples] == [6, 4]
+        engine.apply_env_event(self.event("Adjusting", "b"))  # nothing granted
+        engine.step_tick(2000)
+        assert engine.refills == refills + 1
+
+    def test_kalman_refills_only_on_input_changes(self):
+        runner = ScenarioRunner(load_scenario(os.path.join(ROOT, "scenarios", "kalman.yaml")),
+                                mode_override="symmetric")
+        ticks = 0
+
+        def count(core):
+            nonlocal ticks
+            ticks += 1
+
+        runner.run(on_tick=count)
+        assert ticks == 14401
+        assert runner.core.engine.refills <= 10
 
 
 def random_engine(seed, io_guarantees=True):
