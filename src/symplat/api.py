@@ -87,6 +87,9 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
     def _send(self, obj):
         self.outbox.put(obj, droppable=False)
 
+    def _send_error(self, msg_id, code, message):
+        self._send({"id": msg_id, "error": {"code": code, "message": message}})
+
     def handle(self):
         buf = b""
         self.request.settimeout(0.5)
@@ -101,16 +104,13 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 break
             buf += chunk
             if b"\n" not in buf and len(buf) > MAX_LINE_BYTES:
-                self._send({"id": None, "error": {
-                    "code": "oversize_message",
-                    "message": f"line exceeds {MAX_LINE_BYTES} bytes"}})
+                self._send_error(None, "oversize_message", f"line exceeds {MAX_LINE_BYTES} bytes")
                 break
             while b"\n" in buf:
                 line, buf = buf.split(b"\n", 1)
                 if len(line) > MAX_LINE_BYTES:
-                    self._send({"id": None, "error": {
-                        "code": "oversize_message",
-                        "message": f"line exceeds {MAX_LINE_BYTES} bytes"}})
+                    self._send_error(None, "oversize_message",
+                                     f"line exceeds {MAX_LINE_BYTES} bytes")
                     return
                 if not line.strip():
                     continue
@@ -123,18 +123,19 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
             if not isinstance(msg, dict):
                 raise ValueError("message must be a JSON object")
         except (ValueError, UnicodeDecodeError) as exc:
-            self._send({"id": None, "error": {
-                "code": "malformed_message", "message": str(exc)}})
+            self._send_error(None, "malformed_message", str(exc))
             return True
         msg_id = msg.get("id")
         op = msg.get("op")
         payload = msg.get("payload", {})
         if not isinstance(op, str):
-            self._send({"id": msg_id, "error": {
-                "code": "malformed_message", "message": "op must be a string"}})
+            self._send_error(msg_id, "malformed_message", "op must be a string")
             return True
 
         if op == "hello":
+            if not isinstance(payload, dict):
+                self._send_error(msg_id, "malformed_message", "payload must be an object")
+                return True
             self.tenant = payload.get("tenant", "anonymous")
             self.operator = bool(payload.get("operator", False))
             self.hello_done = True
@@ -142,8 +143,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                 "tenant": self.tenant, "operator": self.operator}})
             return True
         if not self.hello_done:
-            self._send({"id": msg_id, "error": {
-                "code": "handshake_required", "message": "first message must be hello"}})
+            self._send_error(msg_id, "handshake_required", "first message must be hello")
             return True
 
         try:
@@ -156,7 +156,7 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                     self.sub_ids.append(result["subscription_id"])
             self._send({"id": msg_id, "result": result})
         except ApiError as exc:
-            self._send({"id": msg_id, "error": {"code": exc.code, "message": str(exc)}})
+            self._send_error(msg_id, exc.code, str(exc))
         return True
 
     def finish(self):

@@ -81,43 +81,8 @@ def cmd_serve(args):
     return 0
 
 
-def cmd_submit(args):
-    with open(args.spec_file, "r", encoding="utf-8") as fh:
-        spec = yaml.safe_load(fh)
-    client = _client(args)
-    try:
-        result = client.request("submit", {"spec": spec})
-    finally:
-        client.close()
-    print(json.dumps(result, sort_keys=True))
-    return 0
-
-
-def cmd_status(args):
-    client = _client(args)
-    try:
-        result = client.request("status", {"app_id": args.app_id})
-    finally:
-        client.close()
-    print(json.dumps(result, sort_keys=True))
-    return 0
-
-
-def cmd_adjust(args):
-    payload = {"app_id": args.app_id, "walltime_extension_s": args.extension_s}
-    if args.delta:
-        payload["delta_per_task"] = json.loads(args.delta)
-    client = _client(args)
-    try:
-        result = client.request("adjust", payload)
-    finally:
-        client.close()
-    print(json.dumps(result, sort_keys=True))
-    return 0
-
-
-def _operator_command(args, op, payload):
-    client = _client(args, operator=True)
+def _request(args, op, payload, operator=False):
+    client = _client(args, operator=operator)
     try:
         result = client.request(op, payload)
     finally:
@@ -126,16 +91,33 @@ def _operator_command(args, op, payload):
     return 0
 
 
+def cmd_submit(args):
+    with open(args.spec_file, "r", encoding="utf-8") as fh:
+        spec = yaml.safe_load(fh)
+    return _request(args, "submit", {"spec": spec})
+
+
+def cmd_status(args):
+    return _request(args, "status", {"app_id": args.app_id})
+
+
+def cmd_adjust(args):
+    payload = {"app_id": args.app_id, "walltime_extension_s": args.extension_s}
+    if args.delta:
+        payload["delta_per_task"] = json.loads(args.delta)
+    return _request(args, "adjust", payload)
+
+
 def cmd_freeze(args):
-    return _operator_command(args, "freeze_app", {"app_id": args.app_id})
+    return _request(args, "freeze_app", {"app_id": args.app_id}, operator=True)
 
 
 def cmd_thaw(args):
-    return _operator_command(args, "thaw_app", {"app_id": args.app_id})
+    return _request(args, "thaw_app", {"app_id": args.app_id}, operator=True)
 
 
 def cmd_drain(args):
-    return _operator_command(args, "drain_node", {"node_id": args.node_id})
+    return _request(args, "drain_node", {"node_id": args.node_id}, operator=True)
 
 
 def cmd_metrics(args):
@@ -167,18 +149,12 @@ def cmd_metrics(args):
 
 
 def cmd_report(args):
-    client = _client(args)
-    try:
-        payload = {}
-        if args.t0 is not None:
-            payload["t0"] = args.t0 * 1000
-        if args.t1 is not None:
-            payload["t1"] = args.t1 * 1000
-        result = client.request("utilization_report", payload)
-    finally:
-        client.close()
-    print(json.dumps(result, sort_keys=True))
-    return 0
+    payload = {}
+    if args.t0 is not None:
+        payload["t0"] = args.t0 * 1000
+    if args.t1 is not None:
+        payload["t1"] = args.t1 * 1000
+    return _request(args, "utilization_report", payload)
 
 
 def build_parser():

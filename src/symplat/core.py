@@ -45,7 +45,6 @@ class PlatformCore:
         self.owners: dict[str, str] = {}  # app_id -> tenant
         self.now = 0
         self.event_log: list[dict] = []
-        self.outcomes: dict[str, str] = {}
         self.latest_samples: dict[str, dict[int, model.PhysicalSample]] = {}
         self.latest_node_samples: dict[str, model.NodeSample] = {}
         self._pending_completions: dict[int, list[str]] = {}
@@ -57,7 +56,7 @@ class PlatformCore:
 
     def _record_event(self, ev):
         self.event_log.append({"type": "env_event", **ev.to_json()})
-        self.bus.fan_out({"type": "event", **ev.to_json()})
+        self.bus.fan_out({"type": "event", **ev.to_json()}, ("app", ev.app_id))
 
     def _record_lifecycle(self, name, app_id, t, **extra):
         self.event_log.append({"type": "lifecycle", "event": name, "app_id": app_id,
@@ -82,13 +81,11 @@ class PlatformCore:
                 self.engine.apply_env_event(ev)
                 self.scheduler.finish(app_id, now, "TerminatedError",
                                       last_checkpoint_t=None)
-                self.outcomes[app_id] = "TerminatedError"
 
         for app_id in self._pending_completions.pop(now, []):
-            if app_id in self.engine.apps and app_id not in self.outcomes:
+            if app_id in self.engine.apps:
                 self.scheduler.finish(app_id, now, "Completed")
                 self.engine.remove_app(app_id)
-                self.outcomes[app_id] = "Completed"
                 self._record_lifecycle("Completed", app_id, now)
 
         for app_id in self.scheduler.activate_due(now):
@@ -102,8 +99,6 @@ class PlatformCore:
             self._record_event(ev)
             if ev.app_id in self.engine.apps:
                 self.engine.apply_env_event(ev)
-            if ev.event == "Terminating":
-                self.outcomes[ev.app_id] = "TerminatedWalltime"
 
         result = self.engine.step_tick(now)
         self.last_tick_result = result
@@ -196,7 +191,6 @@ class PlatformCore:
                 self._record_event(ev)
                 if name == "Terminating" and app_id in self.engine.apps:
                     self.engine.apply_env_event(ev)
-        self.outcomes[app_id] = "Cancelled"
         return {"reservation": res.to_json()}
 
     def _op_status(self, payload, **_):

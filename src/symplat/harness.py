@@ -116,11 +116,10 @@ class ScenarioRunner:
         summary = {}
         for app_id in sorted(core.scheduler.reservations):
             res = core.scheduler.reservations[app_id]
-            outcome = core.outcomes.get(app_id, res.status)
-            outcomes[app_id] = outcome
+            outcomes[app_id] = res.status
             started = started_at.get(app_id)
             finished = finished_at.get(app_id)
-            summary[app_id] = {"outcome": outcome}
+            summary[app_id] = {"outcome": res.status}
             summary[app_id]["started_at_s"] = started // 1000 if started is not None else None
             summary[app_id]["finished_at_s"] = finished // 1000 if finished is not None else None
             summary[app_id]["duration_s"] = (

@@ -359,20 +359,7 @@ class PlatformEnvEvent:
         )
 
 
-SAMPLE_METRICS = (
-    "cpu_cores_used",
-    "memory_bytes_used",
-    "fs_bps_used",
-    "fs_iops_used",
-    "storage_bytes_used",
-    "net_in_bps_used",
-    "net_out_bps_used",
-    "interproc_bps_used",
-)
-
-
-@dataclass(frozen=True)
-class PhysicalSample:
+class PhysicalSample(NamedTuple):
     t: int
     app_id: str
     task_id: int
@@ -387,10 +374,7 @@ class PhysicalSample:
     interproc_bps_used: int = 0
 
     def to_json(self):
-        obj = {"t": self.t, "app_id": self.app_id, "task_id": self.task_id, "node_id": self.node_id}
-        for m in SAMPLE_METRICS:
-            obj[m] = getattr(self, m)
-        return obj
+        return self._asdict()
 
     @classmethod
     def from_json(cls, obj):
@@ -398,19 +382,10 @@ class PhysicalSample:
                    **{m: obj.get(m, 0) for m in SAMPLE_METRICS})
 
 
-NODE_METRICS = (
-    "cpu_cores_used",
-    "memory_bytes_used",
-    "fs_bps_used",
-    "fs_iops_used",
-    "storage_bytes_used",
-    "net_in_bps_used",
-    "net_out_bps_used",
-)
+SAMPLE_METRICS = PhysicalSample._fields[4:]
 
 
-@dataclass(frozen=True)
-class NodeSample:
+class NodeSample(NamedTuple):
     t: int
     node_id: str
     cpu_cores_used: int = 0
@@ -422,15 +397,15 @@ class NodeSample:
     net_out_bps_used: int = 0
 
     def to_json(self):
-        obj = {"t": self.t, "node_id": self.node_id}
-        for m in NODE_METRICS:
-            obj[m] = getattr(self, m)
-        return obj
+        return self._asdict()
 
     @classmethod
     def from_json(cls, obj):
         return cls(t=obj["t"], node_id=obj["node_id"],
                    **{m: obj.get(m, 0) for m in NODE_METRICS})
+
+
+NODE_METRICS = NodeSample._fields[2:]
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Metric bus, ring-buffer series store, and boundary-condition analytics.
+"""Metric bus, retained-sample store, and boundary-condition analytics.
 
 Publishing is one serialized pipeline: store, fan out to subscriptions, then
-evaluate boundary conditions. Alarms are edge-triggered on the windowed mean
-and re-arm only after a full window of continuous satisfaction.
+evaluate boundary conditions. Each subject's samples are kept once, as
+published; a query reads one metric out of them and is empty for a metric
+those samples lack. Alarms are edge-triggered on the windowed mean and
+re-arm only after a full window of continuous satisfaction.
 """
 
 from __future__ import annotations
@@ -178,20 +180,11 @@ class Subscription(Channel):
         self.outbox = outbox
         self.delivered = 0
 
-    def matches(self, msg):
-        if msg["type"] not in self.kinds:
-            return False
-        if msg["type"] == "alarm":
-            subj = (msg["subject"]["kind"], msg["subject"]["id"])
-        elif msg["type"] == "node_sample":
-            subj = ("node", msg["node_id"])
-        else:
-            subj = ("app", msg["app_id"])
-        if self.subject_kind is not None and subj[0] != self.subject_kind:
-            return False
-        if self.subject_id is not None and subj[1] != self.subject_id:
-            return False
-        return True
+    def matches(self, kind, subject):
+        """Whether a message of `kind` about `subject` is one of ours."""
+        return (kind in self.kinds
+                and (self.subject_kind is None or subject[0] == self.subject_kind)
+                and (self.subject_id is None or subject[1] == self.subject_id))
 
     def deliver(self, msg):
         self.delivered += 1
@@ -206,35 +199,43 @@ def _sample_subject(sample):
     raise SymplatError("telemetry_error", f"unsupported sample type {type(sample).__name__}")
 
 
-class _Window:
-    """Running integer sum of one series' points with t in (newest - width, newest].
+# metric -> its index in the samples of each subject kind
+_METRIC_INDEX = {
+    "app": {m: PhysicalSample._fields.index(m) for m in SAMPLE_METRICS},
+    "node": {m: NodeSample._fields.index(m) for m in NODE_METRICS},
+}
 
-    `width` is min(window_s, retention) in ms: points older than retention are
-    evicted from the series, so no wider window could see them. Boundaries on
-    the same series and width share one window; `users` counts them.
+
+class _Window:
+    """Running integer sum of metric `index` over one subject's samples with t
+    in (newest - width, newest].
+
+    `width` is min(window_s, retention) in ms: samples older than retention
+    are evicted from the store, so no wider window could see them. Boundaries
+    on the same subject, metric and width share one window; `users` counts them.
     """
 
-    __slots__ = ("width", "points", "total", "users")
+    __slots__ = ("index", "width", "samples", "total", "users")
 
-    def __init__(self, width, retained):
+    def __init__(self, index, width):
+        self.index = index
         self.width = width
-        self.points = deque()
+        self.samples = deque()
         self.total = 0
         self.users = 0
-        for point in retained:
-            self.push(point)
 
-    def push(self, point):
-        points = self.points
-        points.append(point)
-        self.total += point[1]
-        lo = point[0] - self.width
-        while points and points[0][0] <= lo:
-            self.total -= points.popleft()[1]
+    def push(self, sample):
+        samples = self.samples
+        samples.append(sample)
+        i = self.index
+        self.total += sample[i]
+        lo = sample[0] - self.width
+        while samples and samples[0][0] <= lo:
+            self.total -= samples.popleft()[i]
 
     def mean(self):
         # integer sums: equal to sum(values) / len(values) of a rescan
-        return self.total / len(self.points) if self.points else None
+        return self.total / len(self.samples) if self.samples else None
 
 
 @dataclass(slots=True)
@@ -249,7 +250,7 @@ class MetricBus:
     def __init__(self, retention_s=3600, channel_depth=CHANNEL_DEPTH):
         self.retention_ms = retention_s * 1000
         self.channel_depth = channel_depth
-        self.series: dict[tuple, deque] = {}  # (kind, id, metric) -> deque[(t, value)]
+        self.series: dict[tuple, deque] = {}  # subject -> its retained samples, by t
         self.subscriptions: dict[str, Subscription] = {}
         self.boundaries: dict[str, BoundaryCondition] = {}
         self.alarm_log: list[Alarm] = []
@@ -257,46 +258,36 @@ class MetricBus:
         self._fan_order: list[Subscription] = []  # by sub_id, as fan_out delivers
         self._bc_state: dict[str, _BcState] = {}
         self._bc_ids: dict[tuple, list[str]] = {}  # subject -> sorted bc_ids
-        # (kind, id, metric) -> attached windows; a feed shares the list object
-        self._windows: dict[tuple, list[_Window]] = {}
-        # subject -> (metric getter, [(metric, series deque, windows)]), from its first publish
-        self._feeds: dict[tuple, tuple] = {}
+        self._windows: dict[tuple, list[_Window]] = {}  # subject -> attached windows
 
     # -- store -------------------------------------------------------------
 
-    def _feed(self, subject, metrics):
-        slots = []
-        for m in metrics:
-            key = (subject[0], subject[1], m)
-            slots.append((m, self.series.setdefault(key, deque()),
-                          self._windows.setdefault(key, [])))
-        feed = self._feeds[subject] = (attrgetter(*metrics), slots)
-        return feed
-
-    def _append(self, subject, feed, sample):
-        """Store one sample's metrics and push them into the attached windows."""
-        values, slots = feed
-        t = sample.t
+    def _append(self, subject, sample):
+        """Store one sample and push it into its subject's windows."""
+        t = sample[0]
+        dq = self.series.get(subject)
+        if dq is None:
+            dq = self.series[subject] = deque()
+        elif dq and t < dq[-1][0]:
+            raise OutOfOrderSample(f"sample at {t} behind {dq[-1][0]} for {subject}")
+        dq.append(sample)
         horizon = t - self.retention_ms
-        for (metric, dq, windows), value in zip(slots, values(sample)):
-            if dq and t < dq[-1][0]:
-                raise OutOfOrderSample(
-                    f"sample at {t} behind {dq[-1][0]} for {(*subject, metric)}")
-            point = (t, value)
-            dq.append(point)
-            while dq and dq[0][0] <= horizon:
-                dq.popleft()
-            for w in windows:
-                w.push(point)
+        while dq and dq[0][0] <= horizon:
+            dq.popleft()
+        for w in self._windows.get(subject, ()):
+            w.push(sample)
 
     def query(self, subject, metric, t0, t1):
-        """Retained points with t in [t0, t1), time-ordered."""
+        """Retained (t, value) points of `metric` with t in [t0, t1),
+        time-ordered; [] for a metric `subject`'s samples lack."""
         if not t0 < t1:
             raise EmptyRange(f"invalid range [{t0}, {t1})")
-        if subject not in self._feeds:
+        if subject not in self.series:
             raise UnknownSubject(f"no samples ever published for {subject}")
-        dq = self.series.get((subject[0], subject[1], metric), ())
-        return [(t, v) for t, v in dq if t0 <= t < t1]
+        i = _METRIC_INDEX[subject[0]].get(metric)
+        if i is None:
+            return []
+        return [(s[0], s[i]) for s in self.series[subject] if t0 <= s[0] < t1]
 
     # -- pub/sub -------------------------------------------------------------
 
@@ -315,9 +306,11 @@ class MetricBus:
             raise UnknownSubscription(f"no subscription {sub_id}")
         self._fan_order.remove(self.subscriptions.pop(sub_id))
 
-    def fan_out(self, msg):
+    def fan_out(self, msg, subject):
+        """Deliver `msg`, about `subject`, to the matching subscriptions."""
+        kind = msg["type"]
         for sub in self._fan_order:
-            if sub.matches(msg):
+            if sub.matches(kind, subject):
                 sub.deliver(msg)
 
     # -- pipeline --------------------------------------------------------
@@ -325,15 +318,11 @@ class MetricBus:
     def publish(self, sample):
         """Store, fan out, evaluate; returns alarms raised by this sample."""
         subject = _sample_subject(sample)
-        physical = isinstance(sample, PhysicalSample)
-        feed = self._feeds.get(subject)
-        if feed is None:
-            feed = self._feed(subject, SAMPLE_METRICS if physical else NODE_METRICS)
-        self._append(subject, feed, sample)
+        self._append(subject, sample)
         if self._fan_order:
             msg = sample.to_json()
-            msg["type"] = "sample" if physical else "node_sample"
-            self.fan_out(msg)
+            msg["type"] = "sample" if subject[0] == "app" else "node_sample"
+            self.fan_out(msg, subject)
         return self.evaluate(sample, subject)
 
     # -- analytics ---------------------------------------------------------
@@ -341,17 +330,21 @@ class MetricBus:
     def register_boundary(self, bc):
         """Add `bc`, or replace the boundary with its bc_id and reset its state.
 
-        Its window starts from the points already retained."""
+        Its window starts from the samples already retained. A metric the
+        subject's samples lack gets a window nothing feeds."""
         bc.validate()
         if bc.bc_id in self.boundaries:
             self._detach(bc.bc_id)
-        key = (bc.subject[0], bc.subject[1], bc.metric)
+        index = _METRIC_INDEX[bc.subject[0]].get(bc.metric)
         width = min(bc.window_s * 1000, self.retention_ms)
-        windows = self._windows.setdefault(key, [])
-        window = next((w for w in windows if w.width == width), None)
+        windows = self._windows.setdefault(bc.subject, [])
+        window = next((w for w in windows if w.index == index and w.width == width), None)
         if window is None:
-            window = _Window(width, self.series.get(key, ()))
-            windows.append(window)
+            window = _Window(index, width)
+            if index is not None:
+                windows.append(window)
+                for sample in self.series.get(bc.subject, ()):
+                    window.push(sample)
         window.users += 1
         self.boundaries[bc.bc_id] = bc
         self._bc_state[bc.bc_id] = _BcState(window)
@@ -367,8 +360,8 @@ class MetricBus:
         bc = self.boundaries.pop(bc_id)
         window = self._bc_state.pop(bc_id).window
         window.users -= 1
-        if not window.users:
-            self._windows[(bc.subject[0], bc.subject[1], bc.metric)].remove(window)
+        if not window.users and window.index is not None:
+            self._windows[bc.subject].remove(window)
         self._bc_ids[bc.subject].remove(bc_id)
 
     def evaluate(self, sample, subject=None):
@@ -393,7 +386,7 @@ class MetricBus:
                                   observed=mean, threshold=bc.threshold)
                     alarms.append(alarm)
                     self.alarm_log.append(alarm)
-                    self.fan_out(alarm.to_json())
+                    self.fan_out(alarm.to_json(), subject)
                     st.armed = False
                 st.in_violation = True
                 st.satisfied_since = None

@@ -77,9 +77,9 @@ def reference_window_mean(bus, subject, metric, t, window_s):
     covers the retention, and a boundary registered late sees what is
     already retained.
     """
-    dq = bus.series.get((subject[0], subject[1], metric), ())
     lo = t - window_s * 1000
-    vals = [v for ts, v in dq if lo < ts <= t]
+    # integer ms: [lo + 1, t + 1) is (lo, t]
+    vals = [v for _, v in bus.query(subject, metric, lo + 1, t + 1)]
     if not vals:
         return None
     return sum(vals) / len(vals)

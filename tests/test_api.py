@@ -335,11 +335,10 @@ class TestErrorCodes:
         core.handle("submit", {"spec": spec.to_json()}, tenant="alice")
         for _ in range(10):
             core.tick()
-        assert core.outcomes["short"] == "Completed"
+        assert core.scheduler.reservations["short"].status == "Completed"
         with pytest.raises(ApiError) as err:
             core.handle("cancel", {"app_id": "short"}, tenant="alice")
         assert err.value.code == "not_active"
-        assert core.outcomes["short"] == "Completed"
         assert core.scheduler.reservations["short"].status == "Completed"
 
     @pytest.mark.parametrize("field, value", [
@@ -390,6 +389,15 @@ class TestErrorCodes:
         assert err.value.code == "invalid_value"
         out = client.request("status", {"app_id": "solver-1"})
         assert out["reservation"]["app_id"] == "solver-1"
+        client.close()
+
+    def test_malformed_hello_keeps_the_connection(self, server):
+        client = WireClient(server.address, tenant="alice")
+        for payload in (["a"], "alice"):
+            with pytest.raises(ApiError) as err:
+                client.request("hello", payload)
+            assert err.value.code == "malformed_message"
+        assert client.request("hello", {"tenant": "bob"}) == {"tenant": "bob", "operator": False}
         client.close()
 
     def test_malformed_adjust_keeps_the_connection(self, server):

@@ -3,7 +3,9 @@ import textwrap
 
 import pytest
 
+from symplat.api import WireServer
 from symplat.cli import main
+from symplat.core import PlatformCore
 from symplat.harness import run_scenario
 from symplat.scenario import (
     ParseError,
@@ -187,3 +189,31 @@ class TestCli:
 
     def test_connection_refused_is_runtime_error(self):
         assert main(["status", "x", "--connect", "127.0.0.1:1"]) == 1
+
+    def test_client_commands_against_a_live_server(self, tmp_path, capsys):
+        scen = scenario_from_dict(MINIMAL)
+        core = PlatformCore(scen.nodes, scen.images)
+        spec, _, tenant = scen.apps[0]
+        core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
+        core.tick()  # activates the app
+        sock = str(tmp_path / "symplat.sock")
+        server = WireServer(core, sock).start()
+
+        def run(*argv):
+            assert main([*argv, "--connect", sock, "--tenant", tenant]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        try:
+            status = run("status", "tiny")
+            assert (status["reservation"]["status"], status["logical"]["state"]) == (
+                "Active", "Running")
+            adjust = run("adjust", "tiny", "--delta", '{"cpu_cores": 2}', "--extension-s", "30")
+            assert (adjust["decision"], adjust["granted_delta"]["cpu_cores"],
+                    adjust["granted_extension_s"]) == ("Granted", 2, 30)
+            report = run("report", "--t0", "0", "--t1", "1")
+            assert report == core.scheduler.utilization_report(0, 1000).to_json()
+            # freeze is an operator command: the client must say so in its hello
+            assert run("freeze", "tiny") == {"app_id": "tiny", "frozen": True}
+            assert core.scheduler.reservations["tiny"].status == "Frozen"
+        finally:
+            server.stop()

@@ -11,6 +11,7 @@ from symplat.model import (
     EnvironmentImage,
     InvalidValue,
     LogicalStatus,
+    NodeSample,
     NodeSpec,
     Phase,
     PhysicalSample,
@@ -246,6 +247,18 @@ class TestSerialization:
         s = PhysicalSample(t=1000, app_id="a", task_id=0, node_id="n1",
                            cpu_cores_used=3, fs_bps_used=10**8)
         assert PhysicalSample.from_json(json.loads(json.dumps(s.to_json()))) == s
+
+    def test_node_sample_roundtrip(self):
+        s = NodeSample(t=1000, node_id="n1", cpu_cores_used=3, net_out_bps_used=10**9)
+        assert NodeSample.from_json(json.loads(json.dumps(s.to_json()))) == s
+
+    def test_sample_json_key_order(self):
+        metrics = ["cpu_cores_used", "memory_bytes_used", "fs_bps_used", "fs_iops_used",
+                   "storage_bytes_used", "net_in_bps_used", "net_out_bps_used"]
+        s = PhysicalSample(t=0, app_id="a", task_id=0, node_id="n1")
+        assert list(s.to_json()) == ["t", "app_id", "task_id", "node_id", *metrics,
+                                     "interproc_bps_used"]
+        assert list(NodeSample(t=0, node_id="n1").to_json()) == ["t", "node_id", *metrics]
 
     def test_node_spec_roundtrip(self):
         n = NodeSpec(node_id="n1", capacity=ResourceVector(cpu_cores=8, memory_bytes=GIB))

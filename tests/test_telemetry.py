@@ -74,6 +74,16 @@ class TestStore:
         bus.publish(app_sample(0, cpu=7))
         assert bus.query(("app", "app-1"), "cpu_cores_used", 0, 1) == [(0, 7)]
 
+    def test_query_of_a_field_that_is_no_metric_is_empty(self):
+        bus = MetricBus()
+        bus.publish(app_sample(0, cpu=7))
+        bus.publish(node_sample(0))
+        for field in ("t", "app_id", "task_id", "node_id"):
+            assert bus.query(("app", "app-1"), field, 0, 1) == [], field
+        # node samples carry no interprocess traffic
+        assert bus.query(("node", "n01"), "interproc_bps_used", 0, 1) == []
+        assert bus.query(("node", "n01"), "cpu_cores_used", 0, 1) == [(0, 8)]
+
 
 class TestSubscriptions:
     def test_fan_out_identical_to_all_matching(self):
@@ -147,7 +157,7 @@ class TestChannel:
         bus = MetricBus()
         metrics = bus.subscribe()
         events = bus.subscribe(kinds=("event",))
-        bus.fan_out({"type": "event", "event": "Freezing", "app_id": "app-1"})
+        bus.fan_out({"type": "event", "event": "Freezing", "app_id": "app-1"}, ("app", "app-1"))
         bus.publish(app_sample(0))
         assert [m["type"] for m in metrics.poll()] == ["sample"]
         assert [m["type"] for m in events.poll()] == ["event"]

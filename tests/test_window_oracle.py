@@ -212,7 +212,7 @@ def test_window_released_with_its_last_boundary():
     h.register("a", APP, window_s=6)
     h.register("b", APP, bound="min", window_s=6)
     h.register("c", APP, window_s=30)
-    windows = h.bus._windows[(*APP, "cpu_cores_used")]
+    windows = h.bus._windows[APP]
     assert sorted(w.width for w in windows) == [6000, 10000]
     h.drop("a")
     h.drop("c")
