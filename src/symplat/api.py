@@ -1,9 +1,10 @@
 """Newline-delimited JSON wire service over TCP or a unix socket.
 
 One message per line (UTF-8 JSON, max 1 MiB). Requests carry a client-chosen
-correlation id and are answered exactly once; pushes carry id = null. The
-first message on a connection must be hello, which binds a tenant and an
-operator flag. All state mutations funnel through one lock around the core.
+correlation id and are answered exactly once, also after the client has
+half-closed the connection; pushes carry id = null. The first message on a
+connection must be hello, which binds a tenant and an operator flag. All
+state mutations funnel through one lock around the core.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import os
 import socket
 import socketserver
 import threading
-import time
 
 from .core import ApiError
 from .telemetry import Channel
@@ -167,14 +167,10 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
                                             tenant=self.tenant, operator=True)
                 except ApiError:
                     pass
-        # give the writer a moment to flush queued responses
-        deadline = time.monotonic() + 1.0
-        while time.monotonic() < deadline:
-            with self.outbox._cond:
-                if not self.outbox._items:
-                    break
-            time.sleep(0.01)
+        # the writer sends what is queued, then exits; the socket timeout
+        # bounds a send the client never reads
         self.outbox.close()
+        self._writer.join()
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):

@@ -2,9 +2,11 @@
 
 One instance owns the scheduler, the node engine and the metric bus, advances
 virtual time in 1000 ms ticks, and exposes the operation table that both the
-wire service and the scenario runner drive. In asymmetric mode (the static
-baseline) adjustment, boundary conditions and subscriptions are disabled and
-I/O reservations are ignored: all I/O becomes best-effort.
+wire service and the scenario runner drive. Every platform event is logged,
+pushed to event subscribers and applied to the running app in one place. In
+asymmetric mode (the static baseline) adjustment, boundary conditions and
+subscriptions are disabled and I/O reservations are ignored: all I/O becomes
+best-effort.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class PlatformCore:
         self.now = 0
         self.event_log: list[dict] = []
         self.latest_samples: dict[str, dict[int, model.PhysicalSample]] = {}
-        self.latest_node_samples: dict[str, model.NodeSample] = {}
         self._pending_completions: dict[int, list[str]] = {}
         self._pending_error_kill: dict[int, list[str]] = {}
         self.last_tick_result = None
@@ -55,8 +56,12 @@ class PlatformCore:
     # event plumbing
 
     def _record_event(self, ev):
+        """Log `ev`, push it to event subscribers, then apply it to the app's
+        engine state if the app is running."""
         self.event_log.append({"type": "env_event", **ev.to_json()})
         self.bus.fan_out({"type": "event", **ev.to_json()}, ("app", ev.app_id))
+        if ev.app_id in self.engine.apps:
+            self.engine.apply_env_event(ev)
 
     def _record_lifecycle(self, name, app_id, t, **extra):
         self.event_log.append({"type": "lifecycle", "event": name, "app_id": app_id,
@@ -75,12 +80,10 @@ class PlatformCore:
 
         for app_id in self._pending_error_kill.pop(now, []):
             if app_id in self.engine.apps:
-                ev = PlatformEnvEvent(event="Terminating", app_id=app_id,
-                                      reason="logical error state", effective_at=now)
-                self._record_event(ev)
-                self.engine.apply_env_event(ev)
-                self.scheduler.finish(app_id, now, "TerminatedError",
-                                      last_checkpoint_t=None)
+                self._record_event(PlatformEnvEvent(
+                    event="Terminating", app_id=app_id,
+                    reason="logical error state", effective_at=now))
+                self.scheduler.finish(app_id, now, "TerminatedError")
 
         for app_id in self._pending_completions.pop(now, []):
             if app_id in self.engine.apps:
@@ -97,16 +100,12 @@ class PlatformCore:
 
         for ev in self.scheduler.enforce_walltime(now, checkpoint_t=self._checkpoint_t):
             self._record_event(ev)
-            if ev.app_id in self.engine.apps:
-                self.engine.apply_env_event(ev)
 
         result = self.engine.step_tick(now)
         self.last_tick_result = result
 
         for sample in result.samples:
             self.latest_samples.setdefault(sample.app_id, {})[sample.task_id] = sample
-        for ns in result.node_samples:
-            self.latest_node_samples[ns.node_id] = ns
         if self.mode == "symmetric":
             for sample in result.samples:
                 self.bus.publish(sample)
@@ -186,11 +185,9 @@ class PlatformCore:
         res = self.scheduler.cancel(app_id, self.now)
         if was_live:
             for name in ("Draining", "Terminating"):
-                ev = PlatformEnvEvent(event=name, app_id=app_id,
-                                      reason="cancelled by tenant", effective_at=self.now)
-                self._record_event(ev)
-                if name == "Terminating" and app_id in self.engine.apps:
-                    self.engine.apply_env_event(ev)
+                self._record_event(PlatformEnvEvent(event=name, app_id=app_id,
+                                                    reason="cancelled by tenant",
+                                                    effective_at=self.now))
         return {"reservation": res.to_json()}
 
     def _op_status(self, payload, **_):
@@ -218,8 +215,9 @@ class PlatformCore:
         queue = [{"app_id": a, "planned_start": plan.planned[a][0]} for a in plan.order]
         return {
             "nodes": [n.to_json() for n in self.scheduler.nodes],
-            "node_samples": [self.latest_node_samples[n].to_json()
-                             for n in sorted(self.latest_node_samples)],
+            # the last tick sampled every node, in node_id order
+            "node_samples": [ns.to_json() for ns in self.last_tick_result.node_samples]
+                            if self.last_tick_result else [],
             "queue": queue,
             "now": self.now,
         }
@@ -260,14 +258,11 @@ class PlatformCore:
         decision, granted_delta, granted_ext, reason = self.scheduler.request_adjustment(
             app_id, delta, extension_s, self.now)
         if decision != "Denied":
-            ev = PlatformEnvEvent(
+            # push before response: subscribers hear about the grant first
+            self._record_event(PlatformEnvEvent(
                 event="Adjusting", app_id=app_id, reason=reason,
                 effective_at=self.now, detail=granted_delta,
-            )
-            # push before response: subscribers hear about the grant first
-            self._record_event(ev)
-            if app_id in self.engine.apps:
-                self.engine.apply_env_event(ev)
+            ))
         return {
             "decision": decision,
             "granted_delta": granted_delta.to_json(),
@@ -315,38 +310,22 @@ class PlatformCore:
         for app_id in sorted(self.engine.apps):
             app = self.engine.apps[app_id]
             if any(t.node_id == node_id for t in app.tasks.values()):
-                ev = PlatformEnvEvent(event="Draining", app_id=app_id,
-                                      reason=f"operator drain of {node_id}",
-                                      effective_at=self.now)
-                self._record_event(ev)
-                self.engine.apply_env_event(ev)
+                self._record_event(PlatformEnvEvent(event="Draining", app_id=app_id,
+                                                    reason=f"operator drain of {node_id}",
+                                                    effective_at=self.now))
                 drained.append(app_id)
         return {"node_id": node_id, "draining": drained}
 
-    def _op_freeze_app(self, payload, **_):
+    def _op_freeze_app(self, payload, frozen=True, **_):
         app_id = payload["app_id"]
-        self.scheduler.set_frozen(app_id, True)
-        ev = PlatformEnvEvent(event="Freezing", app_id=app_id,
-                              reason="operator freeze", effective_at=self.now)
-        self._record_event(ev)
-        if app_id in self.engine.apps:
-            self.engine.apply_env_event(ev)
-        return {"app_id": app_id, "frozen": True}
+        self.scheduler.set_frozen(app_id, frozen)
+        self._record_event(PlatformEnvEvent(
+            event="Freezing" if frozen else "Thawed", app_id=app_id,
+            reason="operator freeze" if frozen else "operator thaw", effective_at=self.now))
+        return {"app_id": app_id, "frozen": frozen}
 
     def _op_thaw_app(self, payload, **_):
-        app_id = payload["app_id"]
-        res = self.scheduler.reservations.get(app_id)
-        if res is None:
-            raise ApiError("no_such_app", f"no app {app_id}")
-        if res.status != "Frozen":
-            raise ApiError("not_frozen", f"app {app_id} is not frozen")
-        self.scheduler.set_frozen(app_id, False)
-        ev = PlatformEnvEvent(event="Thawed", app_id=app_id,
-                              reason="operator thaw", effective_at=self.now)
-        self._record_event(ev)
-        if app_id in self.engine.apps:
-            self.engine.apply_env_event(ev)
-        return {"app_id": app_id, "frozen": False}
+        return self._op_freeze_app(payload, frozen=False)
 
     def _op_utilization_report(self, payload, **_):
         t0 = payload.get("t0", 0)

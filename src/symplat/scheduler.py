@@ -3,9 +3,10 @@
 Each node's commitments form an availability profile: free capacity as a step
 function of time (the "profile" of conservative backfilling, Mu'alem &
 Feitelson, IEEE TPDS 2001). Queued jobs are planned in FCFS order (submit
-time, then app_id); each planned job is subtracted from the profile before
-the next job is planned, so a later job may slot in earlier only where it
-cannot delay any job planned before it.
+time, which a queued reservation holds as its start_t, then app_id); each
+planned job is subtracted from the profile before the next job is planned,
+so a later job may slot in earlier only where it cannot delay any job
+planned before it.
 
 The plan is recomputed only when its inputs change: a mutation of the
 reservations, a renewed promise, or a `now` later than the earliest start
@@ -190,16 +191,6 @@ class UtilizationReport:
         }
 
 
-@dataclass
-class _FinishedJob:
-    app_id: str
-    status: str
-    total_cores: int
-    start_t: int
-    finish_t: int
-    last_checkpoint_t: int | None
-
-
 class ReservationScheduler:
     """Single serialized state machine over one cluster's reservations."""
 
@@ -211,9 +202,8 @@ class ReservationScheduler:
         self.io_reservations = io_reservations
         self.reservations: dict[str, Reservation] = {}
         self.specs: dict[str, ApplicationSpec] = {}
-        self._submit_order: dict[str, tuple[int, str]] = {}
         self._drained: set[str] = set()
-        self._finished: list[_FinishedJob] = []
+        self.hollow_core_seconds = 0  # of walltime-killed jobs, since their last checkpoint
         self._promised: dict[str, tuple[int, dict[int, str]]] = {}
         self._plan: SchedulePlan | None = None
         self._plan_span = (0, 0)  # the instants at which `_plan` is current
@@ -240,8 +230,9 @@ class ReservationScheduler:
         return profile
 
     def _queued_order(self):
-        queued = [a for a, r in self.reservations.items() if r.status == "Queued"]
-        return sorted(queued, key=lambda a: self._submit_order[a])
+        # a queued reservation's start_t is its submit time until it starts
+        queued = [(r.start_t, a) for a, r in self.reservations.items() if r.status == "Queued"]
+        return [a for _, a in sorted(queued)]
 
     def _earliest_fit(self, profile, need, wall, task_count, now):
         """Earliest (start, placement) for `task_count` tasks of `need` on `profile`.
@@ -288,7 +279,6 @@ class ReservationScheduler:
         )
         self.reservations[spec.app_id] = res
         self.specs[spec.app_id] = spec
-        self._submit_order[spec.app_id] = (now, spec.app_id)
         self._plan = None
         return res
 
@@ -447,7 +437,7 @@ class ReservationScheduler:
         """Emit Draining/Terminating for Active jobs reaching their limit.
 
         `checkpoint_t` maps app_id to the virtual time of its last completed
-        checkpoint (or None); it feeds the hollow-utilization ledger.
+        checkpoint (or None); it feeds `hollow_core_seconds`.
         """
         checkpoint_t = checkpoint_t or (lambda app_id: None)
         events = []
@@ -475,15 +465,11 @@ class ReservationScheduler:
         res = self.reservations[app_id]
         res.status = status
         self._plan = None
-        spec = self.specs[app_id]
-        self._finished.append(_FinishedJob(
-            app_id=app_id,
-            status=status,
-            total_cores=spec.per_task_reservation.cpu_cores * spec.task_count,
-            start_t=res.start_t,
-            finish_t=now,
-            last_checkpoint_t=last_checkpoint_t,
-        ))
+        if status == "TerminatedWalltime":
+            spec = self.specs[app_id]
+            since = res.start_t if last_checkpoint_t is None else last_checkpoint_t
+            self.hollow_core_seconds += (spec.per_task_reservation.cpu_cores * spec.task_count
+                                         * (now - since) // 1000)
         self._drained.discard(app_id)
 
     def cancel(self, app_id, now):
@@ -506,12 +492,12 @@ class ReservationScheduler:
             raise NoSuchApp(f"no app {app_id}")
         if self.specs[app_id].kind == "native":
             raise NativeAppRestriction(f"native app {app_id} cannot be frozen")
-        if frozen and res.status == "Active":
-            res.status = "Frozen"
-            self._plan = None
-        elif not frozen and res.status == "Frozen":
-            res.status = "Active"
-            self._plan = None
+        if frozen and res.status != "Active":
+            raise NotActive(f"app {app_id} is {res.status}, not Active")
+        if not frozen and res.status != "Frozen":
+            raise SymplatError("not_frozen", f"app {app_id} is not frozen")
+        res.status = "Frozen" if frozen else "Active"
+        self._plan = None
         return res
 
     def committed_at(self, t):
@@ -554,11 +540,5 @@ class ReservationScheduler:
                 cluster_cap[d] += cap
         for d in RV_DIMS:
             cluster[d] = cluster[d] / (cluster_cap[d] * span) if cluster_cap[d] else 0.0
-        hollow = 0
-        for job in self._finished:
-            if job.status != "TerminatedWalltime":
-                continue
-            since = job.last_checkpoint_t if job.last_checkpoint_t is not None else job.start_t
-            hollow += job.total_cores * (job.finish_t - since) // 1000
         return UtilizationReport(t0=t0, t1=t1, per_node=per_node, cluster=cluster,
-                                 hollow_core_seconds=hollow)
+                                 hollow_core_seconds=self.hollow_core_seconds)

@@ -3,8 +3,9 @@
 Publishing is one serialized pipeline: store, fan out to subscriptions, then
 evaluate boundary conditions. Each subject's samples are kept once, as
 published; a query reads one metric out of them and is empty for a metric
-those samples lack. Alarms are edge-triggered on the windowed mean and
-re-arm only after a full window of continuous satisfaction.
+those samples lack. Each boundary owns its window and its alarm state; alarms
+are edge-triggered on the windowed mean and re-arm only after a full window
+of continuous satisfaction.
 """
 
 from __future__ import annotations
@@ -206,23 +207,26 @@ _METRIC_INDEX = {
 }
 
 
-class _Window:
-    """Running integer sum of metric `index` over one subject's samples with t
-    in (newest - width, newest].
+class _Boundary:
+    """A registered boundary on a metric its subject's samples carry: the
+    condition, its window and its alarm state.
 
-    `width` is min(window_s, retention) in ms: samples older than retention
-    are evicted from the store, so no wider window could see them. Boundaries
-    on the same subject, metric and width share one window; `users` counts them.
+    The window is a running integer sum of metric `index` over the subject's
+    samples with t in (newest - width, newest]. `width` is min(window_s,
+    retention) in ms: samples older than retention are evicted from the
+    store, so no wider window could see them.
     """
 
-    __slots__ = ("index", "width", "samples", "total", "users")
+    __slots__ = ("bc", "index", "width", "samples", "total", "armed", "satisfied_since")
 
-    def __init__(self, index, width):
+    def __init__(self, bc, index, width):
+        self.bc = bc
         self.index = index
         self.width = width
         self.samples = deque()
         self.total = 0
-        self.users = 0
+        self.armed = True
+        self.satisfied_since = None
 
     def push(self, sample):
         samples = self.samples
@@ -232,18 +236,6 @@ class _Window:
         lo = sample[0] - self.width
         while samples and samples[0][0] <= lo:
             self.total -= samples.popleft()[i]
-
-    def mean(self):
-        # integer sums: equal to sum(values) / len(values) of a rescan
-        return self.total / len(self.samples) if self.samples else None
-
-
-@dataclass(slots=True)
-class _BcState:
-    window: _Window
-    in_violation: bool = False
-    satisfied_since: int | None = None
-    armed: bool = True
 
 
 class MetricBus:
@@ -256,14 +248,12 @@ class MetricBus:
         self.alarm_log: list[Alarm] = []
         self._sub_seq = {"sub": itertools.count(1), "evsub": itertools.count(1)}
         self._fan_order: list[Subscription] = []  # by sub_id, as fan_out delivers
-        self._bc_state: dict[str, _BcState] = {}
-        self._bc_ids: dict[tuple, list[str]] = {}  # subject -> sorted bc_ids
-        self._windows: dict[tuple, list[_Window]] = {}  # subject -> attached windows
+        self._fed: dict[tuple, list[_Boundary]] = {}  # subject -> its fed boundaries, by bc_id
 
     # -- store -------------------------------------------------------------
 
     def _append(self, subject, sample):
-        """Store one sample and push it into its subject's windows."""
+        """Store one sample and push it into its subject's boundaries."""
         t = sample[0]
         dq = self.series.get(subject)
         if dq is None:
@@ -274,8 +264,8 @@ class MetricBus:
         horizon = t - self.retention_ms
         while dq and dq[0][0] <= horizon:
             dq.popleft()
-        for w in self._windows.get(subject, ()):
-            w.push(sample)
+        for b in self._fed.get(subject, ()):
+            b.push(sample)
 
     def query(self, subject, metric, t0, t1):
         """Retained (t, value) points of `metric` with t in [t0, t1),
@@ -330,75 +320,53 @@ class MetricBus:
     def register_boundary(self, bc):
         """Add `bc`, or replace the boundary with its bc_id and reset its state.
 
-        Its window starts from the samples already retained. A metric the
-        subject's samples lack gets a window nothing feeds."""
+        Its window starts from the samples already retained. A boundary on a
+        metric the subject's samples lack is kept but never fed or evaluated."""
         bc.validate()
         if bc.bc_id in self.boundaries:
-            self._detach(bc.bc_id)
-        index = _METRIC_INDEX[bc.subject[0]].get(bc.metric)
-        width = min(bc.window_s * 1000, self.retention_ms)
-        windows = self._windows.setdefault(bc.subject, [])
-        window = next((w for w in windows if w.index == index and w.width == width), None)
-        if window is None:
-            window = _Window(index, width)
-            if index is not None:
-                windows.append(window)
-                for sample in self.series.get(bc.subject, ()):
-                    window.push(sample)
-        window.users += 1
+            self.drop_boundary(bc.bc_id)
         self.boundaries[bc.bc_id] = bc
-        self._bc_state[bc.bc_id] = _BcState(window)
-        bisect.insort(self._bc_ids.setdefault(bc.subject, []), bc.bc_id)
+        index = _METRIC_INDEX[bc.subject[0]].get(bc.metric)
+        if index is not None:
+            b = _Boundary(bc, index, min(bc.window_s * 1000, self.retention_ms))
+            for sample in self.series.get(bc.subject, ()):
+                b.push(sample)
+            bisect.insort(self._fed.setdefault(bc.subject, []), b, key=attrgetter("bc.bc_id"))
         return bc
 
     def drop_boundary(self, bc_id):
         if bc_id not in self.boundaries:
             raise InvalidBoundary(f"no boundary condition {bc_id}")
-        self._detach(bc_id)
-
-    def _detach(self, bc_id):
         bc = self.boundaries.pop(bc_id)
-        window = self._bc_state.pop(bc_id).window
-        window.users -= 1
-        if not window.users and window.index is not None:
-            self._windows[bc.subject].remove(window)
-        self._bc_ids[bc.subject].remove(bc_id)
+        fed = self._fed.get(bc.subject, [])
+        fed[:] = [b for b in fed if b.bc is not bc]
 
-    def evaluate(self, sample, subject=None):
-        """Alarms raised by the boundaries on `sample`'s subject, in bc_id order.
+    def evaluate(self, sample, subject):
+        """Alarms raised by the boundaries on `subject`, the subject of
+        `sample`, in bc_id order.
 
         Windows are updated on publish, so this reads the windowed means as of
-        the last published sample. A boundary whose window holds no point (a
-        metric this kind of sample lacks) is not evaluated."""
-        if subject is None:
-            subject = _sample_subject(sample)
+        the last published sample, which is in every fed window."""
         alarms = []
-        for bc_id in self._bc_ids.get(subject, ()):
-            st = self._bc_state[bc_id]
-            mean = st.window.mean()
-            if mean is None:
-                continue
-            bc = self.boundaries[bc_id]
-            violated = mean < bc.threshold if bc.bound == "min" else mean > bc.threshold
-            if violated:
-                if st.armed and not st.in_violation:
-                    alarm = Alarm(bc_id=bc_id, subject=subject, t=sample.t,
+        t = sample.t
+        for b in self._fed.get(subject, ()):
+            bc = b.bc
+            # integer sums: equal to sum(values) / len(values) of a rescan
+            mean = b.total / len(b.samples)
+            if mean < bc.threshold if bc.bound == "min" else mean > bc.threshold:
+                if b.armed:
+                    alarm = Alarm(bc_id=bc.bc_id, subject=subject, t=t,
                                   observed=mean, threshold=bc.threshold)
                     alarms.append(alarm)
                     self.alarm_log.append(alarm)
                     self.fan_out(alarm.to_json(), subject)
-                    st.armed = False
-                st.in_violation = True
-                st.satisfied_since = None
-            else:
-                if st.in_violation or not st.armed:
-                    if st.satisfied_since is None:
-                        st.satisfied_since = sample.t
-                    # one full window of satisfaction re-arms the condition
-                    if sample.t - st.satisfied_since + 1000 >= bc.window_s * 1000:
-                        st.armed = True
-                        st.in_violation = False
-                        st.satisfied_since = None
-                else:
-                    st.in_violation = False
+                    b.armed = False
+                b.satisfied_since = None
+            elif not b.armed:
+                if b.satisfied_since is None:
+                    b.satisfied_since = t
+                # one full window of satisfaction re-arms the condition
+                if t - b.satisfied_since + 1000 >= bc.window_s * 1000:
+                    b.armed = True
+                    b.satisfied_since = None
         return alarms

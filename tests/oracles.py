@@ -317,8 +317,9 @@ def reference_plan(sched, now):
     the promise bookkeeping runs on a deep copy of `sched._promised`.
     """
     promised = copy.deepcopy(sched._promised)
+    # a queued reservation's start_t is its submit time
     order = sorted((a for a, r in sched.reservations.items() if r.status == "Queued"),
-                   key=lambda a: sched._submit_order[a])
+                   key=lambda a: (sched.reservations[a].start_t, a))
 
     def earliest_fit(timelines, app_id):
         res = sched.reservations[app_id]

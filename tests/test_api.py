@@ -145,6 +145,27 @@ class TestWireCodec:
         assert seen[1:] == [f"req-{i}" for i in range(20)]  # in order, once each
         sock.close()
 
+    def test_half_closed_client_gets_every_response(self, tmp_path):
+        path = str(tmp_path / "symplat.sock")
+        srv = WireServer(PlatformCore(cluster(), images=[IMAGE]), path).start()
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(10.0)
+                sock.connect(path)
+                lines = [json.dumps({"id": "h", "op": "hello", "payload": {}})] + [
+                    json.dumps({"id": f"req-{i}", "op": "env_model", "payload": {}})
+                    for i in range(2000)
+                ]
+                sock.sendall(("\n".join(lines) + "\n").encode())
+                sock.shutdown(socket.SHUT_WR)
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+        finally:
+            srv.stop()
+        ids = [json.loads(line)["id"] for line in data.splitlines()]
+        assert ids == ["h"] + [f"req-{i}" for i in range(2000)]
+
 
 class TestOperations:
     def test_submit_status_roundtrip(self, server):
@@ -340,6 +361,27 @@ class TestErrorCodes:
             core.handle("cancel", {"app_id": "short"}, tenant="alice")
         assert err.value.code == "not_active"
         assert core.scheduler.reservations["short"].status == "Completed"
+
+    def test_freeze_refuses_an_app_that_is_not_active(self):
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        core.handle("submit", {"spec": app_spec().to_json()}, tenant="alice")
+
+        def refusal(op):
+            try:
+                core.handle(op, {"app_id": "solver-1"}, operator=True)
+            except ApiError as exc:
+                return exc.code
+            return None
+
+        assert refusal("freeze_app") == "not_active"  # still Queued
+        core.tick()
+        assert not any(t.frozen for t in core.engine.apps["solver-1"].tasks.values())
+        assert refusal("freeze_app") is None
+        assert refusal("freeze_app") == "not_active"  # already Frozen
+        assert refusal("thaw_app") is None
+        assert refusal("thaw_app") == "not_frozen"
+        env = [e["event"] for e in core.event_log if e["type"] == "env_event"]
+        assert env == ["Freezing", "Thawed"]
 
     @pytest.mark.parametrize("field, value", [
         ("walltime_extension_s", "10"),

@@ -130,6 +130,9 @@ class TestPlanBackfill:
         plan = sched.plan(0)
         assert plan.order == ["alpha", "zeta"]
         assert plan.planned["alpha"][0] < plan.planned["zeta"][0]
+        # submit time comes before app_id
+        sched.submit(make_spec("aardvark", cores=16, tasks=2), now=1000)
+        assert sched.plan(1000).order == ["alpha", "zeta", "aardvark"]
 
 
 class TestAdjustment:
@@ -293,6 +296,27 @@ class TestUtilizationReport:
         sched.finish("j", 7_200_000, "TerminatedWalltime", last_checkpoint_t=None)
         rep = sched.utilization_report(0, 7_200_000)
         assert rep.hollow_core_seconds == 4 * 7200
+
+    def test_hollow_sums_walltime_kills_each_floored(self):
+        sched = ReservationScheduler(two_node_cluster())
+        sched.submit(make_spec("a", cores=1, walltime=7200), now=0)
+        sched.submit(make_spec("b", cores=1, walltime=7200), now=0)
+        sched.activate_due(0)
+        sched.finish("a", 7_200_000, "TerminatedWalltime", last_checkpoint_t=3_600_500)
+        sched.finish("b", 7_200_000, "TerminatedWalltime", last_checkpoint_t=500)
+        rep = sched.utilization_report(0, 7_200_000)
+        assert rep.hollow_core_seconds == 3599 + 7199
+
+    def test_hollow_ignores_other_finishes(self):
+        sched = ReservationScheduler(two_node_cluster())
+        for app_id in ("done", "failed", "cancelled"):
+            sched.submit(make_spec(app_id, cores=4, walltime=7200), now=0)
+        sched.activate_due(0)
+        sched.finish("done", 7_200_000, "Completed")
+        sched.finish("failed", 7_200_000, "TerminatedError")
+        sched.cancel("cancelled", 7_200_000)
+        rep = sched.utilization_report(0, 7_200_000)
+        assert rep.hollow_core_seconds == 0
 
     def test_empty_range_rejected(self):
         sched = ReservationScheduler(two_node_cluster())

@@ -3,7 +3,7 @@
 After every publish, the alarms the bus raised and each boundary's alarm
 state must equal `oracles.ReferenceBoundaries`, which recomputes every
 windowed mean with `oracles.reference_window_mean`. Each case covers a way a
-window can start, share, drop or outlive its points.
+window can start, drop or outlive its points.
 """
 
 import random
@@ -40,10 +40,12 @@ class Harness:
                    else ("node", sample.node_id))
         want = self.ref.evaluate(self.bus, sample, subject)
         assert got == want, f"alarms at t={sample.t}"
+        fed = {b.bc.bc_id: b for bs in self.bus._fed.values() for b in bs}
         for bc_id, st in self.ref.state.items():
-            bus_st = self.bus._bc_state[bc_id]
-            assert (bus_st.in_violation, bus_st.satisfied_since, bus_st.armed) == st, \
-                f"state of {bc_id} at t={sample.t}"
+            b = fed.get(bc_id)
+            # a boundary on a metric its subject lacks is never fed
+            bus_st = (False, None, True) if b is None else (not b.armed, b.satisfied_since, b.armed)
+            assert bus_st == st, f"state of {bc_id} at t={sample.t}"
         self.alarms += len(got)
 
 
@@ -207,15 +209,20 @@ def test_random_operation_mix():
     assert alarms > 100
 
 
-def test_window_released_with_its_last_boundary():
+def test_each_boundary_feeds_its_own_window_until_dropped():
     h = Harness(retention_s=10)
+    h.register("c", APP, window_s=30)
     h.register("a", APP, window_s=6)
     h.register("b", APP, bound="min", window_s=6)
-    h.register("c", APP, window_s=30)
-    windows = h.bus._windows[APP]
-    assert sorted(w.width for w in windows) == [6000, 10000]
+    h.register("n", NODE, metric="interproc_bps_used")
+    h.publish(app_sample(0, 5))
+    fed = h.bus._fed[APP]
+    assert [(b.bc.bc_id, b.width, len(b.samples)) for b in fed] == \
+        [("a", 6000, 1), ("b", 6000, 1), ("c", 10000, 1)]
+    assert fed[0].samples is not fed[1].samples
     h.drop("a")
     h.drop("c")
-    assert [w.width for w in windows] == [6000]
+    assert [b.bc.bc_id for b in fed] == ["b"]
     h.drop("b")
-    assert windows == []
+    assert fed == []
+    assert NODE not in h.bus._fed and "n" in h.bus.boundaries
