@@ -35,6 +35,8 @@ class _Outbox(Channel):
     Responses are put non-droppable and pushes droppable, so a slow consumer
     cannot stall the simulation clock, a response is never lost, and a push
     made while serving a request goes out before that request's response.
+    Sample pushes are encoded by `get`, on the writer thread, outside the
+    core lock.
     """
 
     def __init__(self):

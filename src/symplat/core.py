@@ -58,8 +58,9 @@ class PlatformCore:
     def _record_event(self, ev):
         """Log `ev`, push it to event subscribers, then apply it to the app's
         engine state if the app is running."""
-        self.event_log.append({"type": "env_event", **ev.to_json()})
-        self.bus.fan_out({"type": "event", **ev.to_json()}, ("app", ev.app_id))
+        fields = ev.to_json()
+        self.event_log.append({"type": "env_event", **fields})
+        self.bus.fan_out({"type": "event", **fields}, ("app", ev.app_id))
         if ev.app_id in self.engine.apps:
             self.engine.apply_env_event(ev)
 
@@ -123,9 +124,7 @@ class PlatformCore:
         return result
 
     def active_or_pending(self):
-        live = {a for a, r in self.scheduler.reservations.items()
-                if r.status in ("Queued", "Active", "Frozen")}
-        return live or self._pending_completions or self._pending_error_kill
+        return self.scheduler.live or self._pending_completions or self._pending_error_kill
 
     # ------------------------------------------------------------------
     # operation table

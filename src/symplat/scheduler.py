@@ -201,6 +201,8 @@ class ReservationScheduler:
         self.grace_ms = grace_s * 1000
         self.io_reservations = io_reservations
         self.reservations: dict[str, Reservation] = {}
+        # the Queued/Active/Frozen ones, in submit order: what a tick or a plan scans
+        self.live: dict[str, Reservation] = {}
         self.specs: dict[str, ApplicationSpec] = {}
         self._drained: set[str] = set()
         self.hollow_core_seconds = 0  # of walltime-killed jobs, since their last checkpoint
@@ -222,8 +224,8 @@ class ReservationScheduler:
     def _active_profile(self):
         """Availability profile per node of the Active/Frozen reservations."""
         profile = {n: AvailabilityProfile([_ORIGIN], [self.capacity[n]]) for n in self.node_ids}
-        for res in self.reservations.values():
-            if res.status in ("Active", "Frozen"):
+        for res in self.live.values():
+            if res.status != "Queued":
                 need = self.effective_per_task(res.per_task)
                 for nid, count in res.node_task_counts().items():
                     profile[nid].reserve(res.start_t, res.end_t, [q * count for q in need])
@@ -231,7 +233,7 @@ class ReservationScheduler:
 
     def _queued_order(self):
         # a queued reservation's start_t is its submit time until it starts
-        queued = [(r.start_t, a) for a, r in self.reservations.items() if r.status == "Queued"]
+        queued = [(r.start_t, a) for a, r in self.live.items() if r.status == "Queued"]
         return [a for _, a in sorted(queued)]
 
     def _earliest_fit(self, profile, need, wall, task_count, now):
@@ -277,7 +279,7 @@ class ReservationScheduler:
             end_t=now + spec.walltime_limit_s * 1000,
             status="Queued",
         )
-        self.reservations[spec.app_id] = res
+        self.reservations[spec.app_id] = self.live[spec.app_id] = res
         self.specs[spec.app_id] = spec
         self._plan = None
         return res
@@ -441,9 +443,9 @@ class ReservationScheduler:
         """
         checkpoint_t = checkpoint_t or (lambda app_id: None)
         events = []
-        for app_id in sorted(self.reservations):
-            res = self.reservations[app_id]
-            if res.status not in ("Active", "Frozen"):
+        for app_id in sorted(self.live):
+            res = self.live[app_id]
+            if res.status == "Queued":
                 continue
             drain_t = res.end_t - self.grace_ms
             if now >= drain_t and app_id not in self._drained:
@@ -462,7 +464,7 @@ class ReservationScheduler:
         return events
 
     def finish(self, app_id, now, status, last_checkpoint_t=None):
-        res = self.reservations[app_id]
+        res = self.live.pop(app_id)
         res.status = status
         self._plan = None
         if status == "TerminatedWalltime":
@@ -478,6 +480,7 @@ class ReservationScheduler:
         res = self.reservations[app_id]
         if res.status == "Queued":
             res.status = "Cancelled"
+            del self.live[app_id]
             self._promised.pop(app_id, None)
             self._plan = None
         elif res.status in ("Active", "Frozen"):

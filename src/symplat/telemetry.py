@@ -3,9 +3,12 @@
 Publishing is one serialized pipeline: store, fan out to subscriptions, then
 evaluate boundary conditions. Each subject's samples are kept once, as
 published; a query reads one metric out of them and is empty for a metric
-those samples lack. Each boundary owns its window and its alarm state; alarms
-are edge-triggered on the windowed mean and re-arm only after a full window
-of continuous satisfaction.
+those samples lack. Subscriptions are handed the sample itself, which is
+encoded as a message only when it is read: by `poll`, or for a wire
+subscription by its connection's writer thread. A delivery dropped from a
+full buffer is never encoded. Each boundary owns its window and its alarm
+state; alarms are edge-triggered on the windowed mean and re-arm only after
+a full window of continuous satisfaction.
 """
 
 from __future__ import annotations
@@ -123,12 +126,28 @@ class Alarm:
         }
 
 
+# sample type -> (subject kind, message type)
+_SAMPLE_KINDS = {PhysicalSample: ("app", "sample"), NodeSample: ("node", "node_sample")}
+
+
+def _message(item):
+    """A channel item as its reader sees it: a sample encoded as a message,
+    anything else as it was put."""
+    kinds = _SAMPLE_KINDS.get(type(item))
+    if kinds is None:
+        return item
+    msg = item._asdict()
+    msg["type"] = kinds[1]
+    return msg
+
+
 class Channel:
     """Bounded ordered message queue with gap markers.
 
     Beyond `depth` droppable messages, the oldest droppable one is dropped;
     the next poll then starts with a {"type": "gap", "dropped": n} marker.
     Non-droppable messages are never dropped and do not count toward `depth`.
+    Samples are held as they are and encoded by poll.
     """
 
     def __init__(self, depth=CHANNEL_DEPTH):
@@ -138,27 +157,24 @@ class Channel:
         self._gap = 0
 
     def put(self, msg, droppable=True):
+        items = self._items
         if droppable:
             if self._droppable < self.depth:
                 self._droppable += 1
-            else:
-                self._drop_oldest()
-        self._items.append((msg, droppable))
-
-    def _drop_oldest(self):
-        items = self._items
-        if items[0][1]:  # O(1) whenever the head is droppable
-            items.popleft()
-        else:
-            del items[next(i for i, (_, droppable) in enumerate(items) if droppable)]
-        self._gap += 1
+            else:  # drop the oldest droppable message
+                if items[0][1]:  # O(1) whenever the head is droppable
+                    items.popleft()
+                else:
+                    del items[next(i for i, (_, d) in enumerate(items) if d)]
+                self._gap += 1
+        items.append((msg, droppable))
 
     def poll(self):
         out = []
         if self._gap:
             out.append({"type": "gap", "dropped": self._gap})
             self._gap = 0
-        out.extend(msg for msg, _ in self._items)
+        out.extend(_message(msg) for msg, _ in self._items)
         self._items.clear()
         self._droppable = 0
         return out
@@ -190,14 +206,6 @@ class Subscription(Channel):
     def deliver(self, msg):
         self.delivered += 1
         (self if self.outbox is None else self.outbox).put(msg)
-
-
-def _sample_subject(sample):
-    if isinstance(sample, PhysicalSample):
-        return ("app", sample.app_id)
-    if isinstance(sample, NodeSample):
-        return ("node", sample.node_id)
-    raise SymplatError("telemetry_error", f"unsupported sample type {type(sample).__name__}")
 
 
 # metric -> its index in the samples of each subject kind
@@ -252,21 +260,6 @@ class MetricBus:
 
     # -- store -------------------------------------------------------------
 
-    def _append(self, subject, sample):
-        """Store one sample and push it into its subject's boundaries."""
-        t = sample[0]
-        dq = self.series.get(subject)
-        if dq is None:
-            dq = self.series[subject] = deque()
-        elif dq and t < dq[-1][0]:
-            raise OutOfOrderSample(f"sample at {t} behind {dq[-1][0]} for {subject}")
-        dq.append(sample)
-        horizon = t - self.retention_ms
-        while dq and dq[0][0] <= horizon:
-            dq.popleft()
-        for b in self._fed.get(subject, ()):
-            b.push(sample)
-
     def query(self, subject, metric, t0, t1):
         """Retained (t, value) points of `metric` with t in [t0, t1),
         time-ordered; [] for a metric `subject`'s samples lack."""
@@ -306,14 +299,32 @@ class MetricBus:
     # -- pipeline --------------------------------------------------------
 
     def publish(self, sample):
-        """Store, fan out, evaluate; returns alarms raised by this sample."""
-        subject = _sample_subject(sample)
-        self._append(subject, sample)
-        if self._fan_order:
-            msg = sample.to_json()
-            msg["type"] = "sample" if subject[0] == "app" else "node_sample"
-            self.fan_out(msg, subject)
-        return self.evaluate(sample, subject)
+        """Store, feed the subject's boundaries, fan out, evaluate; returns
+        alarms raised by this sample."""
+        kinds = _SAMPLE_KINDS.get(type(sample))
+        if kinds is None:
+            raise SymplatError("telemetry_error",
+                               f"unsupported sample type {type(sample).__name__}")
+        subject = (kinds[0], sample[1])  # both sample types: t, then the subject id
+        t = sample[0]
+        dq = self.series.get(subject)
+        if dq is None:
+            dq = self.series[subject] = deque()
+        elif dq and t < dq[-1][0]:
+            raise OutOfOrderSample(f"sample at {t} behind {dq[-1][0]} for {subject}")
+        dq.append(sample)
+        horizon = t - self.retention_ms
+        while dq and dq[0][0] <= horizon:
+            dq.popleft()
+        fed = self._fed.get(subject)
+        if fed:
+            for b in fed:
+                b.push(sample)
+        kind = kinds[1]
+        for sub in self._fan_order:
+            if sub.matches(kind, subject):
+                sub.deliver(sample)  # encoded when read
+        return self.evaluate(sample, subject) if fed else []
 
     # -- analytics ---------------------------------------------------------
 

@@ -11,6 +11,7 @@ from symplat.core import ApiError, PlatformCore
 from symplat.model import (
     ApplicationSpec,
     EnvironmentImage,
+    NodeSample,
     NodeSpec,
     Phase,
     ResourceVector,
@@ -256,6 +257,20 @@ class TestPushes:
         push = client.next_push()
         assert push["push"]["type"] == "sample"
         assert push["push"]["app_id"] == "solver-1"
+        client.close()
+
+    def test_node_subscription_pushes_every_node_sample_field(self, server):
+        client = WireClient(server.address, tenant="alice")
+        client.request("submit", {"spec": app_spec().to_json()})
+        client.request("subscribe_metrics", {"subject": {"kind": "node", "id": "n01"}})
+        with server.core_lock:
+            server.core.tick()
+            server.core.tick()
+            sent = server.core.last_tick_result.node_samples[0]
+        assert sent.node_id == "n01"
+        pushes = [client.next_push()["push"] for _ in range(2)]
+        assert pushes[-1] == {**sent._asdict(), "type": "node_sample"}
+        assert set(pushes[0]) == {*NodeSample._fields, "type"}
         client.close()
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symplat.model import PhysicalSample, NodeSample
+from symplat.model import NodeSample, PhysicalSample, SymplatError
 from symplat.telemetry import (
     BoundaryCondition,
     Channel,
@@ -162,6 +162,57 @@ class TestChannel:
         assert [m["type"] for m in metrics.poll()] == ["sample"]
         assert [m["type"] for m in events.poll()] == ["event"]
         assert (metrics.sub_id, events.sub_id) == ("sub-1", "evsub-1")
+
+
+class TestMessages:
+    """The exact messages a subscriber reads."""
+
+    def test_sample_node_sample_then_its_alarm_in_order(self):
+        bus = MetricBus()
+        sub = bus.subscribe()
+        bus.register_boundary(BoundaryCondition("bc-n", ("node", "n01"), "cpu_cores_used",
+                                                "max", 4, 1))
+        s, ns = app_sample(0, cpu=3), node_sample(0, cpu=8)
+        assert bus.publish(s) == []
+        (alarm,) = bus.publish(ns)
+        assert sub.poll() == [
+            {**s._asdict(), "type": "sample"},
+            {**ns._asdict(), "type": "node_sample"},
+            {"type": "alarm", "bc_id": "bc-n", "subject": {"kind": "node", "id": "n01"},
+             "t": 0, "observed": 8.0, "threshold": 4, "direction": "entered-violation"},
+        ]
+        assert alarm.to_json() == {"type": "alarm", "bc_id": "bc-n",
+                                   "subject": {"kind": "node", "id": "n01"}, "t": 0,
+                                   "observed": 8.0, "threshold": 4,
+                                   "direction": "entered-violation"}
+
+    def test_gap_marker_comes_first_after_overflow(self):
+        bus = MetricBus(channel_depth=2)
+        sub = bus.subscribe()
+        samples = [app_sample(t, cpu=t // 1000) for t in range(0, 5000, 1000)]
+        for s in samples:
+            bus.publish(s)
+        assert sub.poll() == [{"type": "gap", "dropped": 3},
+                              *({**s._asdict(), "type": "sample"} for s in samples[3:])]
+
+    def test_subscribers_read_equal_and_independent_messages(self):
+        bus = MetricBus()
+        s1, s2 = bus.subscribe(), bus.subscribe(subject_kind="node")
+        ns = node_sample(0)
+        bus.publish(ns)
+        (m1,), (m2,) = s1.poll(), s2.poll()
+        assert m1 == m2 == {**ns._asdict(), "type": "node_sample"}
+        m1["cpu_cores_used"] = -1
+        assert m2 == {**ns._asdict(), "type": "node_sample"}
+
+    def test_publishing_a_non_sample_is_a_telemetry_error(self):
+        bus = MetricBus()
+        bus.subscribe()
+        for bogus in ({"t": 0, "app_id": "app-1"}, (0, "app-1"), tuple(app_sample(0))):
+            with pytest.raises(SymplatError) as err:
+                bus.publish(bogus)
+            assert err.value.code == "telemetry_error"
+        assert bus.series == {}
 
 
 class TestBoundaryConditions:
