@@ -2,11 +2,14 @@
 
 One instance owns the scheduler, the node engine and the metric bus, advances
 virtual time in 1000 ms ticks, and exposes the operation table that both the
-wire service and the scenario runner drive. Every platform event is logged,
-pushed to event subscribers and applied to the running app in one place. In
-asymmetric mode (the static baseline) adjustment, boundary conditions and
-subscriptions are disabled and I/O reservations are ignored: all I/O becomes
-best-effort.
+wire service and the scenario runner drive. A tick consults the scheduler
+(`activate_due`, `enforce_walltime`) only once its cached plan has changed or
+its `next_due` instant has come; a quiet tick only steps the engine, which
+emits cached sample templates, and publishes the samples. Every platform
+event is logged, pushed to event subscribers and applied to the running app
+in one place. In asymmetric mode (the static baseline) adjustment, boundary
+conditions and subscriptions are disabled and I/O reservations are ignored:
+all I/O becomes best-effort.
 """
 
 from __future__ import annotations
@@ -47,10 +50,13 @@ class PlatformCore:
         self.owners: dict[str, str] = {}  # app_id -> tenant
         self.now = 0
         self.event_log: list[dict] = []
-        self.latest_samples: dict[str, dict[int, model.PhysicalSample]] = {}
-        self._pending_completions: dict[int, list[str]] = {}
-        self._pending_error_kill: dict[int, list[str]] = {}
+        # the last samples of each app that has left the engine, in task order
+        self._final_samples: dict[str, list[model.PhysicalSample]] = {}
+        # its completions and errors are acted on at the start of the next tick
         self.last_tick_result = None
+        # the scheduler has nothing due while this plan is cached and now < _due_at
+        self._due_plan = None
+        self._due_at = None
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -62,6 +68,8 @@ class PlatformCore:
         self.event_log.append({"type": "env_event", **fields})
         self.bus.fan_out({"type": "event", **fields}, ("app", ev.app_id))
         if ev.app_id in self.engine.apps:
+            if ev.event == "Terminating":
+                self._final_samples[ev.app_id] = self.engine.last_samples(ev.app_id)
             self.engine.apply_env_event(ev)
 
     def _record_lifecycle(self, name, app_id, t, **extra):
@@ -78,53 +86,50 @@ class PlatformCore:
     def tick(self):
         """Advance the platform over [now, now + 1000)."""
         now = self.now
-
-        for app_id in self._pending_error_kill.pop(now, []):
-            if app_id in self.engine.apps:
-                self._record_event(PlatformEnvEvent(
-                    event="Terminating", app_id=app_id,
-                    reason="logical error state", effective_at=now))
-                self.scheduler.finish(app_id, now, "TerminatedError")
-
-        for app_id in self._pending_completions.pop(now, []):
-            if app_id in self.engine.apps:
-                self.scheduler.finish(app_id, now, "Completed")
-                self.engine.remove_app(app_id)
-                self._record_lifecycle("Completed", app_id, now)
-
-        for app_id in self.scheduler.activate_due(now):
-            spec = self.scheduler.specs[app_id]
-            res = self.scheduler.reservations[app_id]
-            self.engine.add_app(spec, res.placement, now)
-            self._record_lifecycle("Started", app_id, now,
-                                   placement={str(k): v for k, v in sorted(res.placement.items())})
-
-        for ev in self.scheduler.enforce_walltime(now, checkpoint_t=self._checkpoint_t):
-            self._record_event(ev)
-
-        result = self.engine.step_tick(now)
-        self.last_tick_result = result
-
-        for sample in result.samples:
-            self.latest_samples.setdefault(sample.app_id, {})[sample.task_id] = sample
-        if self.mode == "symmetric":
-            for sample in result.samples:
-                self.bus.publish(sample)
-            for ns in result.node_samples:
-                self.bus.publish(ns)
-
-        for app_id in result.completions:
-            self._pending_completions.setdefault(now + TICK_MS, []).append(app_id)
-        for app_id in result.errors:
+        last = self.last_tick_result
+        if last is not None:
             # policy: a logical Error observed via telemetry terminates the
             # reservation one tick later
-            self._pending_error_kill.setdefault(now + TICK_MS, []).append(app_id)
+            for app_id in last.errors:
+                if app_id in self.engine.apps:
+                    self._record_event(PlatformEnvEvent(
+                        event="Terminating", app_id=app_id,
+                        reason="logical error state", effective_at=now))
+                    self.scheduler.finish(app_id, now, "TerminatedError")
+            for app_id in last.completions:
+                if app_id in self.engine.apps:
+                    self.scheduler.finish(app_id, now, "Completed")
+                    self._final_samples[app_id] = self.engine.last_samples(app_id)
+                    self.engine.remove_app(app_id)
+                    self._record_lifecycle("Completed", app_id, now)
 
+        sched = self.scheduler
+        plan = sched.cached_plan
+        if plan is None or plan is not self._due_plan or now >= self._due_at:
+            for app_id in sched.activate_due(now):
+                spec = sched.specs[app_id]
+                res = sched.reservations[app_id]
+                self.engine.add_app(spec, res.placement, now)
+                placement = {str(k): v for k, v in sorted(res.placement.items())}
+                self._record_lifecycle("Started", app_id, now, placement=placement)
+            for ev in sched.enforce_walltime(now, checkpoint_t=self._checkpoint_t):
+                self._record_event(ev)
+            self._due_plan = sched.cached_plan
+            self._due_at = sched.next_due()
+
+        result = self.last_tick_result = self.engine.step_tick(now)
+        if self.mode == "symmetric":
+            publish = self.bus.publish
+            for sample in result.samples:
+                publish(sample)
+            for ns in result.node_samples:
+                publish(ns)
         self.now = now + TICK_MS
         return result
 
     def active_or_pending(self):
-        return self.scheduler.live or self._pending_completions or self._pending_error_kill
+        last = self.last_tick_result
+        return self.scheduler.live or (last is not None and (last.completions or last.errors))
 
     # ------------------------------------------------------------------
     # operation table
@@ -205,9 +210,11 @@ class PlatformCore:
         app_id = payload["app_id"]
         if app_id not in self.owners:
             raise ApiError("no_such_app", f"no app {app_id}")
-        tasks = self.latest_samples.get(app_id, {})
-        return {"app_id": app_id,
-                "tasks": [tasks[tid].to_json() for tid in sorted(tasks)]}
+        if app_id in self.engine.apps:
+            samples = self.engine.last_samples(app_id)
+        else:
+            samples = self._final_samples.get(app_id, [])
+        return {"app_id": app_id, "tasks": [s.to_json() for s in samples]}
 
     def _op_env_model(self, payload, **_):
         plan = self.scheduler.plan(self.now)

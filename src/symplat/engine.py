@@ -9,8 +9,11 @@ when I/O reservations are enabled; otherwise everything I/O is best-effort.
 
 Rates are piecewise constant: they are recomputed (a node re-filled) only when
 one of its inputs changes, that is the node's task set, a task's phase, frozen
-or done state, or an app's reservation. A quiet tick only advances work, adds
-storage and emits samples.
+or done state, or an app's reservation. A re-fill also rebuilds each of the
+node's tasks' template: its sample after `t`, its work advance per tick, the
+ticks left in its phase and whether the phase writes storage. A quiet tick
+emits every cached template stamped with `now` and counts each advancing task
+down; only a storage-writing task adds storage and checks its overrun per tick.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from .model import (
 ALLOC_DIMS = RV_DIMS[:6]
 BEST_EFFORT_DIMS = ALLOC_DIMS[2:]
 _IDLE = (0,) * len(ALLOC_DIMS)
+TICK_S = TICK_MS // 1000
+# where storage_bytes_used sits in a task's and in a node's sample tail
+_TASK_STORAGE = PhysicalSample._fields.index("storage_bytes_used") - 1
+_NODE_STORAGE = NodeSample._fields.index("storage_bytes_used") - 1
 
 
 class UnknownApp(SymplatError):
@@ -95,6 +102,13 @@ class TaskRuntime:
     # [app_id, task_id, demand, reserved, effective] as of its node's last fill,
     # the vectors indexed in ALLOC_DIMS order
     row: list = field(default_factory=list, repr=False)
+    # the template its node's last fill built: the fields of its sample after
+    # `t`, the work it does per tick, the ticks left until its phase completes
+    # (0: it does no work) and whether the phase writes storage
+    tail: tuple = field(default=(), repr=False)
+    advance: int = field(default=0, repr=False)
+    left: int = field(default=0, repr=False)
+    writes: bool = field(default=False, repr=False)
 
 
 @dataclass
@@ -131,7 +145,9 @@ class SimEngine:
         self._layout = None  # (by app, by node) task order; None: rebuild on the next tick
         self._stale = set()  # nodes to re-fill on the next tick
         self._alloc_rows = []  # per node: its tasks' rows, see step_tick
-        self._used = {nid: _IDLE for nid in self.capacity}  # per node: summed effective
+        # per node: its sample after `t`, as of its last fill plus the storage written since
+        self._node_tails = {nid: (nid, 0, 0, 0, 0, 0, 0, 0) for nid in self.capacity}
+        self.last_t = None  # the `now` of the last tick
 
     # -- lifecycle -------------------------------------------------------
 
@@ -209,12 +225,12 @@ class SimEngine:
             tasks = [app.tasks[tid] for tid in sorted(app.tasks)]
             for task in tasks:
                 by_node[task.node_id].append((app, task, wire_free))
-            by_app.append((app, wire_free, tasks))
+            by_app.append((app, tasks))
         self._layout = by_app, by_node
         self._alloc_rows = [[task.row for _, task, _ in members] for members in by_node.values()]
 
     def _fill(self, nid, members):
-        """Recompute the rows of node `nid`'s tasks and its summed effective rates."""
+        """Recompute the rows and templates of node `nid`'s tasks, and its sample tail."""
         rows = []
         for app, task, wire_free in members:
             demand = _task_demand(app, task, wire_free)
@@ -231,99 +247,107 @@ class SimEngine:
             shares = water_fill(cap[i] - sum(guaranteed), extras)
             for e, g, share in zip(effs, guaranteed, shares):
                 e.append(g + share)
-        for row, e in zip(rows, effs):
-            row[4] = e
-        self._used[nid] = [sum(col) for col in zip(*effs)] if effs else _IDLE
+        for (app, task, wire_free), e in zip(members, effs):
+            task.row[4] = e
+            self._build_template(app, task, wire_free, e)
+        used = [sum(col) for col in zip(*effs)] if effs else _IDLE
+        storage = sum(task.storage_used for _, task, _ in members)
+        self._node_tails[nid] = (nid, used[0], used[1], used[4], used[5], storage,
+                                 used[2], used[3])
+
+    @staticmethod
+    def _build_template(app, task, wire_free, r):
+        """Set `task`'s template from its effective rates `r` (ALLOC_DIMS order)."""
+        advance = interproc = left = 0
+        writes = False
+        if not (task.frozen or task.done):
+            phase = app.trace[task.phase_index]
+            if phase.kind == "compute":
+                advance = r[0] * TICK_S
+            elif phase.kind == "fs_io":
+                advance = r[4] * TICK_S
+                writes = phase.demand.storage_bytes > 0
+            elif phase.kind == "net_io":
+                if wire_free:
+                    # free intra-node traffic at the demanded rate
+                    interproc = max(phase.demand.net_in_bps, phase.demand.net_out_bps)
+                    advance = interproc * TICK_S
+                else:
+                    advance = (r[2] + r[3]) * TICK_S
+                    if len(app.tasks) > 1:
+                        interproc = r[2] + r[3]
+            elif phase.kind in ("checkpoint", "idle"):
+                advance = TICK_S
+            # the phase completes on the tick whose advance takes work_done to
+            # work_amount; with no advance it never does
+            remaining = phase.work_amount - task.work_done
+            left = 1 if remaining <= 0 else -(-remaining // advance) if advance else 0
+        task.tail = (app.app_id, task.task_id, task.node_id, r[0], r[1], r[4], r[5],
+                     task.storage_used, r[2], r[3], interproc)
+        task.advance, task.left, task.writes = advance, left, writes
 
     def step_tick(self, now):
         """Advance all tasks over [now, now+1000). Samples are stamped `now`."""
         if self._layout is None:
             self._lay_out()
         by_app, by_node = self._layout
-        for nid in self._stale:
-            self._fill(nid, by_node[nid])
-        self.refills += len(self._stale)
-        self._stale.clear()
-        storage = dict.fromkeys(self.capacity, 0)
+        stale = self._stale
+        if stale:
+            for nid in stale:
+                self._fill(nid, by_node[nid])
+            self.refills += len(stale)
+            stale.clear()
+        self.last_t = now
 
+        new = tuple.__new__
+        stamp = (now,)
         samples = []
+        append = samples.append
         completions = []
         errors = []
-        for app, wire_free, tasks in by_app:
-            app_finished_tasks = 0
+        for app, tasks in by_app:
+            finished = 0
             for task in tasks:
-                r = task.row[4]  # cpu, memory, net_in, net_out, fs, fs_iops
-                phase = app.trace[task.phase_index] if not task.done else None
-                interproc = 0
-                if phase is not None and not task.frozen:
-                    advance = 0
-                    if phase.kind == "compute":
-                        advance = r[0] * (TICK_MS // 1000)
-                    elif phase.kind == "fs_io":
-                        advance = r[4] * (TICK_MS // 1000)
-                        if phase.demand.storage_bytes > 0:
-                            task.storage_used += advance
-                            # storage is a stock: writing past the reservation
-                            # is an application failure
-                            if (app.reserved.storage_bytes > 0
-                                    and task.storage_used > app.reserved.storage_bytes
-                                    and app.status.state != "Error"):
-                                app.status = LogicalStatus(
-                                    state="Error", progress=app.status.progress, updated_at=now)
-                                errors.append(app.app_id)
-                    elif phase.kind == "net_io":
-                        if wire_free:
-                            # free intra-node traffic at the demanded rate
-                            interproc = max(phase.demand.net_in_bps, phase.demand.net_out_bps)
-                            advance = interproc * (TICK_MS // 1000)
-                        else:
-                            advance = (r[2] + r[3]) * (TICK_MS // 1000)
-                            if len(app.tasks) > 1:
-                                interproc = r[2] + r[3]
-                    elif phase.kind in ("checkpoint", "idle"):
-                        advance = TICK_MS // 1000
-                    task.work_done += advance
-                    if task.work_done >= phase.work_amount:
-                        was_error = app.status.state == "Error"
-                        self._complete_phase(app, task, phase, now + TICK_MS)
-                        if app.status.state == "Error" and not was_error:
-                            errors.append(app.app_id)
-                samples.append(PhysicalSample(
-                    t=now,
-                    app_id=app.app_id,
-                    task_id=task.task_id,
-                    node_id=task.node_id,
-                    cpu_cores_used=r[0],
-                    memory_bytes_used=r[1],
-                    fs_bps_used=r[4],
-                    fs_iops_used=r[5],
-                    storage_bytes_used=task.storage_used,
-                    net_in_bps_used=r[2],
-                    net_out_bps_used=r[3],
-                    interproc_bps_used=interproc,
-                ))
-                storage[task.node_id] += task.storage_used
+                if task.writes:
+                    self._write(app, task, now, errors)
+                if task.left:
+                    task.work_done += task.advance
+                    task.left -= 1
+                    if not task.left:
+                        self._complete_phase(app, task, now, errors)
+                append(new(PhysicalSample, stamp + task.tail))
                 if task.done:
-                    app_finished_tasks += 1
-            if app.tasks and app_finished_tasks == len(app.tasks):
+                    finished += 1
+            if tasks and finished == len(tasks):
                 completions.append(app.app_id)
 
-        node_samples = [
-            NodeSample(
-                t=now,
-                node_id=nid,
-                cpu_cores_used=used[0],
-                memory_bytes_used=used[1],
-                fs_bps_used=used[4],
-                fs_iops_used=used[5],
-                storage_bytes_used=storage[nid],
-                net_in_bps_used=used[2],
-                net_out_bps_used=used[3],
-            )
-            for nid, used in self._used.items()
-        ]
-        return TickResult(samples=samples, node_samples=node_samples,
-                          completions=completions, errors=errors)
+        node_samples = [new(NodeSample, stamp + tail) for tail in self._node_tails.values()]
+        return TickResult(samples, node_samples, completions, errors)
+
+    def last_samples(self, app_id):
+        """The samples the last tick emitted for `app_id`'s tasks, in task order."""
+        app = self.apps.get(app_id)
+        if app is None:
+            raise UnknownApp(f"no app {app_id} on this engine")
+        stamp = (self.last_t,)
+        return [tuple.__new__(PhysicalSample, stamp + task.tail)
+                for task in app.tasks.values() if task.tail]
+
+    def _write(self, app, task, now, errors):
+        """Add a storage writer's advance to its storage and its node's; storage
+        is a stock, so writing past the reservation is an application failure."""
+        advance = task.advance
+        task.storage_used += advance
+        tail = task.tail
+        task.tail = tail[:_TASK_STORAGE] + (task.storage_used,) + tail[_TASK_STORAGE + 1:]
+        node = self._node_tails[task.node_id]
+        self._node_tails[task.node_id] = (node[:_NODE_STORAGE] + (node[_NODE_STORAGE] + advance,)
+                                          + node[_NODE_STORAGE + 1:])
+        if (app.reserved.storage_bytes > 0
+                and task.storage_used > app.reserved.storage_bytes
+                and app.status.state != "Error"):
+            app.status = LogicalStatus(state="Error", progress=app.status.progress, updated_at=now)
+            errors.append(app.app_id)
 
     @staticmethod
     def _task_progress(app, task):
@@ -333,7 +357,10 @@ class SimEngine:
             return 0.0
         return app.trace[task.phase_index - 1].progress_at_end
 
-    def _complete_phase(self, app, task, phase, completed_at):
+    def _complete_phase(self, app, task, now, errors):
+        """Move `task` past the phase it completes on the tick starting `now`."""
+        phase = app.trace[task.phase_index]
+        completed_at = now + TICK_MS
         self._stale.add(task.node_id)
         task.work_done = 0
         task.phase_index += 1
@@ -349,3 +376,5 @@ class SimEngine:
             if phase.kind == "checkpoint":
                 app.last_checkpoint_progress = phase.progress_at_end
                 app.last_checkpoint_t = completed_at
+            if app.status.state == "Error":
+                errors.append(app.app_id)

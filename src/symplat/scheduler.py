@@ -10,7 +10,10 @@ planned before it.
 
 The plan is recomputed only when its inputs change: a mutation of the
 reservations, a renewed promise, or a `now` later than the earliest start
-the last computation found.
+the last computation found. While a plan is cached, `next_due` gives the
+first instant at which `activate_due` or `enforce_walltime` can act, so the
+platform consults the scheduler on a tick only from that instant on, or once
+a mutation has cleared or replaced the plan.
 """
 
 from __future__ import annotations
@@ -351,6 +354,27 @@ class ReservationScheduler:
         self._plan = None if renewed else plan
         self._plan_span = (now, until)
         return plan
+
+    @property
+    def cached_plan(self):
+        """The plan `plan` returns while its inputs hold; None once they changed."""
+        return self._plan
+
+    def next_due(self):
+        """While `cached_plan` holds: the first instant at which `activate_due`
+        or `enforce_walltime` can do anything. That is the earliest of the
+        instant after the plan's span, every planned start, and the drain
+        instant (end_t - grace) of each undrained running job or the end_t of
+        a drained one. None when no plan is cached."""
+        if self._plan is None:
+            return None
+        due = self._plan_span[1] + 1
+        for start, _ in self._plan.planned.values():
+            due = min(due, start)
+        for app_id, res in self.live.items():
+            if res.status != "Queued":
+                due = min(due, res.end_t if app_id in self._drained else res.end_t - self.grace_ms)
+        return due
 
     def activate_due(self, now):
         """Start queued jobs whose planned start has arrived. Returns app_ids."""

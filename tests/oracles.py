@@ -12,7 +12,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from symplat.engine import ALLOC_DIMS, _task_demand, water_fill
-from symplat.model import RV_DIMS, ZERO
+from symplat.model import RV_DIMS, TICK_MS, ZERO, PhysicalSample
 
 
 def waterfill_oracle(pool, demands):
@@ -179,6 +179,81 @@ def reference_allocations(engine):
         allocations += [(a, t, ALLOC_DIMS[i], d[i], r[i], e[i])
                         for i in range(2, len(ALLOC_DIMS)) for a, t, d, r, e in rows]
     return allocations, node_used
+
+
+def reference_step(engine, now):
+    """What `engine`'s next tick, stamped `now`, should do, stepped from
+    scratch: every task's advance is re-derived from its phase kind and the
+    `reference_allocations` rates, and its phase ends on the tick whose
+    advance takes work_done to work_amount, as each tick did before the
+    engine cached templates.
+
+    Call it before `step_tick`; it changes nothing. Returns a namespace with
+    `states` ({(app_id, task_id): (phase_index, work_done, storage_used,
+    done)} after the tick), `samples`, `completions` and `errors` in the
+    engine's order, and `overshoots`, the phase completions whose last advance
+    took work_done past work_amount.
+    """
+    allocations, _ = reference_allocations(engine)
+    rates = {}
+    for app_id, tid, dim, _, _, eff in allocations:
+        rates.setdefault((app_id, tid), {})[dim] = eff
+    tick_s = TICK_MS // 1000
+    out = SimpleNamespace(states={}, samples=[], completions=[], errors=[], overshoots=0)
+    for app_id in sorted(engine.apps):
+        app = engine.apps[app_id]
+        wire_free = len(app.tasks) > 1 and app.colocated()
+        in_error = app.status.state == "Error"
+        finished = 0
+        for tid in sorted(app.tasks):
+            task = app.tasks[tid]
+            r = rates[(app_id, tid)]
+            index, work, storage, done = (task.phase_index, task.work_done,
+                                          task.storage_used, task.done)
+            interproc = 0
+            if not done and not task.frozen:
+                phase = app.trace[index]
+                advance = 0
+                if phase.kind == "compute":
+                    advance = r["cpu_cores"] * tick_s
+                elif phase.kind == "fs_io":
+                    advance = r["fs_bps"] * tick_s
+                    if phase.demand.storage_bytes > 0:
+                        storage += advance
+                        cap = app.reserved.storage_bytes
+                        if cap > 0 and storage > cap and not in_error:
+                            in_error = True
+                            out.errors.append(app_id)
+                elif phase.kind == "net_io":
+                    if wire_free:
+                        interproc = max(phase.demand.net_in_bps, phase.demand.net_out_bps)
+                        advance = interproc * tick_s
+                    else:
+                        advance = (r["net_in_bps"] + r["net_out_bps"]) * tick_s
+                        if len(app.tasks) > 1:
+                            interproc = r["net_in_bps"] + r["net_out_bps"]
+                else:
+                    advance = tick_s
+                work += advance
+                if work >= phase.work_amount:
+                    out.overshoots += work > phase.work_amount
+                    work, index = 0, index + 1
+                    if index == len(app.trace):
+                        done, index = True, index - 1
+                    if not in_error and phase.emits_state == "Error":
+                        in_error = True
+                        out.errors.append(app_id)
+            out.states[(app_id, tid)] = (index, work, storage, done)
+            out.samples.append(PhysicalSample(
+                t=now, app_id=app_id, task_id=tid, node_id=task.node_id,
+                cpu_cores_used=r["cpu_cores"], memory_bytes_used=r["memory_bytes"],
+                fs_bps_used=r["fs_bps"], fs_iops_used=r["fs_iops"],
+                storage_bytes_used=storage, net_in_bps_used=r["net_in_bps"],
+                net_out_bps_used=r["net_out_bps"], interproc_bps_used=interproc))
+            finished += done
+        if app.tasks and finished == len(app.tasks):
+            out.completions.append(app_id)
+    return out
 
 
 def brute_force_placement(node_ids, capacities, per_task, task_count):

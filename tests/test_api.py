@@ -230,6 +230,47 @@ class TestOperations:
         client.close()
 
 
+@pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+def test_physical_model_is_each_apps_last_samples(mode):
+    """`physical_model` returns the samples the last tick emitted for a running
+    app, in task order, the samples of its last tick for an app that has
+    completed or been terminated, and none for a queued app."""
+    def spec(app_id, cores=4, tasks=1, work=10**6, walltime=3600):
+        return ApplicationSpec(
+            app_id=app_id, kind="container", image="img-1", task_count=tasks,
+            per_task_reservation=ResourceVector(cpu_cores=cores, memory_bytes=GIB),
+            walltime_limit_s=walltime,
+            trace=(Phase(kind="compute", work_amount=work,
+                         demand=ResourceVector(cpu_cores=cores)),))
+
+    core = PlatformCore(cluster(), images=[IMAGE], mode=mode)
+    specs = [spec("wide", cores=20, tasks=2), spec("short", work=10), spec("cut", walltime=5),
+             spec("gone", tasks=3), spec("blocked", cores=20, tasks=2)]
+    last = {}  # app_id -> the samples of the last tick that sampled it
+    for tick in range(10):
+        if tick == 0:
+            for s in specs[:-1]:
+                core.handle("submit", {"spec": s.to_json()}, tenant="alice")
+        if tick == 1:  # queued behind "wide"
+            core.handle("submit", {"spec": specs[-1].to_json()}, tenant="alice")
+        if tick == 4:
+            core.handle("cancel", {"app_id": "gone"}, tenant="alice")
+        core.tick()
+        sampled = {}
+        for sample in core.last_tick_result.samples:
+            sampled.setdefault(sample.app_id, []).append(sample.to_json())
+        last.update(sampled)
+        for app_id in core.owners:
+            out = core.handle("physical_model", {"app_id": app_id}, tenant="alice")
+            assert out == {"app_id": app_id, "tasks": last.get(app_id, [])}, (tick, app_id)
+    outcomes = {s.app_id: core.scheduler.reservations[s.app_id].status for s in specs}
+    assert outcomes == {"wide": "Active", "short": "Completed", "cut": "TerminatedWalltime",
+                        "gone": "Cancelled", "blocked": "Queued"}
+    wide = core.handle("physical_model", {"app_id": "wide"})["tasks"]
+    assert [(s["task_id"], s["node_id"]) for s in wide] == [(0, "n01"), (1, "n02")]
+    assert [s["t"] for s in core.handle("physical_model", {"app_id": "short"})["tasks"]] == [2000]
+
+
 class TestPushes:
     def test_adjust_push_arrives_before_response(self, server):
         client = WireClient(server.address, tenant="alice")

@@ -1,19 +1,25 @@
-"""The engine's cached allocations equal a from-scratch allocation after every tick.
+"""The engine's cached allocations and templates equal a from-scratch tick after every tick.
 
 `oracles.reference_allocations` re-derives every node's rows the way each
-tick did before rows were cached and re-filled only on a change of input.
-The random histories here run several nodes through adds, removes,
-Freezing/Thawed, grow and shrink Adjusting, Terminating, Draining, logical
-status writes, phase completions, colocated net_io and storage overruns, and
-compare `last_allocations`, the task samples and the node samples with the
-reference after every tick.
+tick did before rows were cached and re-filled only on a change of input;
+`oracles.reference_step` steps every task from scratch, the way each tick
+did before the engine emitted cached sample templates. The random histories
+here run several nodes through adds, removes, Freezing/Thawed (also in the
+middle of a phase), grow and shrink Adjusting (also a shrink of cpu to 0,
+which stops a compute phase, and a later grow that restarts it),
+Terminating, Draining, logical status writes, phase completions (also where
+the advance does not divide the work amount), colocated net_io and storage
+overruns, and compare `last_allocations`, every task's phase, work done,
+storage and done flag, the task samples, the node samples, completions and
+errors with the references after every tick.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import reference_allocations
+from oracles import reference_allocations, reference_step
 from symplat.engine import ALLOC_DIMS, SimEngine
 from symplat.model import (
     ApplicationSpec,
@@ -91,8 +97,9 @@ def random_delta(rng, app, grow):
                           net_in_bps=-r.net_in_bps, fs_iops=-r.fs_iops)
 
 
-def random_event(rng, engine, now, serial):
-    """Apply one random change (or none) between two ticks."""
+def random_event(rng, engine, now, serial, seen):
+    """Apply one random change (or none) between two ticks; count in `seen`
+    the changes the histories must reach."""
     roll = rng.random()
     live = sorted(engine.apps)
     if roll < 0.2 or not live:
@@ -109,6 +116,10 @@ def random_event(rng, engine, now, serial):
         engine.set_logical_status(app.app_id, LogicalStatus("Idle", 0.5, now))
         return
     detail = random_delta(rng, app, rng.random() < 0.5) if event == "Adjusting" else None
+    if event == "Thawed" and any(t.frozen and t.work_done > 0 for t in app.tasks.values()):
+        seen["thaw mid-phase"] += 1
+    if detail is not None and detail.cpu_cores > 0 and zero_cpu_compute_tasks({app.app_id: app}):
+        seen["cpu grow from 0"] += 1
     engine.apply_env_event(PlatformEnvEvent(event=event, app_id=app.app_id, reason="test",
                                             effective_at=now, detail=detail))
 
@@ -130,9 +141,22 @@ def assert_tick_matches(engine, result, expected, node_used, context):
         assert ns.storage_bytes_used == storage[ns.node_id], context
 
 
+def task_states(engine):
+    return {(a.app_id, tid): (t.phase_index, t.work_done, t.storage_used, t.done)
+            for a in engine.apps.values() for tid, t in a.tasks.items()}
+
+
+def zero_cpu_compute_tasks(apps):
+    """Running tasks in a compute phase whose app has no cpu reserved: they
+    advance by 0 until a grow."""
+    return sum(1 for a in apps.values() if a.reserved.cpu_cores == 0
+               for t in a.tasks.values()
+               if not (t.frozen or t.done) and a.trace[t.phase_index].kind == "compute")
+
+
 @pytest.mark.parametrize("io_guarantees", [True, False])
 def test_random_histories_match_reference(io_guarantees):
-    errors = completions = 0
+    seen = Counter()
     for seed in range(40):
         rng = random.Random(seed)
         engine = SimEngine(nodes(), io_guarantees=io_guarantees)
@@ -140,15 +164,25 @@ def test_random_histories_match_reference(io_guarantees):
         for tick in range(80):
             now = tick * 1000
             for _ in range(rng.choice([0, 0, 1, 2])):
-                random_event(rng, engine, now, serial)
+                random_event(rng, engine, now, serial, seen)
                 serial += 1
             expected, node_used = reference_allocations(engine)
+            stepped = reference_step(engine, now)
+            seen["zero-advance compute ticks"] += zero_cpu_compute_tasks(engine.apps)
             result = engine.step_tick(now)
-            assert_tick_matches(engine, result, expected, node_used, f"seed {seed} t={now}")
-            errors += len(result.errors)
-            completions += len(result.completions)
+            context = f"seed {seed} t={now}"
+            assert_tick_matches(engine, result, expected, node_used, context)
+            assert task_states(engine) == stepped.states, context
+            assert result.samples == stepped.samples, context
+            assert (result.completions, result.errors) == (stepped.completions,
+                                                           stepped.errors), context
+            seen["errors"] += len(result.errors)
+            seen["completions"] += len(result.completions)
+            seen["uneven completions"] += stepped.overshoots
             for app_id in result.completions + result.errors:
                 if app_id in engine.apps and rng.random() < 0.7:
                     engine.remove_app(app_id)  # as the core does a tick later
     # the histories reach the paths they are meant to cover
-    assert errors > 0 and completions > 0
+    assert all(seen[k] > 0 for k in ("errors", "completions", "uneven completions",
+                                     "zero-advance compute ticks", "cpu grow from 0",
+                                     "thaw mid-phase")), seen
