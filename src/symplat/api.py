@@ -3,195 +3,163 @@
 One message per line (UTF-8 JSON, max 1 MiB). Requests carry a client-chosen
 correlation id and are answered exactly once, also after the client has
 half-closed the connection; pushes carry id = null. The first message on a
-connection must be hello, which binds a tenant and an operator flag. All
-state mutations funnel through one lock around the core.
+connection must be hello, which binds a tenant and an operator flag.
+
+One thread serves every connection: a `selectors` loop answers each request
+line inline, runs the clock's due ticks, and writes each connection's channel
+with non-blocking sends. It holds `core_lock`, through which other threads
+reach the core while it runs, for each request, tick and channel poll.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import selectors
 import socket
-import socketserver
 import threading
+import time
+import traceback
 
 from .core import ApiError
 from .telemetry import Channel
 
 MAX_LINE_BYTES = 1 << 20
+# longest wait of the loop: pushes made by other threads go out within it
+POLL_S = 0.1
 
 
 def parse_listen(listen):
     """'host:port' -> TCP, anything else -> unix socket path."""
     if ":" in listen and not listen.startswith("/") and not listen.startswith("."):
         host, _, port = listen.rpartition(":")
+        if not port.isdecimal() or int(port) > 65535:
+            raise ValueError(f"invalid port {port!r} in address {listen!r}")
         return ("tcp", host or "127.0.0.1", int(port))
     return ("unix", listen, None)
 
 
-class _Outbox(Channel):
-    """Per-connection ordered write queue, shared with the writer thread.
+def _error(msg_id, code, message):
+    return {"id": msg_id, "error": {"code": code, "message": message}}
 
-    Responses are put non-droppable and pushes droppable, so a slow consumer
-    cannot stall the simulation clock, a response is never lost, and a push
+
+class _ConnectionHandler:
+    """One connection: its session, its channel and its unsent bytes.
+
+    Responses are put on the channel non-droppable and pushes droppable, so a
+    slow reader cannot stall the loop, a response is never lost, and a push
     made while serving a request goes out before that request's response.
-    Sample pushes are encoded by `get`, on the writer thread, outside the
-    core lock.
     """
 
-    def __init__(self):
-        super().__init__()
-        self._cond = threading.Condition()
-        self.closed = False
-
-    def put(self, msg, droppable=True):
-        with self._cond:
-            if not self.closed:
-                super().put(msg, droppable)
-                self._cond.notify()
-
-    def get(self, timeout=0.5):
-        with self._cond:
-            if not self._items and not self.closed:
-                self._cond.wait(timeout)
-            return self.poll()
-
-    def close(self):
-        with self._cond:
-            self.closed = True
-            self._cond.notify_all()
-
-
-class _ConnectionHandler(socketserver.BaseRequestHandler):
-    def setup(self):
+    def __init__(self, server, sock):
+        self.server = server
+        self.sock = sock
         self.tenant = None
         self.operator = False
         self.hello_done = False
-        self.outbox = _Outbox()
-        self.sub_ids = []
-        self._writer = threading.Thread(target=self._write_loop, daemon=True)
-        self._writer.start()
+        self.outbox = Channel()
+        self.reading = True  # false after a half-close or an oversize line
+        self._rbuf = b""
+        self._wbuf = b""  # encoded lines polled from the channel, not yet sent
 
-    def _write_loop(self):
-        while True:
-            msgs = self.outbox.get()
-            if not msgs and self.outbox.closed:
-                return
-            for msg in msgs:
-                # responses carry an id; anything else (gap markers too) is a push
-                obj = msg if "id" in msg else {"id": None, "push": msg}
-                try:
-                    self.request.sendall(json.dumps(obj, sort_keys=True).encode("utf-8") + b"\n")
-                except OSError:
-                    self.outbox.close()
-                    return
-
-    def _send(self, obj):
-        self.outbox.put(obj, droppable=False)
-
-    def _send_error(self, msg_id, code, message):
-        self._send({"id": msg_id, "error": {"code": code, "message": message}})
-
-    def handle(self):
-        buf = b""
-        self.request.settimeout(0.5)
-        while not self.server.stopping:
-            try:
-                chunk = self.request.recv(65536)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            if not chunk:
-                break
-            buf += chunk
-            if b"\n" not in buf and len(buf) > MAX_LINE_BYTES:
-                self._send_error(None, "oversize_message", f"line exceeds {MAX_LINE_BYTES} bytes")
-                break
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                if len(line) > MAX_LINE_BYTES:
-                    self._send_error(None, "oversize_message",
-                                     f"line exceeds {MAX_LINE_BYTES} bytes")
-                    return
-                if not line.strip():
-                    continue
-                if not self._dispatch(line):
-                    return
+    def _read(self):
+        try:
+            chunk = self.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            chunk = b""
+        self.reading = bool(chunk)  # at the end of input, send what is queued and close
+        *lines, self._rbuf = (self._rbuf + chunk).split(b"\n")
+        if len(self._rbuf) > MAX_LINE_BYTES:
+            lines.append(self._rbuf)  # answered as oversize before its end arrives
+        for line in lines:
+            if self.reading and line.strip():
+                self._dispatch(line)
 
     def _dispatch(self, line):
+        with self.server.core_lock:
+            self.outbox.put(self._answer(line), droppable=False)
+
+    def _answer(self, line):
+        if len(line) > MAX_LINE_BYTES:
+            self.reading = False  # the rest of the stream cannot be framed
+            return _error(None, "oversize_message", f"line exceeds {MAX_LINE_BYTES} bytes")
         try:
             msg = json.loads(line.decode("utf-8"))
             if not isinstance(msg, dict):
                 raise ValueError("message must be a JSON object")
         except (ValueError, UnicodeDecodeError) as exc:
-            self._send_error(None, "malformed_message", str(exc))
-            return True
+            return _error(None, "malformed_message", str(exc))
         msg_id = msg.get("id")
         op = msg.get("op")
         payload = msg.get("payload", {})
         if not isinstance(op, str):
-            self._send_error(msg_id, "malformed_message", "op must be a string")
-            return True
+            return _error(msg_id, "malformed_message", "op must be a string")
 
         if op == "hello":
             if not isinstance(payload, dict):
-                self._send_error(msg_id, "malformed_message", "payload must be an object")
-                return True
+                return _error(msg_id, "malformed_message", "payload must be an object")
             self.tenant = payload.get("tenant", "anonymous")
             self.operator = bool(payload.get("operator", False))
             self.hello_done = True
-            self._send({"id": msg_id, "result": {
-                "tenant": self.tenant, "operator": self.operator}})
-            return True
+            return {"id": msg_id, "result": {"tenant": self.tenant, "operator": self.operator}}
         if not self.hello_done:
-            self._send_error(msg_id, "handshake_required", "first message must be hello")
-            return True
+            return _error(msg_id, "handshake_required", "first message must be hello")
 
         try:
-            with self.server.core_lock:
-                result = self.server.core.handle(
-                    op, payload, tenant=self.tenant, operator=self.operator,
-                    outbox=self.outbox,
-                )
-                if op in ("subscribe_metrics", "subscribe_events"):
-                    self.sub_ids.append(result["subscription_id"])
-            self._send({"id": msg_id, "result": result})
+            result = self.server.core.handle(op, payload, tenant=self.tenant,
+                                             operator=self.operator, outbox=self.outbox)
         except ApiError as exc:
-            self._send_error(msg_id, exc.code, str(exc))
+            return _error(msg_id, exc.code, str(exc))
+        return {"id": msg_id, "result": result}
+
+    def _write(self):
+        """Send until the socket is full or all is sent; False once the peer is gone."""
+        while self._wbuf or len(self.outbox):
+            if not self._wbuf:
+                with self.server.core_lock:
+                    msgs = self.outbox.poll()
+                # responses carry an id; anything else (gap markers too) is a push
+                lines = [json.dumps(m if "id" in m else {"id": None, "push": m}, sort_keys=True)
+                         for m in msgs]
+                self._wbuf = ("\n".join(lines) + "\n").encode("utf-8")
+            try:
+                self._wbuf = self._wbuf[self.sock.send(self._wbuf):]
+            except BlockingIOError:
+                break
+            except OSError:
+                return False
         return True
 
-    def finish(self):
+    def service(self, events):
+        """Read if readable and write what is pending, then wait for what is
+        still needed, or close once the connection is done."""
+        if events & selectors.EVENT_READ:
+            self._read()
+        if not self._write():
+            return self.close()
+        wanted = (selectors.EVENT_READ if self.reading else 0) | (
+            selectors.EVENT_WRITE if self._wbuf else 0)
+        if wanted:
+            self.server._selector.modify(self.sock, wanted, self)  # no-op when unchanged
+        else:  # not reading, and everything is sent
+            self.close()
+
+    def close(self):
+        self.server._conns.discard(self)
+        self.server._selector.unregister(self.sock)
+        self.sock.close()
         with self.server.core_lock:
-            for sub_id in self.sub_ids:
-                try:
-                    self.server.core.handle("unsubscribe", {"subscription_id": sub_id},
-                                            tenant=self.tenant, operator=True)
-                except ApiError:
-                    pass
-        # the writer sends what is queued, then exits; the socket timeout
-        # bounds a send the client never reads
-        self.outbox.close()
-        self._writer.join()
-
-
-class _TcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # socketserver's default backlog of 5 resets clients that connect together
-    request_queue_size = socket.SOMAXCONN
-
-
-class _UnixServer(socketserver.ThreadingUnixStreamServer):
-    daemon_threads = True
-    request_queue_size = socket.SOMAXCONN
+            self.server.core.bus.unsubscribe_outbox(self.outbox)
 
 
 class WireServer:
-    """Serves a PlatformCore over the line protocol.
+    """Serves a PlatformCore over the line protocol from one thread.
 
-    If `speedup` is set, a background thread advances the virtual clock one
-    tick every 1000/speedup real milliseconds, up to `duration_ms`.
+    If `speedup` is set, the loop advances the virtual clock one tick
+    1000/speedup real milliseconds after the previous tick ended, up to
+    `duration_ms`.
     """
 
     def __init__(self, core, listen, speedup=None, duration_ms=None):
@@ -199,51 +167,70 @@ class WireServer:
         self.core_lock = threading.RLock()
         kind, host, port = parse_listen(listen)
         if kind == "tcp":
-            self._server = _TcpServer((host, port), _ConnectionHandler)
+            self._listener = socket.create_server((host, port), backlog=socket.SOMAXCONN)
         else:
             if os.path.exists(host):
                 os.unlink(host)
-            self._server = _UnixServer(host, _ConnectionHandler)
-        self._server.core = core
-        self._server.core_lock = self.core_lock
-        self._server.stopping = False
+            self._listener = socket.create_server(host, family=socket.AF_UNIX,
+                                                  backlog=socket.SOMAXCONN)
+        self._listener.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._conns = set()
+        addr = self._listener.getsockname()
+        self.address = f"{addr[0]}:{addr[1]}" if kind == "tcp" else addr
+        self._server = self  # perfbench/server.py installs its timed lock as _server.core_lock
         self.speedup = speedup
         self.duration_ms = duration_ms
-        self._threads = []
-        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, name="symplat-wire", daemon=True)
+        self._stopping = False
 
-    @property
-    def address(self):
-        addr = self._server.server_address
-        if isinstance(addr, tuple):
-            return f"{addr[0]}:{addr[1]}"
-        return addr
+    def _accept(self):
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:  # the client gave up first, or no descriptor is free
+            return
+        sock.setblocking(False)
+        conn = _ConnectionHandler(self, sock)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        self._conns.add(conn)
 
-    def _clock_loop(self):
-        period = 1.0 / self.speedup
-        while not self._stop.is_set():
-            if self.duration_ms is not None and self.core.now >= self.duration_ms:
-                break
-            with self.core_lock:
-                self.core.tick()
-            self._stop.wait(period)
+    def _serve(self):
+        period = 1.0 / self.speedup if self.speedup else None
+        due = time.monotonic() if period else None
+        while not self._stopping:
+            timeout = POLL_S if due is None else min(POLL_S, due - time.monotonic())
+            ready = {key.data: events for key, events in self._selector.select(timeout)}
+            if ready.pop(None, 0):  # the listener
+                self._accept()
+            if due is not None and time.monotonic() >= due:
+                due = None
+                if self.duration_ms is None or self.core.now < self.duration_ms:
+                    try:
+                        with self.core_lock:
+                            self.core.tick()
+                        due = time.monotonic() + period
+                    except Exception:  # the clock stops; requests are still served
+                        traceback.print_exc()
+            for conn in list(self._conns):
+                try:
+                    conn.service(ready.get(conn, 0))
+                except Exception:  # one connection's fault must not stop the others
+                    traceback.print_exc()
+                    conn.close()
 
     def start(self):
-        t = threading.Thread(target=self._server.serve_forever, kwargs={"poll_interval": 0.1},
-                             daemon=True)
-        t.start()
-        self._threads.append(t)
-        if self.speedup:
-            c = threading.Thread(target=self._clock_loop, daemon=True)
-            c.start()
-            self._threads.append(c)
+        self._thread.start()
         return self
 
     def stop(self):
-        self._stop.set()
-        self._server.stopping = True
-        self._server.shutdown()
-        self._server.server_close()
+        self._stopping = True
+        if self._thread.is_alive():
+            self._thread.join()
+        for conn in list(self._conns):
+            conn.close()
+        self._selector.close()
+        self._listener.close()
 
 
 class WireClient:

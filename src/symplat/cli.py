@@ -61,9 +61,8 @@ def cmd_serve(args):
     listen = args.listen or os.environ.get("CHPC_LISTEN") or DEFAULT_LISTEN
     server = WireServer(core, listen, speedup=args.speedup,
                         duration_ms=scenario.duration_ms or None)
-    # scenario apps submit at their scheduled virtual times via the clock thread;
-    # serve mode pre-registers images and submits t=0 apps, later ones arrive
-    # through the API
+    # serve submits only the t=0 apps: later submissions and the scenario's
+    # `script` are not replayed, clients send them through the API
     for spec, submit_at, tenant in scenario.apps:
         if submit_at == 0:
             core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
@@ -250,6 +249,9 @@ def main(argv=None):
     except ApiError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a malformed address or --delta
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConnectionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,8 +5,8 @@ evaluate boundary conditions. Each subject's samples are kept once, as
 published; a query reads one metric out of them and is empty for a metric
 those samples lack. Subscriptions are handed the sample itself, which is
 encoded as a message only when it is read: by `poll`, or for a wire
-subscription by its connection's writer thread. A delivery dropped from a
-full buffer is never encoded. Each boundary owns its window and its alarm
+subscription by the wire service's loop. A delivery dropped from a full
+buffer is never encoded. Each boundary owns its window and its alarm
 state; alarms are edge-triggered on the windowed mean and re-arm only after
 a full window of continuous satisfaction.
 """
@@ -169,6 +169,10 @@ class Channel:
                 self._gap += 1
         items.append((msg, droppable))
 
+    def __len__(self):
+        """Messages waiting for the next poll, not counting a gap marker."""
+        return len(self._items)
+
     def poll(self):
         out = []
         if self._gap:
@@ -288,6 +292,11 @@ class MetricBus:
         if sub_id not in self.subscriptions:
             raise UnknownSubscription(f"no subscription {sub_id}")
         self._fan_order.remove(self.subscriptions.pop(sub_id))
+
+    def unsubscribe_outbox(self, outbox):
+        """End every subscription that delivers into `outbox`."""
+        for sub in [s for s in self._fan_order if s.outbox is outbox]:
+            self.unsubscribe(sub.sub_id)
 
     def fan_out(self, msg, subject):
         """Deliver `msg`, about `subject`, to the matching subscriptions."""

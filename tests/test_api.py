@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from symplat.api import MAX_LINE_BYTES, WireClient, WireServer, _Outbox, parse_listen
+from symplat.api import MAX_LINE_BYTES, WireClient, WireServer, parse_listen
 from symplat.core import ApiError, PlatformCore
 from symplat.model import (
     ApplicationSpec,
@@ -167,6 +167,71 @@ class TestWireCodec:
         ids = [json.loads(line)["id"] for line in data.splitlines()]
         assert ids == ["h"] + [f"req-{i}" for i in range(2000)]
 
+    def test_paused_reader_still_gets_every_response(self, tmp_path):
+        """A client that stops reading while pushes fill its socket loses the
+        oldest pushes, behind a gap marker, but none of its responses."""
+        path = str(tmp_path / "symplat.sock")
+        srv = WireServer(PlatformCore(cluster(), images=[IMAGE]), path).start()
+        try:
+            client = WireClient(path, tenant="alice", timeout=2.5)
+            client.request("subscribe_metrics", {"subject": {"kind": "node"}})
+            with srv.core_lock:  # two node samples a tick, into a 1024-deep channel
+                for _ in range(1000):
+                    srv.core.tick()
+            time.sleep(1.0)
+            assert client.request("env_model")["now"] == 1_000_000
+            assert client.pushes[0] == {"id": None, "push": {"type": "gap", "dropped": 976}}
+            assert len(client.pushes) == 1 + 1024
+            client.close()
+        finally:
+            srv.stop()
+
+
+def test_one_thread_serves_every_connection():
+    before = threading.active_count()
+    srv = WireServer(PlatformCore(cluster(), images=[IMAGE]), "127.0.0.1:0", speedup=50).start()
+    clients = []
+    try:
+        clients.append(WireClient(srv.address))
+        assert threading.active_count() == before + 1
+        clients += [WireClient(srv.address) for _ in range(7)]  # each has had its hello answered
+        assert threading.active_count() == before + 1
+    finally:
+        for client in clients:
+            client.close()
+        srv.stop()
+
+
+def test_ticks_from_another_thread_lose_no_push(server):
+    """Pushes made by a thread that ticks under `core_lock` while the loop
+    answers requests all arrive in order, or are counted by a gap marker."""
+    client = WireClient(server.address, tenant="alice")
+    client.request("subscribe_metrics", {"subject": {"kind": "node", "id": "n01"}})
+    ticks = 3000
+
+    def tick():
+        for _ in range(ticks):
+            with server.core_lock:
+                server.core.tick()
+
+    ticker = threading.Thread(target=tick)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        ticker.start()
+        while ticker.is_alive():
+            client.request("env_model")
+        ticker.join(timeout=30)
+        assert not ticker.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    client.request("env_model")  # answered after every push of every tick
+    pushes = [p["push"] for p in client.pushes]
+    samples = [p["t"] for p in pushes if p["type"] == "node_sample"]
+    assert samples == sorted(set(samples))
+    assert len(samples) + sum(p["dropped"] for p in pushes if p["type"] == "gap") == ticks
+    client.close()
+
 
 class TestOperations:
     def test_submit_status_roundtrip(self, server):
@@ -313,53 +378,6 @@ class TestPushes:
         assert pushes[-1] == {**sent._asdict(), "type": "node_sample"}
         assert set(pushes[0]) == {*NodeSample._fields, "type"}
         client.close()
-
-
-class TestOutbox:
-    def test_pushes_drop_oldest_and_responses_survive(self):
-        outbox = _Outbox()
-        outbox.put({"id": "c1", "result": {}}, droppable=False)
-        for i in range(outbox.depth + 3):
-            outbox.put({"type": "sample", "seq": i})
-        outbox.put({"id": "c2", "result": {}}, droppable=False)
-        msgs = outbox.get()
-        assert msgs[0] == {"type": "gap", "dropped": 3}
-        assert msgs[1] == {"id": "c1", "result": {}}
-        assert [m["seq"] for m in msgs[2:-1]] == list(range(3, outbox.depth + 3))
-        assert msgs[-1] == {"id": "c2", "result": {}}
-        assert outbox.get(timeout=0) == []
-
-    def test_concurrent_writers_lose_nothing(self):
-        outbox = _Outbox()
-        writers, per_writer = 4, 3000
-        received = []
-
-        def write(w):
-            for i in range(per_writer):
-                outbox.put({"id": f"{w}-{i}"}, droppable=False)
-                outbox.put({"type": "sample", "w": w})
-
-        threads = [threading.Thread(target=write, args=(w,)) for w in range(writers)]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            deadline = time.monotonic() + 30
-            while any(t.is_alive() for t in threads) and time.monotonic() < deadline:
-                received.extend(outbox.get(timeout=0.001))
-            for t in threads:
-                t.join(timeout=5)
-                assert not t.is_alive()
-            received.extend(outbox.get(timeout=0))
-        finally:
-            sys.setswitchinterval(old)
-        for w in range(writers):
-            ids = [m["id"] for m in received if m.get("id", "").startswith(f"{w}-")]
-            assert ids == [f"{w}-{i}" for i in range(per_writer)]
-        pushes = sum(m["type"] == "sample" for m in received if "type" in m)
-        dropped = sum(m["dropped"] for m in received if m.get("type") == "gap")
-        assert pushes + dropped == writers * per_writer
 
 
 class TestEventSubscriptions:

@@ -190,6 +190,18 @@ class TestCli:
     def test_connection_refused_is_runtime_error(self):
         assert main(["status", "x", "--connect", "127.0.0.1:1"]) == 1
 
+    @pytest.mark.parametrize("argv, env", [
+        (["serve", f"{SCENARIO_DIR}/kalman.yaml", "--listen", "foo:bar"], None),
+        (["status", "x", "--connect", "127.0.0.1:notaport"], None),
+        (["status", "x"], "127.0.0.1:notaport"),
+        (["adjust", "x", "--delta", "{cpu"], None),
+    ])
+    def test_malformed_address_or_delta_is_usage_error(self, argv, env, monkeypatch, capsys):
+        if env is not None:
+            monkeypatch.setenv("CHPC_LISTEN", env)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_client_commands_against_a_live_server(self, tmp_path, capsys):
         scen = scenario_from_dict(MINIMAL)
         core = PlatformCore(scen.nodes, scen.images)
