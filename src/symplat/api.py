@@ -22,7 +22,7 @@ import time
 import traceback
 
 from .core import ApiError
-from .telemetry import Channel
+from .telemetry import CHANNEL_DEPTH, Channel
 
 MAX_LINE_BYTES = 1 << 20
 # longest wait of the loop: pushes made by other threads go out within it
@@ -49,6 +49,10 @@ class _ConnectionHandler:
     Responses are put on the channel non-droppable and pushes droppable, so a
     slow reader cannot stall the loop, a response is never lost, and a push
     made while serving a request goes out before that request's response.
+    A connection is backlogged while its channel holds CHANNEL_DEPTH messages
+    or its unsent bytes exceed MAX_LINE_BYTES: it then answers no request,
+    and reads no more once a received line waits, until they drain. So a
+    client that never reads holds a bounded amount of the server's memory.
     """
 
     def __init__(self, server, sock):
@@ -59,8 +63,11 @@ class _ConnectionHandler:
         self.hello_done = False
         self.outbox = Channel()
         self.reading = True  # false after a half-close or an oversize line
-        self._rbuf = b""
+        self._rbuf = b""  # bytes received, not yet answered
         self._wbuf = b""  # encoded lines polled from the channel, not yet sent
+
+    def _backlogged(self):
+        return len(self.outbox) >= CHANNEL_DEPTH or len(self._wbuf) > MAX_LINE_BYTES
 
     def _read(self):
         try:
@@ -69,13 +76,32 @@ class _ConnectionHandler:
             return
         except OSError:  # reset by the peer
             chunk = b""
-        self.reading = bool(chunk)  # at the end of input, send what is queued and close
-        *lines, self._rbuf = (self._rbuf + chunk).split(b"\n")
-        if len(self._rbuf) > MAX_LINE_BYTES:
-            lines.append(self._rbuf)  # answered as oversize before its end arrives
-        for line in lines:
-            if self.reading and line.strip():
+        # at the end of input, answer the lines received, send what is queued and close
+        self.reading = bool(chunk)
+        self._rbuf += chunk
+
+    def _answer_lines(self):
+        """Answer the complete lines received, in order, until backlogged;
+        returns whether a complete line is still waiting."""
+        buf, start = self._rbuf, 0
+        held = False
+        while True:
+            end = buf.find(b"\n", start)
+            if end < 0:
+                if not (self.reading and len(buf) - start > MAX_LINE_BYTES):
+                    break
+                end = len(buf)  # answered as oversize before its end arrives
+            if self._backlogged():
+                held = True
+                break
+            line, start = buf[start:end], end + 1
+            if line.strip():
                 self._dispatch(line)
+                if len(line) > MAX_LINE_BYTES:  # the rest of the stream cannot be framed
+                    buf, start = b"", 0
+                    break
+        self._rbuf = buf[start:]
+        return held
 
     def _dispatch(self, line):
         with self.server.core_lock:
@@ -133,13 +159,18 @@ class _ConnectionHandler:
         return True
 
     def service(self, events):
-        """Read if readable and write what is pending, then wait for what is
-        still needed, or close once the connection is done."""
+        """Read if readable, answer and write what is pending, then wait for
+        what is still needed, or close once the connection is done."""
         if events & selectors.EVENT_READ:
             self._read()
+        held = bool(self._rbuf) and self._answer_lines()
         if not self._write():
             return self.close()
-        wanted = (selectors.EVENT_READ if self.reading else 0) | (
+        while held and not self._backlogged():  # a full send ended the backlog
+            held = self._answer_lines()
+            if not self._write():
+                return self.close()
+        wanted = (selectors.EVENT_READ if self.reading and not held else 0) | (
             selectors.EVENT_WRITE if self._wbuf else 0)
         if wanted:
             self.server._selector.modify(self.sock, wanted, self)  # no-op when unchanged

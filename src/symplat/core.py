@@ -5,11 +5,11 @@ virtual time in 1000 ms ticks, and exposes the operation table that both the
 wire service and the scenario runner drive. A tick consults the scheduler
 (`activate_due`, `enforce_walltime`) only once its cached plan has changed or
 its `next_due` instant has come; a quiet tick only steps the engine, which
-emits cached sample templates, and publishes the samples. Every platform
-event is logged, pushed to event subscribers and applied to the running app
-in one place. In asymmetric mode (the static baseline) adjustment, boundary
-conditions and subscriptions are disabled and I/O reservations are ignored:
-all I/O becomes best-effort.
+emits cached sample templates, and publishes the samples in one call. Every
+platform event is logged, pushed to event subscribers and applied to the
+running app in one place. In asymmetric mode (the static baseline)
+adjustment, boundary conditions and subscriptions are disabled and I/O
+reservations are ignored: all I/O becomes best-effort.
 """
 
 from __future__ import annotations
@@ -119,11 +119,7 @@ class PlatformCore:
 
         result = self.last_tick_result = self.engine.step_tick(now)
         if self.mode == "symmetric":
-            publish = self.bus.publish
-            for sample in result.samples:
-                publish(sample)
-            for ns in result.node_samples:
-                publish(ns)
+            self.bus.publish(*result.samples, *result.node_samples)
         self.now = now + TICK_MS
         return result
 

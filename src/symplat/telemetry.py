@@ -1,14 +1,21 @@
 """Metric bus, retained-sample store, and boundary-condition analytics.
 
-Publishing is one serialized pipeline: store, fan out to subscriptions, then
-evaluate boundary conditions. Each subject's samples are kept once, as
-published; a query reads one metric out of them and is empty for a metric
-those samples lack. Subscriptions are handed the sample itself, which is
-encoded as a message only when it is read: by `poll`, or for a wire
+Publishing is one serialized pipeline: `publish` takes a tick's samples in
+one call and, for each in order, stores it, delivers it to the matching
+subscriptions, then evaluates its subject's boundary conditions. A subject's
+route (its series, its boundaries and its subscriptions' channels) is cached
+and made again whenever a subscription or boundary comes or goes.
+Deliveries are collected per channel and handed over in one `put_many`:
+before an alarm is fanned out and at the end of the call, so every reader
+sees what one `publish` per sample would show. Each subject's samples are
+kept once, as published; a query reads one metric out of them and is empty
+for a metric those samples lack. Subscriptions are handed the sample itself,
+which is encoded as a message only when it is read: by `poll`, or for a wire
 subscription by the wire service's loop. A delivery dropped from a full
-buffer is never encoded. Each boundary owns its window and its alarm
-state; alarms are edge-triggered on the windowed mean and re-arm only after
-a full window of continuous satisfaction.
+buffer is never encoded. Each boundary owns its window, which `evaluate`
+feeds and checks in one pass, and its alarm state; alarms are edge-triggered
+on the windowed mean and re-arm only after a full window of continuous
+satisfaction.
 """
 
 from __future__ import annotations
@@ -157,17 +164,29 @@ class Channel:
         self._gap = 0
 
     def put(self, msg, droppable=True):
-        items = self._items
         if droppable:
-            if self._droppable < self.depth:
-                self._droppable += 1
-            else:  # drop the oldest droppable message
+            self.put_many([msg])
+        else:
+            self._items.append((msg, False))
+
+    def put_many(self, msgs):
+        """Put each of `msgs` droppable, as successive `put`s would: the oldest
+        droppable messages beyond `depth`, queued or in `msgs`, are dropped."""
+        excess = self._droppable + len(msgs) - self.depth
+        if excess <= 0:
+            self._droppable += len(msgs)
+        else:
+            self._gap += excess
+            queued = min(excess, self._droppable)  # dropped from the queue
+            msgs = msgs[excess - queued:]  # the rest never enter it
+            self._droppable = self.depth
+            items = self._items
+            for _ in range(queued):
                 if items[0][1]:  # O(1) whenever the head is droppable
                     items.popleft()
                 else:
                     del items[next(i for i, (_, d) in enumerate(items) if d)]
-                self._gap += 1
-        items.append((msg, droppable))
+        self._items.extend([(msg, True) for msg in msgs])
 
     def __len__(self):
         """Messages waiting for the next poll, not counting a gap marker."""
@@ -224,30 +243,23 @@ class _Boundary:
     condition, its window and its alarm state.
 
     The window is a running integer sum of metric `index` over the subject's
-    samples with t in (newest - width, newest]. `width` is min(window_s,
-    retention) in ms: samples older than retention are evicted from the
-    store, so no wider window could see them.
+    samples with t in (newest - width, newest], fed by `MetricBus.evaluate`.
+    `width` is min(window_s, retention) in ms: samples older than retention
+    are evicted from the store, so no wider window could see them. It starts
+    from `retained`, the subject's samples already stored, oldest first.
     """
 
     __slots__ = ("bc", "index", "width", "samples", "total", "armed", "satisfied_since")
 
-    def __init__(self, bc, index, width):
+    def __init__(self, bc, index, width, retained):
         self.bc = bc
         self.index = index
         self.width = width
-        self.samples = deque()
-        self.total = 0
+        lo = retained[-1][0] - width if retained else 0
+        self.samples = deque(s for s in retained if s[0] > lo)
+        self.total = sum(s[index] for s in self.samples)
         self.armed = True
         self.satisfied_since = None
-
-    def push(self, sample):
-        samples = self.samples
-        samples.append(sample)
-        i = self.index
-        self.total += sample[i]
-        lo = sample[0] - self.width
-        while samples and samples[0][0] <= lo:
-            self.total -= samples.popleft()[i]
 
 
 class MetricBus:
@@ -261,6 +273,28 @@ class MetricBus:
         self._sub_seq = {"sub": itertools.count(1), "evsub": itertools.count(1)}
         self._fan_order: list[Subscription] = []  # by sub_id, as fan_out delivers
         self._fed: dict[tuple, list[_Boundary]] = {}  # subject -> its fed boundaries, by bc_id
+        # sample type -> subject id -> (subject, its series, its fed boundaries,
+        # its (subscription, channel) targets in fan-out order); cleared
+        # whenever a subscription or boundary comes or goes
+        self._routes = {sample_type: {} for sample_type in _SAMPLE_KINDS}
+
+    def _clear_routes(self):
+        for routes in self._routes.values():
+            routes.clear()
+
+    def _route(self, sample):
+        """The route of `sample`'s subject, made and cached."""
+        kinds = _SAMPLE_KINDS.get(type(sample))
+        if kinds is None:
+            raise SymplatError("telemetry_error",
+                               f"unsupported sample type {type(sample).__name__}")
+        subject = (kinds[0], sample[1])  # both sample types: t, then the subject id
+        targets = tuple((sub, sub if sub.outbox is None else sub.outbox)
+                        for sub in self._fan_order if sub.matches(kinds[1], subject))
+        route = (subject, self.series.setdefault(subject, deque()),
+                 self._fed.get(subject), targets)
+        self._routes[type(sample)][sample[1]] = route
+        return route
 
     # -- store -------------------------------------------------------------
 
@@ -286,12 +320,14 @@ class MetricBus:
                            depth=self.channel_depth, outbox=outbox)
         self.subscriptions[sub_id] = sub
         bisect.insort(self._fan_order, sub, key=attrgetter("sub_id"))
+        self._clear_routes()
         return sub
 
     def unsubscribe(self, sub_id):
         if sub_id not in self.subscriptions:
             raise UnknownSubscription(f"no subscription {sub_id}")
         self._fan_order.remove(self.subscriptions.pop(sub_id))
+        self._clear_routes()
 
     def unsubscribe_outbox(self, outbox):
         """End every subscription that delivers into `outbox`."""
@@ -307,33 +343,49 @@ class MetricBus:
 
     # -- pipeline --------------------------------------------------------
 
-    def publish(self, sample):
-        """Store, feed the subject's boundaries, fan out, evaluate; returns
-        alarms raised by this sample."""
-        kinds = _SAMPLE_KINDS.get(type(sample))
-        if kinds is None:
-            raise SymplatError("telemetry_error",
-                               f"unsupported sample type {type(sample).__name__}")
-        subject = (kinds[0], sample[1])  # both sample types: t, then the subject id
-        t = sample[0]
-        dq = self.series.get(subject)
-        if dq is None:
-            dq = self.series[subject] = deque()
-        elif dq and t < dq[-1][0]:
-            raise OutOfOrderSample(f"sample at {t} behind {dq[-1][0]} for {subject}")
-        dq.append(sample)
-        horizon = t - self.retention_ms
-        while dq and dq[0][0] <= horizon:
-            dq.popleft()
-        fed = self._fed.get(subject)
-        if fed:
-            for b in fed:
-                b.push(sample)
-        kind = kinds[1]
-        for sub in self._fan_order:
-            if sub.matches(kind, subject):
-                sub.deliver(sample)  # encoded when read
-        return self.evaluate(sample, subject) if fed else []
+    def publish(self, *samples):
+        """Store each sample, deliver it, and evaluate its subject's
+        boundaries, in order; returns the alarms raised.
+
+        Deliveries are collected per target channel and handed over in one
+        `put_many` each: before any alarm is fanned out, so a reader sees a
+        sample before its alarms, and at the end, also when a sample is
+        refused, so the samples before it are delivered as if published alone.
+        """
+        routes = self._routes
+        retention_ms = self.retention_ms
+        pending = {}  # channel -> its deliveries, in order
+        alarms = []
+        try:
+            for sample in samples:
+                try:
+                    subject, dq, fed, targets = routes[type(sample)][sample[1]]
+                except KeyError:
+                    subject, dq, fed, targets = self._route(sample)
+                t = sample[0]
+                if dq and t < dq[-1][0]:
+                    raise OutOfOrderSample(f"sample at {t} behind {dq[-1][0]} for {subject}")
+                dq.append(sample)
+                horizon = t - retention_ms
+                while dq[0][0] <= horizon:
+                    dq.popleft()
+                for sub, channel in targets:
+                    sub.delivered += 1
+                    batch = pending.get(channel)
+                    if batch is None:
+                        pending[channel] = [sample]  # encoded when read
+                    else:
+                        batch.append(sample)
+                if fed:
+                    raised = self.evaluate(sample, subject)
+                    if raised:
+                        _hand_over(pending)
+                        for alarm in raised:
+                            self.fan_out(alarm.to_json(), subject)
+                        alarms += raised
+        finally:
+            _hand_over(pending)
+        return alarms
 
     # -- analytics ---------------------------------------------------------
 
@@ -348,10 +400,10 @@ class MetricBus:
         self.boundaries[bc.bc_id] = bc
         index = _METRIC_INDEX[bc.subject[0]].get(bc.metric)
         if index is not None:
-            b = _Boundary(bc, index, min(bc.window_s * 1000, self.retention_ms))
-            for sample in self.series.get(bc.subject, ()):
-                b.push(sample)
+            b = _Boundary(bc, index, min(bc.window_s * 1000, self.retention_ms),
+                          self.series.get(bc.subject, ()))
             bisect.insort(self._fed.setdefault(bc.subject, []), b, key=attrgetter("bc.bc_id"))
+            self._clear_routes()
         return bc
 
     def drop_boundary(self, bc_id):
@@ -360,26 +412,34 @@ class MetricBus:
         bc = self.boundaries.pop(bc_id)
         fed = self._fed.get(bc.subject, [])
         fed[:] = [b for b in fed if b.bc is not bc]
+        self._clear_routes()
 
     def evaluate(self, sample, subject):
-        """Alarms raised by the boundaries on `subject`, the subject of
-        `sample`, in bc_id order.
+        """Feed `sample` to the windows of the boundaries on `subject`, its
+        subject, and return the alarms they raise, in bc_id order.
 
-        Windows are updated on publish, so this reads the windowed means as of
-        the last published sample, which is in every fed window."""
+        Each window then holds the subject's samples up to this one, so each
+        windowed mean is as of this sample."""
         alarms = []
-        t = sample.t
+        t = sample[0]
         for b in self._fed.get(subject, ()):
+            i = b.index
+            window = b.samples
+            window.append(sample)
+            total = b.total + sample[i]
+            lo = t - b.width
+            while window[0][0] <= lo:  # never past `sample` itself
+                total -= window.popleft()[i]
+            b.total = total
             bc = b.bc
             # integer sums: equal to sum(values) / len(values) of a rescan
-            mean = b.total / len(b.samples)
+            mean = total / len(window)
             if mean < bc.threshold if bc.bound == "min" else mean > bc.threshold:
                 if b.armed:
                     alarm = Alarm(bc_id=bc.bc_id, subject=subject, t=t,
                                   observed=mean, threshold=bc.threshold)
                     alarms.append(alarm)
                     self.alarm_log.append(alarm)
-                    self.fan_out(alarm.to_json(), subject)
                     b.armed = False
                 b.satisfied_since = None
             elif not b.armed:
@@ -390,3 +450,10 @@ class MetricBus:
                     b.armed = True
                     b.satisfied_since = None
         return alarms
+
+
+def _hand_over(pending):
+    """Put each channel's pending deliveries on it, and forget them."""
+    for channel, batch in pending.items():
+        channel.put_many(batch)
+    pending.clear()

@@ -16,6 +16,7 @@ from symplat.model import (
     Phase,
     ResourceVector,
 )
+from symplat.telemetry import CHANNEL_DEPTH
 
 GIB = 1 << 30
 
@@ -166,6 +167,44 @@ class TestWireCodec:
             srv.stop()
         ids = [json.loads(line)["id"] for line in data.splitlines()]
         assert ids == ["h"] + [f"req-{i}" for i in range(2000)]
+
+    def test_client_that_never_reads_is_held_at_the_bound(self, tmp_path):
+        """The server stops answering a connection whose channel is full and
+        resumes once the client reads; no response is lost or reordered."""
+        path = str(tmp_path / "symplat.sock")
+        srv = WireServer(PlatformCore(cluster(), images=[IMAGE]), path).start()
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(5.0)
+                sock.connect(path)
+                lines = [json.dumps({"id": "h", "op": "hello", "payload": {}})] + [
+                    json.dumps({"id": f"req-{i}", "op": "env_model", "payload": {}})
+                    for i in range(20_000)
+                ]
+                sender = threading.Thread(
+                    target=sock.sendall, args=(("\n".join(lines) + "\n").encode(),), daemon=True)
+                sender.start()
+                deadline = time.monotonic() + 5.0
+                while not srv._conns and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                (conn,) = tuple(srv._conns)
+                longest = 0
+                deadline = time.monotonic() + 1.0
+                while time.monotonic() < deadline:
+                    longest = max(longest, len(conn.outbox))
+                    time.sleep(0.001)
+                assert longest == CHANNEL_DEPTH
+                data = b""
+                while data.count(b"\n") < len(lines):
+                    chunk = sock.recv(65536)
+                    assert chunk, "server closed the connection"
+                    data += chunk
+                sender.join(5.0)
+                assert not sender.is_alive()
+        finally:
+            srv.stop()
+        ids = [json.loads(line)["id"] for line in data.splitlines()]
+        assert ids == ["h"] + [f"req-{i}" for i in range(20_000)]
 
     def test_paused_reader_still_gets_every_response(self, tmp_path):
         """A client that stops reading while pushes fill its socket loses the

@@ -1,8 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from symplat.model import NodeSample, PhysicalSample, SymplatError
+from symplat.core import PlatformCore
+from symplat.model import (
+    ApplicationSpec,
+    NodeSample,
+    NodeSpec,
+    Phase,
+    PhysicalSample,
+    ResourceVector,
+    SymplatError,
+)
 from symplat.telemetry import (
     BoundaryCondition,
     Channel,
@@ -153,6 +163,27 @@ class TestChannel:
         ch.put("p2")
         assert ch.poll() == [{"type": "gap", "dropped": 1}, 0, 1, 2, 3, 4, "p2"]
 
+    @given(depth=st.integers(1, 4),
+           rounds=st.lists(st.tuples(st.lists(st.booleans(), max_size=6), st.integers(0, 8)),
+                           min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_put_many_equals_successive_puts(self, depth, rounds):
+        """After any prior mix of droppable and non-droppable messages."""
+        one, many = Channel(depth), Channel(depth)
+        n = 0
+        for prior, size in rounds:
+            for droppable in prior:
+                one.put(n, droppable)
+                many.put(n, droppable)
+                n += 1
+            batch = list(range(n, n + size))
+            n += size
+            for msg in batch:
+                one.put(msg)
+            many.put_many(batch)
+            assert len(many) == len(one)
+        assert many.poll() == one.poll()
+
     def test_metric_subscriptions_receive_no_events(self):
         bus = MetricBus()
         metrics = bus.subscribe()
@@ -213,6 +244,135 @@ class TestMessages:
                 bus.publish(bogus)
             assert err.value.code == "telemetry_error"
         assert bus.series == {}
+
+
+def job(app_id, cores, seconds, tasks=1):
+    return ApplicationSpec(
+        app_id=app_id, kind="native", image=None, task_count=tasks,
+        per_task_reservation=ResourceVector(cpu_cores=cores, memory_bytes=1 << 30),
+        walltime_limit_s=3600,
+        trace=(Phase(kind="compute", work_amount=cores * seconds,
+                     demand=ResourceVector(cpu_cores=cores), progress_at_end=1.0),),
+    )
+
+
+def small_core():
+    """Two 8-core nodes and an alarm on n01's cpu above 5 over 2 s."""
+    cap = ResourceVector(cpu_cores=8, memory_bytes=16 << 30)
+    core = PlatformCore([NodeSpec("n01", cap), NodeSpec("n02", cap)])
+    core.handle("register_boundary", {
+        "bc_id": "hot-n01", "subject": {"kind": "node", "id": "n01"},
+        "metric": "cpu_cores_used", "bound": "max", "threshold": 5, "window_s": 2})
+    return core
+
+
+def submit(core, *specs):
+    for spec in specs:
+        core.handle("submit", {"spec": spec.to_json()})
+
+
+class TestSharedChannel:
+    """Several subscriptions delivering into one channel, as on one wire
+    connection, over ticks that publish many samples at once."""
+
+    def test_order_and_counts_equal_one_publish_per_sample(self):
+        core = small_core()
+        outbox = Channel()
+        node_id = core.handle("subscribe_metrics", {"subject": {"kind": "node"}},
+                              outbox=outbox)["subscription_id"]
+        all_id = core.handle("subscribe_metrics", {}, outbox=outbox)["subscription_id"]
+        submit(core, job("hot", 6, 5), job("pair", 1, 12, tasks=2))
+        got, want, samples = [], [], []
+        for i in range(30):
+            if i == 12:  # after a cool spell long enough to re-arm the boundary
+                submit(core, job("hot-again", 6, 4))
+            result = core.tick()
+            got += outbox.poll()
+            samples += [*result.samples, *result.node_samples]
+        # one publish per sample: each sample to its subscriptions in sub_id
+        # order, then that sample's alarms to theirs
+        alarms = {(a.subject, a.t): a for a in core.bus.alarm_log}
+        for s in samples:
+            if isinstance(s, NodeSample):
+                want += [{**s._asdict(), "type": "node_sample"}] * 2
+                alarm = alarms.get((("node", s.node_id), s.t))
+                if alarm is not None:
+                    want += [alarm.to_json()] * 2
+            else:
+                want.append({**s._asdict(), "type": "sample"})
+        assert len(alarms) == 2
+        assert got == want
+        subs = core.bus.subscriptions
+        n_nodes = sum(isinstance(s, NodeSample) for s in samples)
+        assert subs[node_id].delivered == n_nodes + 2
+        assert subs[all_id].delivered == len(samples) + 2
+        assert len(subs[node_id]) == len(subs[all_id]) == 0  # all went to the outbox
+
+
+def tick(t, cpu):
+    """One tick's samples: two tasks of app-1, then their node."""
+    return app_sample(t, cpu=cpu), app_sample(t, cpu=cpu), node_sample(t, cpu=2 * cpu)
+
+
+class TestRoutes:
+    """A subject's route is kept across publishes and made again when a
+    subscription or boundary comes or goes."""
+
+    def test_subscription_made_between_ticks_gets_the_next_tick(self):
+        bus = MetricBus()
+        bus.publish(*tick(0, 1))
+        sub, node_sub = bus.subscribe(), bus.subscribe(subject_kind="node")
+        bus.publish(*tick(1000, 1))
+        assert [(m["type"], m["t"]) for m in sub.poll()] == \
+            [("sample", 1000), ("sample", 1000), ("node_sample", 1000)]
+        assert [m["t"] for m in node_sub.poll()] == [1000]
+        assert (sub.delivered, node_sub.delivered) == (3, 1)
+
+    def test_unsubscribed_gets_nothing_more(self):
+        bus = MetricBus()
+        sub, other = bus.subscribe(), bus.subscribe()
+        bus.publish(*tick(0, 1))
+        bus.unsubscribe(sub.sub_id)
+        bus.publish(*tick(1000, 1))
+        assert [m["t"] for m in sub.poll()] == [0, 0, 0]
+        assert [m["t"] for m in other.poll()] == [0, 0, 0, 1000, 1000, 1000]
+        assert (sub.delivered, other.delivered) == (3, 6)
+
+    def test_boundary_registered_between_ticks_alarms_on_the_next(self):
+        bus = MetricBus()
+        sub = bus.subscribe(kinds=("alarm",))
+        assert bus.publish(*tick(0, 9)) == []
+        bus.register_boundary(BoundaryCondition("hot", ("node", "n01"), "cpu_cores_used",
+                                                "max", 8, 1))
+        assert [(a.bc_id, a.t) for a in bus.publish(*tick(1000, 9))] == [("hot", 1000)]
+        assert [m["bc_id"] for m in sub.poll()] == ["hot"]
+
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_boundary_dropped_between_ticks_stops_alarming(self, drop):
+        bus = MetricBus()
+        bus.register_boundary(BoundaryCondition("hot", ("app", "app-1"), "cpu_cores_used",
+                                                "max", 8, 1))
+        fired = bus.publish(*tick(0, 9)) + bus.publish(*tick(1000, 1))  # alarm, re-arm
+        assert [a.t for a in fired] == [0]
+        if drop:
+            bus.drop_boundary("hot")
+        assert [a.t for a in bus.publish(*tick(2000, 9))] == ([] if drop else [2000])
+
+    def test_refused_sample_keeps_the_samples_before_it(self):
+        bus = MetricBus()
+        sub = bus.subscribe()
+        bus.publish(app_sample(2000))
+        sub.poll()
+        a, b, c = app_sample(3000, app_id="app-2"), app_sample(1000), app_sample(4000, app_id="app-3")
+        with pytest.raises(OutOfOrderSample):
+            bus.publish(a, b, c)
+        # as a single publish of `a` would have: stored and delivered
+        assert bus.query(("app", "app-2"), "cpu_cores_used", 0, 5000) == [(3000, 4)]
+        assert sub.poll() == [{**a._asdict(), "type": "sample"}]
+        assert sub.delivered == 2
+        # the call stops at `b`
+        assert bus.query(("app", "app-1"), "cpu_cores_used", 0, 5000) == [(2000, 4)]
+        assert ("app", "app-3") not in bus.series
 
 
 class TestBoundaryConditions:
