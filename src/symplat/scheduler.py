@@ -8,12 +8,17 @@ planned job is subtracted from the profile before the next job is planned,
 so a later job may slot in earlier only where it cannot delay any job
 planned before it.
 
-The plan is recomputed only when its inputs change: a mutation of the
-reservations, a renewed promise, or a `now` later than the earliest start
-the last computation found. While a plan is cached, `next_due` gives the
-first instant at which `activate_due` or `enforce_walltime` can act, so the
-platform consults the scheduler on a tick only from that instant on, or once
-a mutation has cleared or replaced the plan.
+The plan is recomputed only when its result can change: after a submit, a
+cancel of a queued job, a finish before the job's end, a grant that reduces
+usage, a `now` later than the earliest start the last computation found, or
+an activation or grant on a plan whose promise repair pinned a job. Every
+other change keeps the plan, or patches it into a new plan object, each by a
+proof written where it happens; a computation that renewed a promise is kept
+too, when it pinned no job. Each computation reuses one fit table per job
+shape. While a plan is cached, `next_due` gives the first instant at which
+`activate_due` or `enforce_walltime` can act, so the platform consults the
+scheduler on a tick only from that instant on, or once a mutation has cleared
+or replaced the plan.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .model import (
 )
 
 _ORIGIN = -(2**63)  # first breakpoint of every profile, before any reservation
+_FIT_TABLE_SIZE = 4096  # free vectors one fit table remembers before it starts over
 
 
 class InsufficientCapacity(SymplatError):
@@ -60,7 +66,12 @@ class DuplicateApp(SymplatError):
 
 
 class _FitCounts(dict):
-    """free vector -> how many copies of `need` fit in it, at most `limit`."""
+    """free vector -> how many copies of `need` fit in it, at most `limit`.
+
+    Holds at most _FIT_TABLE_SIZE vectors: a full table is emptied before it
+    takes the next one, so a table that lives as long as a `serve` stays
+    bounded.
+    """
 
     def __init__(self, need, limit):
         super().__init__()
@@ -74,6 +85,8 @@ class _FitCounts(dict):
                 count = min(count, f // q)
             elif f < q:
                 count = 0
+        if len(self) >= _FIT_TABLE_SIZE:
+            self.clear()
         self[free] = count = max(count, 0)
         return count
 
@@ -169,11 +182,17 @@ class AvailabilityProfile:
 @dataclass
 class SchedulePlan:
     """Planned start and placement per queued job, and the availability
-    profile of every node with all of them committed."""
+    profile of every node with all of them committed.
+
+    A plan is never changed in place: a kept plan that an activation or a
+    grant patches becomes a new object, so a reader that compares identity
+    (the platform's `next_due` skip) sees every change.
+    """
 
     planned: dict[str, tuple[int, dict[int, str]]]
     profile: dict[str, AvailabilityProfile]
     order: list[str]  # queued app_ids in FCFS order
+    pinned: set[str]  # jobs promise repair held at their promised start
 
 
 @dataclass
@@ -213,6 +232,9 @@ class ReservationScheduler:
         self._plan: SchedulePlan | None = None
         self._plan_span = (0, 0)  # the instants at which `_plan` is current
         self.replans = 0  # plan computations, cached returns excluded
+        # (per-task need, task_count) of each queued shape -> its fit table,
+        # kept across computations and pruned by each to the shapes queued
+        self._fits: dict[tuple[ResourceVector, int], _FitCounts] = {}
 
     # -- helpers -------------------------------------------------------------
 
@@ -239,14 +261,15 @@ class ReservationScheduler:
         queued = [(r.start_t, a) for a, r in self.live.items() if r.status == "Queued"]
         return [a for _, a in sorted(queued)]
 
-    def _earliest_fit(self, profile, need, wall, task_count, now):
-        """Earliest (start, placement) for `task_count` tasks of `need` on `profile`.
+    def _earliest_fit(self, profile, fit, wall, now):
+        """Earliest (start, placement) for `fit.limit` tasks of `fit.need` on
+        `profile`.
 
         Tasks go to nodes in node_id order, as many on each as fit over the
         whole window (first fit); the start is the first instant from `now`
         at which the nodes together hold all tasks.
         """
-        fit = _FitCounts(need, task_count)
+        task_count = fit.limit
         steps = sorted(
             (s, i, k) for i, nid in enumerate(self.node_ids)
             for s, k in profile[nid].fit_counts(fit, wall, now)
@@ -301,19 +324,33 @@ class ReservationScheduler:
         later `now` up to the earliest start that any pass computed (one
         instant before it for a job already past its promise, whose promise
         check reads `now`): up to there every earliest fit and every promise
-        check would come out the same. A computation that renewed a promise
-        is not kept, since the next one starts from the renewed promise.
+        check would come out the same.
+
+        A computation that renewed a promise is kept only when it pinned no
+        job, for then it is its own fixed point. Its one pass is the greedy
+        pass, which reads no promise, so a second computation at the same
+        `now` finds the same starts. A renewed promise equals its planned
+        start, so its job is no violator and no pin candidate, and it is past
+        its promise in neither computation. Every other promise is unchanged.
+        So the second computation finds the same violators, pins nothing, and
+        computes the same span. A computation that pinned a job and renewed a
+        promise is not kept: the next one repairs from the renewed promise.
         """
         since, until = self._plan_span
         if self._plan is not None and since <= now <= until:
             return self._plan
         self.replans += 1
         order = self._queued_order()
+        tables, self._fits = self._fits, {}  # only the shapes still queued keep theirs
         jobs = {}
         for app_id in order:
             res = self.reservations[app_id]
-            jobs[app_id] = (self.effective_per_task(res.per_task), res.walltime_ms(),
-                            self.specs[app_id].task_count)
+            shape = (self.effective_per_task(res.per_task), self.specs[app_id].task_count)
+            fit = tables.get(shape)
+            if fit is None:  # `is None`, not `or`: an empty table is falsy
+                fit = tables[shape] = _FitCounts(*shape)
+            self._fits[shape] = fit
+            jobs[app_id] = (fit, res.walltime_ms())
         base = self._active_profile()
         pinned: set[str] = set()
         until = float("inf")
@@ -321,16 +358,16 @@ class ReservationScheduler:
             profile = {n: p.copy() for n, p in base.items()}
             planned = {}
             for app_id in order:
-                need, wall, task_count = jobs[app_id]
+                fit, wall = jobs[app_id]
                 if app_id in pinned:
                     start, placement = self._promised[app_id]
                 else:
-                    start, placement = self._earliest_fit(profile, need, wall, task_count, now)
+                    start, placement = self._earliest_fit(profile, fit, wall, now)
                     past_promise = app_id in self._promised and self._promised[app_id][0] < start
                     until = min(until, start - 1 if past_promise else start)
                 planned[app_id] = (start, placement)
                 for nid, count in Counter(placement.values()).items():
-                    profile[nid].reserve(start, start + wall, [q * count for q in need])
+                    profile[nid].reserve(start, start + wall, [q * count for q in fit.need])
             violators = [
                 a for a in order
                 if a in self._promised and planned[a][0] > max(self._promised[a][0], now)
@@ -350,8 +387,8 @@ class ReservationScheduler:
             if a not in self._promised or planned[a][0] <= self._promised[a][0]:
                 renewed = renewed or self._promised.get(a) != planned[a]
                 self._promised[a] = planned[a]
-        plan = SchedulePlan(planned=planned, profile=profile, order=order)
-        self._plan = None if renewed else plan
+        plan = SchedulePlan(planned=planned, profile=profile, order=order, pinned=pinned)
+        self._plan = None if renewed and pinned else plan
         self._plan_span = (now, until)
         return plan
 
@@ -377,7 +414,24 @@ class ReservationScheduler:
         return due
 
     def activate_due(self, now):
-        """Start queued jobs whose planned start has arrived. Returns app_ids."""
+        """Start queued jobs whose planned start has arrived. Returns app_ids.
+
+        When the plan pinned no job, the plan without the started jobs is
+        kept. Each started job starts exactly at its planned start: a fresh
+        plan starts no job before `now`, and a cached one none before the end
+        of its span, which is at least `now`. So the job's reservation
+        commits the window and placement the plan reserved for it, and the
+        profiles are unchanged. For each job j still queued, the profile
+        before j in a fresh computation lacks no usage that the plan had
+        subtracted before j; it may also hold started jobs that came after j
+        in FCFS order. So it is at most the plan's, and j starts no earlier.
+        It is also at least the plan's final profile plus j's own usage, and
+        the final profile has no negative room where a planned job runs, so
+        j still fits at its planned start, on the same nodes in the same
+        first-fit counts. Nothing was pinned, so the greedy pass is the whole
+        computation. No promise changes, so the span is recomputed from the
+        start terms left.
+        """
         started = []
         plan = self.plan(now)
         for app_id in plan.order:
@@ -392,6 +446,13 @@ class ReservationScheduler:
                 started.append(app_id)
         if started:
             self._plan = None
+            if not plan.pinned:
+                planned = {a: plan.planned[a] for a in plan.order if a not in started}
+                self._plan = SchedulePlan(planned=planned, profile=plan.profile,
+                                          order=list(planned), pinned=plan.pinned)
+                self._plan_span = (now, min(
+                    (s - 1 if self._promised[a][0] < s else s for a, (s, _) in planned.items()),
+                    default=float("inf")))
         return started
 
     def request_adjustment(self, app_id, delta_per_task, extension_s, now):
@@ -400,6 +461,17 @@ class ReservationScheduler:
         Reductions are granted unconditionally. Increases and extensions are
         granted up to the largest amount that fits the current plan without
         delaying any planned start; extensions as the largest feasible prefix.
+
+        A grant that reduces nothing, on a plan that pinned no job, keeps the
+        plan's starts and patches its profiles. The grant was checked against
+        the plan's own profiles, so every planned job still fits at its
+        planned start, on the same nodes in the same first-fit counts. The
+        grant only takes capacity, so no profile a fresh computation builds
+        has more room than the plan's, and no job can start earlier. Nothing
+        was pinned, so the greedy pass is the whole computation, and with the
+        same starts and promises the span is the same. The job's new usage
+        over its new window replaces its old usage in the profiles of its
+        nodes. Any other grant clears the plan.
         """
         if app_id not in self.reservations:
             raise NoSuchApp(f"no app {app_id}")
@@ -453,6 +525,15 @@ class ReservationScheduler:
         res.per_task = res.per_task.add(granted_delta)
         res.end_t += granted_ext * 1000
         self._plan = None
+        if not plan.pinned and min(granted_delta) >= 0:
+            need = self.effective_per_task(res.per_task)
+            profile = dict(plan.profile)
+            for nid, count in counts.items():
+                others[nid].reserve(res.start_t, res.end_t, [q * count for q in need])
+                profile[nid] = others[nid]
+            self._plan = SchedulePlan(planned=plan.planned, profile=profile,
+                                      order=plan.order, pinned=plan.pinned)
+            self._plan_span = (now, self._plan_span[1])
         if res.app_id in self._drained and now < res.end_t - self.grace_ms:
             self._drained.discard(res.app_id)
         decision = "Granted" if fully else "PartiallyGranted"
@@ -488,9 +569,15 @@ class ReservationScheduler:
         return events
 
     def finish(self, app_id, now, status, last_checkpoint_t=None):
+        """End a running job. A finish at or after its end_t keeps the plan:
+        it releases nothing from `now` on, and no computation from `now` on
+        reads the profiles before `now`."""
         res = self.live.pop(app_id)
         res.status = status
-        self._plan = None
+        if now < res.end_t:
+            self._plan = None
+        else:
+            self._plan_span = (max(self._plan_span[0], now), self._plan_span[1])
         if status == "TerminatedWalltime":
             spec = self.specs[app_id]
             since = res.start_t if last_checkpoint_t is None else last_checkpoint_t
@@ -523,8 +610,8 @@ class ReservationScheduler:
             raise NotActive(f"app {app_id} is {res.status}, not Active")
         if not frozen and res.status != "Frozen":
             raise SymplatError("not_frozen", f"app {app_id} is not frozen")
+        # keeps the plan: planning and `next_due` count Active and Frozen alike
         res.status = "Frozen" if frozen else "Active"
-        self._plan = None
         return res
 
     def committed_at(self, t):

@@ -5,11 +5,17 @@ profiles and cached plans. (a) compares the two on random histories of
 submits, activations, releases, grows, extensions, cancels, completions and
 freezes, with promises made at one instant and broken at a later one; (b)
 compares them after every tick of the report corpus, which guards the cache
-of the current plan.
+of the current plan. Both also compare the plan's availability profiles from
+`now` on with those of a fresh computation, which guards the profiles that a
+kept plan carries forward (a grant patches them in place of a recomputation).
+(c) checks on the random histories that a computation which renewed a
+promise and pinned no job is its own fixed point, which is why it is kept.
 """
 
+import copy
 import os
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -24,11 +30,39 @@ GIB = 1 << 30
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def fresh_copy(sched):
+    """A copy of `sched` with no cached plan and no fit tables, on which
+    `ReservationScheduler.plan` computes from scratch. A computation writes
+    only the promises, the cache and its span, the fit tables and the
+    counter, so the copy holds its own of those and shares the rest."""
+    fresh = copy.copy(sched)
+    fresh._promised = dict(sched._promised)
+    fresh._plan = None
+    fresh._fits = {}
+    return fresh
+
+
+def steps_from(profile, now):
+    """The step function of `profile` over [now, inf) as [(t, free)], with
+    no two neighbours equal."""
+    i = bisect_right(profile.times, now) - 1
+    steps = [(now, tuple(profile.free[i]))]
+    for t, free in zip(profile.times[i + 1:], profile.free[i + 1:]):
+        if tuple(free) != steps[-1][1]:
+            steps.append((t, tuple(free)))
+    return steps
+
+
 def assert_same_plan(sched, now, context):
-    expected = reference_plan(sched, now)  # before plan(): it may renew promises
+    # both before plan(): it may renew promises
+    expected = reference_plan(sched, now)
+    fresh = ReservationScheduler.plan(fresh_copy(sched), now)
     got = sched.plan(now)
     assert got.order == expected.order, context
     assert got.planned == expected.planned, context
+    for nid in sched.node_ids:
+        assert steps_from(got.profile[nid], now) == steps_from(fresh.profile[nid], now), \
+            f"{context}: profile of {nid}"
 
 
 def random_nodes(rng):
@@ -84,17 +118,19 @@ def random_step(rng, sched, now, serial):
         sched.set_frozen(app_id, app_id in active)
 
 
-@pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
-def test_random_queues_match_reference(io_reservations):
-    rng = random.Random(11 if io_reservations else 12)
-    compared = 0
+def random_histories(seed, io_reservations, check, make=ReservationScheduler):
+    """Run 500 random histories on schedulers from `make`, calling
+    check(sched, now, context) after every step and at quiet instants.
+    Returns how many checks were made."""
+    rng = random.Random(seed)
+    checks = 0
     for trial in range(500):
-        sched = ReservationScheduler(random_nodes(rng), io_reservations=io_reservations)
+        sched = make(random_nodes(rng), io_reservations=io_reservations)
         now = 0
         for step in range(rng.randint(3, 10)):
             random_step(rng, sched, now, step)
-            assert_same_plan(sched, now, f"trial {trial} step {step} at {now}")
-            compared += 1
+            check(sched, now, f"trial {trial} step {step} at {now}")
+            checks += 1
             # quiet instants, where the plan may come from the cache: some
             # later, some exactly at the next planned start, where it expires
             for _ in range(rng.randint(0, 2)):
@@ -103,9 +139,52 @@ def test_random_queues_match_reference(io_reservations):
                     now = min(starts)
                 else:
                     now += rng.choice([0, 1000, 60_000, 300_000])
-                assert_same_plan(sched, now, f"trial {trial} step {step} quiet at {now}")
+                check(sched, now, f"trial {trial} step {step} quiet at {now}")
+                checks += 1
             now += rng.choice([0, 1000, 30_000, 120_000])
-    assert compared >= 1000
+    return checks
+
+
+@pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
+def test_random_queues_match_reference(io_reservations):
+    seed = 11 if io_reservations else 12
+    assert random_histories(seed, io_reservations, assert_same_plan) >= 1000
+
+
+class FixedPointScheduler(ReservationScheduler):
+    """After every computation that renewed a promise and pinned no job,
+    computes again at the same instant on a copy and checks that the second
+    computation finds the same plan and span and renews nothing."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fixed_points = 0
+
+    def plan(self, now):
+        replans, promised = self.replans, dict(self._promised)
+        plan = super().plan(now)
+        if self.replans > replans and self._promised != promised and not plan.pinned:
+            again = fresh_copy(self)
+            second = ReservationScheduler.plan(again, now)
+            context = f"renewed at {now}"
+            assert second.order == plan.order and second.planned == plan.planned, context
+            assert again._plan_span == self._plan_span, context
+            assert again._promised == self._promised, context
+            self.fixed_points += 1
+        return plan
+
+
+@pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
+def test_a_renewing_computation_is_its_own_fixed_point(io_reservations):
+    schedulers = set()
+
+    def check(sched, now, context):
+        schedulers.add(sched)
+        sched.plan(now)
+
+    random_histories(21 if io_reservations else 22, io_reservations, check,
+                     make=FixedPointScheduler)
+    assert sum(s.fixed_points for s in schedulers) >= 1000
 
 
 def corpus():

@@ -372,6 +372,33 @@ class TestEventDrivenReplan:
         assert ticks == 14401
         assert runner.core.scheduler.replans <= 10
 
+    def test_changes_that_cannot_move_a_start_keep_the_plan(self):
+        sched = ReservationScheduler(two_node_cluster())
+        sched.submit(make_spec("short", cores=8, walltime=600), now=0)
+        sched.submit(make_spec("long", cores=12, walltime=3600), now=0)
+        sched.submit(make_spec("wide", cores=16, tasks=2, walltime=600), now=0)
+        assert sorted(sched.activate_due(0)) == ["long", "short"]
+        assert sched.plan(0).planned["wide"][0] == 3_600_000
+        replans = sched.replans
+        sched.set_frozen("long", True)
+        sched.set_frozen("long", False)
+        decision, _, ext, _ = sched.request_adjustment(
+            "short", ResourceVector(cpu_cores=8), 600, 1000)
+        assert (decision, ext) == ("Granted", 600)
+        sched.finish("short", 1_200_000, "TerminatedWalltime")  # at its end_t
+        assert sched.plan(1_200_000).planned["wide"][0] == 3_600_000
+        assert sched.replans == replans
+        sched.request_adjustment("long", ResourceVector(cpu_cores=-4), 0, 1_200_000)
+        sched.plan(1_200_000)
+        assert sched.replans == replans + 1  # a reduction can move a start earlier
+
+    def test_deep_backlog_computes_at_most_22_plans(self):
+        # 44 when every activation, grant, freeze and renewed promise replanned
+        path = os.path.join(ROOT, "perfbench", "inputs", "deep-backlog.yaml")
+        runner = ScenarioRunner(load_scenario(path))
+        runner.run()
+        assert runner.core.scheduler.replans <= 22
+
 
 def random_queue(rng, sched, n_jobs):
     t = 0
