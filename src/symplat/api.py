@@ -21,7 +21,7 @@ import threading
 import time
 import traceback
 
-from .core import ApiError
+from .model import SymplatError
 from .telemetry import CHANNEL_DEPTH, Channel
 
 MAX_LINE_BYTES = 1 << 20
@@ -136,7 +136,7 @@ class _ConnectionHandler:
         try:
             result = self.server.core.handle(op, payload, tenant=self.tenant,
                                              operator=self.operator, outbox=self.outbox)
-        except ApiError as exc:
+        except SymplatError as exc:
             return _error(msg_id, exc.code, str(exc))
         return {"id": msg_id, "result": result}
 
@@ -163,13 +163,13 @@ class _ConnectionHandler:
         what is still needed, or close once the connection is done."""
         if events & selectors.EVENT_READ:
             self._read()
-        held = bool(self._rbuf) and self._answer_lines()
-        if not self._write():
-            return self.close()
-        while held and not self._backlogged():  # a full send ended the backlog
-            held = self._answer_lines()
+        held = bool(self._rbuf)
+        while True:
+            held = held and self._answer_lines()
             if not self._write():
                 return self.close()
+            if not held or self._backlogged():  # else a full send ended the backlog
+                break
         wanted = (selectors.EVENT_READ if self.reading and not held else 0) | (
             selectors.EVENT_WRITE if self._wbuf else 0)
         if wanted:
@@ -303,7 +303,7 @@ class WireClient:
             msg = self._read_message()
             if msg.get("id") == msg_id:
                 if "error" in msg:
-                    raise ApiError(msg["error"]["code"], msg["error"]["message"])
+                    raise SymplatError(msg["error"]["code"], msg["error"]["message"])
                 return msg["result"]
             self.pushes.append(msg)
 

@@ -15,8 +15,9 @@ import time
 import yaml
 
 from .api import WireClient, WireServer
-from .core import ApiError, PlatformCore
+from .core import PlatformCore
 from .harness import run_scenario
+from .model import SymplatError
 from .scenario import ParseError, ValidationError, load_scenario
 
 DEFAULT_LISTEN = "127.0.0.1:7077"
@@ -26,8 +27,8 @@ def _listen(args):
     return args.connect or os.environ.get("CHPC_LISTEN") or DEFAULT_LISTEN
 
 
-def _client(args, operator=False):
-    return WireClient(_listen(args), tenant=args.tenant, operator=operator)
+def _client(args, **kwargs):
+    return WireClient(_listen(args), tenant=args.tenant, **kwargs)
 
 
 def _load(path):
@@ -96,8 +97,9 @@ def cmd_submit(args):
     return _request(args, "submit", {"spec": spec})
 
 
-def cmd_status(args):
-    return _request(args, "status", {"app_id": args.app_id})
+def cmd_one_argument(args):
+    return _request(args, args.op, {args.argument: getattr(args, args.argument)},
+                    operator=args.operator)
 
 
 def cmd_adjust(args):
@@ -107,20 +109,9 @@ def cmd_adjust(args):
     return _request(args, "adjust", payload)
 
 
-def cmd_freeze(args):
-    return _request(args, "freeze_app", {"app_id": args.app_id}, operator=True)
-
-
-def cmd_thaw(args):
-    return _request(args, "thaw_app", {"app_id": args.app_id}, operator=True)
-
-
-def cmd_drain(args):
-    return _request(args, "drain_node", {"node_id": args.node_id}, operator=True)
-
-
 def cmd_metrics(args):
-    client = _client(args)
+    # a follower waits for pushes as long as the server runs, however quiet
+    client = _client(args, timeout=None) if args.follow else _client(args)
     payload = {}
     if args.app_id:
         payload["subject"] = {"kind": "app", "id": args.app_id}
@@ -188,11 +179,6 @@ def build_parser():
     add_client_args(cp)
     cp.set_defaults(func=cmd_submit)
 
-    cp = sub.add_parser("status", help="reservation and logical status of an app")
-    cp.add_argument("app_id")
-    add_client_args(cp)
-    cp.set_defaults(func=cmd_status)
-
     cp = sub.add_parser("adjust", help="request a resource/walltime adjustment")
     cp.add_argument("app_id")
     cp.add_argument("--delta", help="JSON resource delta per task")
@@ -200,20 +186,16 @@ def build_parser():
     add_client_args(cp)
     cp.set_defaults(func=cmd_adjust)
 
-    cp = sub.add_parser("freeze", help="freeze an app (operator)")
-    cp.add_argument("app_id")
-    add_client_args(cp)
-    cp.set_defaults(func=cmd_freeze)
-
-    cp = sub.add_parser("thaw", help="thaw a frozen app (operator)")
-    cp.add_argument("app_id")
-    add_client_args(cp)
-    cp.set_defaults(func=cmd_thaw)
-
-    cp = sub.add_parser("drain", help="drain a node (operator)")
-    cp.add_argument("node_id")
-    add_client_args(cp)
-    cp.set_defaults(func=cmd_drain)
+    # the commands that send one request naming one app or node
+    for name, op, argument, operator, help_ in (
+            ("status", "status", "app_id", False, "reservation and logical status of an app"),
+            ("freeze", "freeze_app", "app_id", True, "freeze an app (operator)"),
+            ("thaw", "thaw_app", "app_id", True, "thaw a frozen app (operator)"),
+            ("drain", "drain_node", "node_id", True, "drain a node (operator)")):
+        cp = sub.add_parser(name, help=help_)
+        cp.add_argument(argument)
+        add_client_args(cp)
+        cp.set_defaults(func=cmd_one_argument, op=op, argument=argument, operator=operator)
 
     cp = sub.add_parser("metrics", help="stream samples and alarms")
     cp.add_argument("--app-id")
@@ -246,7 +228,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return 2
-    except ApiError as exc:
+    except SymplatError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # a malformed address or --delta

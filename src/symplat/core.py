@@ -27,9 +27,6 @@ from .model import (
 from .scheduler import ReservationScheduler
 from .telemetry import EVENT_KINDS, BoundaryCondition, MetricBus
 
-# Every refused operation raises this base (or a subclass) with its wire code.
-ApiError = SymplatError
-
 OPERATOR_OPS = {"drain_node", "freeze_app", "thaw_app"}
 SYMMETRIC_ONLY_OPS = {"adjust", "register_boundary", "drop_boundary",
                       "subscribe_metrics", "subscribe_events"}
@@ -131,7 +128,7 @@ class PlatformCore:
     # operation table
 
     def handle(self, op, payload, tenant=None, operator=False, outbox=None):
-        """Run one API operation. Raises ApiError with a machine-readable code.
+        """Run one API operation. Raises SymplatError with a machine-readable code.
 
         `outbox` is the caller's wire connection channel: subscriptions made
         by this call deliver into it, and only its own subscriptions (or any,
@@ -139,17 +136,17 @@ class PlatformCore:
         """
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
-            raise ApiError("unknown_op", f"unknown operation {op!r}")
+            raise SymplatError("unknown_op", f"unknown operation {op!r}")
         if op in OPERATOR_OPS and not operator:
-            raise ApiError("forbidden", f"{op} requires the operator flag")
+            raise SymplatError("forbidden", f"{op} requires the operator flag")
         if op in SYMMETRIC_ONLY_OPS and self.mode != "symmetric":
-            raise ApiError("policy_disabled", f"{op} is not available in asymmetric mode")
+            raise SymplatError("policy_disabled", f"{op} is not available in asymmetric mode")
         if not isinstance(payload, dict):
-            raise ApiError("malformed_message", "payload must be an object")
+            raise SymplatError("malformed_message", "payload must be an object")
         try:
             return handler(payload, tenant=tenant, operator=operator, outbox=outbox)
         except KeyError as exc:
-            raise ApiError("malformed_message", f"missing field {exc}") from exc
+            raise SymplatError("malformed_message", f"missing field {exc}") from exc
         except (TypeError, AttributeError) as exc:  # a field of the wrong type
             raise InvalidValue(f"malformed field: {exc}") from exc
 
@@ -157,21 +154,21 @@ class PlatformCore:
         if operator:
             return
         if app_id not in self.owners:
-            raise ApiError("no_such_app", f"no app {app_id}")
+            raise SymplatError("no_such_app", f"no app {app_id}")
         if tenant is not None and self.owners[app_id] != tenant:
-            raise ApiError("forbidden", f"app {app_id} belongs to another tenant")
+            raise SymplatError("forbidden", f"app {app_id} belongs to another tenant")
 
     def _op_register_image(self, payload, tenant=None, **_):
         img = model.EnvironmentImage.from_json(payload)
         if img.image_id in self.images:
-            raise ApiError("duplicate_image", f"image {img.image_id} already registered")
+            raise SymplatError("duplicate_image", f"image {img.image_id} already registered")
         self.images[img.image_id] = img
         return {"image_id": img.image_id}
 
     def _op_submit(self, payload, tenant=None, **_):
         spec = model.ApplicationSpec.from_json(payload["spec"])
         if spec.kind == "container" and spec.image not in self.images:
-            raise ApiError("unknown_image", f"image {spec.image!r} is not registered")
+            raise SymplatError("unknown_image", f"image {spec.image!r} is not registered")
         res = self.scheduler.submit(spec, self.now)
         self.owners[spec.app_id] = tenant or "anonymous"
         self._record_lifecycle("Submitted", spec.app_id, self.now)
@@ -194,7 +191,7 @@ class PlatformCore:
         app_id = payload["app_id"]
         res = self.scheduler.reservations.get(app_id)
         if res is None:
-            raise ApiError("no_such_app", f"no app {app_id}")
+            raise SymplatError("no_such_app", f"no app {app_id}")
         app = self.engine.apps.get(app_id)
         status = app.status if app else LogicalStatus(updated_at=self.now)
         out = {"reservation": res.to_json(), "logical": status.to_json()}
@@ -205,7 +202,7 @@ class PlatformCore:
     def _op_physical_model(self, payload, **_):
         app_id = payload["app_id"]
         if app_id not in self.owners:
-            raise ApiError("no_such_app", f"no app {app_id}")
+            raise SymplatError("no_such_app", f"no app {app_id}")
         if app_id in self.engine.apps:
             samples = self.engine.last_samples(app_id)
         else:
@@ -229,7 +226,7 @@ class PlatformCore:
         self._require_owner(app_id, tenant, operator)
         app = self.engine.apps.get(app_id)
         if app is None:
-            raise ApiError("no_such_app", f"app {app_id} is not running")
+            raise SymplatError("no_such_app", f"app {app_id} is not running")
         requested = LogicalStatus(
             state=payload.get("state", app.status.state),
             progress=payload.get("progress", app.status.progress),
@@ -294,20 +291,20 @@ class PlatformCore:
         sub_id = payload["subscription_id"]
         sub = self.bus.subscriptions.get(sub_id)
         if sub is not None and not operator and sub.outbox is not outbox:
-            raise ApiError("forbidden", f"subscription {sub_id} belongs to another connection")
+            raise SymplatError("forbidden", f"subscription {sub_id} belongs to another connection")
         self.bus.unsubscribe(sub_id)
         return {"subscription_id": sub_id}
 
     def poll_subscription(self, sub_id):
         sub = self.bus.subscriptions.get(sub_id)
         if sub is None:
-            raise ApiError("unknown_subscription", f"no subscription {sub_id}")
+            raise SymplatError("unknown_subscription", f"no subscription {sub_id}")
         return sub.poll()
 
     def _op_drain_node(self, payload, **_):
         node_id = payload["node_id"]
         if node_id not in self.scheduler.capacity:
-            raise ApiError("no_such_node", f"no node {node_id}")
+            raise SymplatError("no_such_node", f"no node {node_id}")
         drained = []
         for app_id in sorted(self.engine.apps):
             app = self.engine.apps[app_id]

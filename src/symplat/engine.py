@@ -114,7 +114,6 @@ class TaskRuntime:
 @dataclass
 class AppRuntime:
     app_id: str
-    kind: str
     trace: tuple
     reserved: ResourceVector  # per task
     tasks: dict[int, TaskRuntime] = field(default_factory=dict)
@@ -154,7 +153,6 @@ class SimEngine:
     def add_app(self, spec, placement, now):
         app = AppRuntime(
             app_id=spec.app_id,
-            kind=spec.kind,
             trace=spec.trace,
             reserved=spec.per_task_reservation,
             status=LogicalStatus(state="Running", progress=0.0, updated_at=now),

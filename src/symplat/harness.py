@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import ApiError, PlatformCore
+from .core import PlatformCore
+from .model import SymplatError
 
 
 @dataclass
@@ -75,7 +76,7 @@ class ScenarioRunner:
         try:
             result = self.core.handle(op, payload, tenant=tenant, operator=operator)
             entry["result"] = result
-        except ApiError as exc:
+        except SymplatError as exc:
             entry["error"] = {"code": exc.code, "message": str(exc)}
         self.op_log.append(entry)
         return entry

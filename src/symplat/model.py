@@ -15,16 +15,6 @@ TICK_MS = 1000
 _COMPONENT_MAX = 2**63 - 1
 
 LOGICAL_STATES = ("Running", "Checkpointing", "Restoring", "Idle", "Error")
-ENV_EVENTS = ("Draining", "Terminating", "Adjusting", "Freezing", "Thawed")
-RESERVATION_STATUSES = (
-    "Queued",
-    "Active",
-    "Frozen",
-    "Completed",
-    "TerminatedWalltime",
-    "TerminatedError",
-    "Cancelled",
-)
 PHASE_KINDS = ("compute", "fs_io", "net_io", "checkpoint", "idle")
 
 
@@ -168,14 +158,6 @@ class EnvironmentImage:
     owner: str
     content_digest: str
 
-    def to_json(self):
-        return {
-            "image_id": self.image_id,
-            "name": self.name,
-            "owner": self.owner,
-            "content_digest": self.content_digest,
-        }
-
     @classmethod
     def from_json(cls, obj):
         return cls(
@@ -299,10 +281,6 @@ class LogicalStatus:
     def to_json(self):
         return {"state": self.state, "progress": self.progress, "updated_at": self.updated_at}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(state=obj["state"], progress=obj["progress"], updated_at=obj["updated_at"])
-
 
 def logical_transition(current, requested, now, checkpoint_progress=0.0):
     """Apply an application-requested logical state change.
@@ -347,17 +325,6 @@ class PlatformEnvEvent:
             obj["detail"] = self.detail.to_json()
         return obj
 
-    @classmethod
-    def from_json(cls, obj):
-        detail = obj.get("detail")
-        return cls(
-            event=obj["event"],
-            app_id=obj["app_id"],
-            reason=obj["reason"],
-            effective_at=obj["effective_at"],
-            detail=ResourceVector.from_json(detail) if detail is not None else None,
-        )
-
 
 class PhysicalSample(NamedTuple):
     t: int
@@ -376,11 +343,6 @@ class PhysicalSample(NamedTuple):
     def to_json(self):
         return self._asdict()
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**{k: obj[k] for k in ("t", "app_id", "task_id", "node_id")},
-                   **{m: obj.get(m, 0) for m in SAMPLE_METRICS})
-
 
 SAMPLE_METRICS = PhysicalSample._fields[4:]
 
@@ -398,11 +360,6 @@ class NodeSample(NamedTuple):
 
     def to_json(self):
         return self._asdict()
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(t=obj["t"], node_id=obj["node_id"],
-                   **{m: obj.get(m, 0) for m in NODE_METRICS})
 
 
 NODE_METRICS = NodeSample._fields[2:]
@@ -436,14 +393,3 @@ class Reservation:
             "end_t": self.end_t,
             "status": self.status,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(
-            app_id=obj["app_id"],
-            placement={int(k): v for k, v in obj["placement"].items()},
-            per_task=ResourceVector.from_json(obj["per_task"]),
-            start_t=obj["start_t"],
-            end_t=obj["end_t"],
-            status=obj["status"],
-        )

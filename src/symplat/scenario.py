@@ -63,6 +63,11 @@ def scenario_from_dict(doc, name="<scenario>"):
     duration_s = _require(doc, "duration_s", "duration_s")
     if not isinstance(duration_s, int) or duration_s < 0:
         raise ValidationError("duration_s must be a non-negative integer", "duration_s")
+    limits = {}
+    for key, default, least in (("grace_s", 60, 0), ("retention_s", 3600, 1)):
+        value = limits[key] = doc.get(key, default)
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise ValidationError(f"{key} must be an integer >= {least}", key)
 
     nodes = []
     for i, n in enumerate(doc.get("cluster", [])):
@@ -128,8 +133,7 @@ def scenario_from_dict(doc, name="<scenario>"):
         images=images,
         apps=sorted(apps, key=lambda a: (a[1], a[0].app_id)),
         script=script,
-        grace_s=doc.get("grace_s", 60),
-        retention_s=doc.get("retention_s", 3600),
+        **limits,
     )
 
 
@@ -145,7 +149,4 @@ def load_scenario(path):
         if mark is not None:
             line = mark.line + 1
         raise ParseError(str(exc).replace("\n", " "), path, line) from exc
-    try:
-        return scenario_from_dict(doc, name=str(path))
-    except ValidationError as exc:
-        raise ValidationError(str(exc), exc.fieldpath) from exc
+    return scenario_from_dict(doc, name=str(path))

@@ -74,7 +74,6 @@ class BoundaryCondition:
     bound: str  # "min" | "max"
     threshold: int
     window_s: int
-    subscriber: str | None = None
 
     def validate(self):
         if self.subject[0] not in ("app", "node"):
@@ -88,17 +87,6 @@ class BoundaryCondition:
         if self.window_s < 1:
             raise InvalidBoundary("window_s must be >= 1")
 
-    def to_json(self):
-        return {
-            "bc_id": self.bc_id,
-            "subject": {"kind": self.subject[0], "id": self.subject[1]},
-            "metric": self.metric,
-            "bound": self.bound,
-            "threshold": self.threshold,
-            "window_s": self.window_s,
-            "subscriber": self.subscriber,
-        }
-
     @classmethod
     def from_json(cls, obj):
         return cls(
@@ -108,7 +96,6 @@ class BoundaryCondition:
             bound=obj["bound"],
             threshold=obj["threshold"],
             window_s=obj["window_s"],
-            subscriber=obj.get("subscriber"),
         )
 
 

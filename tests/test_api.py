@@ -7,7 +7,7 @@ import time
 import pytest
 
 from symplat.api import MAX_LINE_BYTES, WireClient, WireServer, parse_listen
-from symplat.core import ApiError, PlatformCore
+from symplat.core import PlatformCore
 from symplat.model import (
     ApplicationSpec,
     EnvironmentImage,
@@ -15,6 +15,7 @@ from symplat.model import (
     NodeSpec,
     Phase,
     ResourceVector,
+    SymplatError,
 )
 from symplat.telemetry import CHANNEL_DEPTH
 
@@ -94,7 +95,7 @@ class TestHandshake:
         client.request("submit", {"spec": app_spec().to_json()})
         client.close()
         bob = WireClient(server.address, tenant="bob")
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             bob.request("cancel", {"app_id": "solver-1"})
         assert err.value.code == "forbidden"
         bob.close()
@@ -284,14 +285,14 @@ class TestOperations:
     def test_operator_ops_require_flag(self, server):
         client = WireClient(server.address, tenant="alice", operator=False)
         client.request("submit", {"spec": app_spec().to_json()})
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             client.request("freeze_app", {"app_id": "solver-1"})
         assert err.value.code == "forbidden"
         client.close()
 
     def test_unknown_op(self, server):
         client = WireClient(server.address)
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             client.request("warp_drive", {})
         assert err.value.code == "unknown_op"
         client.close()
@@ -300,7 +301,7 @@ class TestOperations:
         client = WireClient(server.address)
         payload = app_spec().to_json()
         payload["image"] = "no-such-image"
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             client.request("submit", {"spec": payload})
         assert err.value.code == "unknown_image"
         client.close()
@@ -311,7 +312,7 @@ class TestOperations:
         with server.core_lock:
             server.core.tick()  # activates the app
         client.request("set_logical_state", {"app_id": "solver-1", "state": "Error"})
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             client.request("set_logical_state", {"app_id": "solver-1", "state": "Running"})
         assert err.value.code == "terminal_state"
         client.close()
@@ -436,11 +437,11 @@ class TestEventSubscriptions:
 
 
 class TestErrorCodes:
-    """Every layer's refusals reach API callers as ApiError with their own code."""
+    """Every layer's refusals reach API callers as SymplatError with their own code."""
 
     def refusal(self, op, payload):
         core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             core.handle(op, payload, tenant="alice")
         return err.value.code
 
@@ -470,7 +471,7 @@ class TestErrorCodes:
         for _ in range(10):
             core.tick()
         assert core.scheduler.reservations["short"].status == "Completed"
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             core.handle("cancel", {"app_id": "short"}, tenant="alice")
         assert err.value.code == "not_active"
         assert core.scheduler.reservations["short"].status == "Completed"
@@ -482,7 +483,7 @@ class TestErrorCodes:
         def refusal(op):
             try:
                 core.handle(op, {"app_id": "solver-1"}, operator=True)
-            except ApiError as exc:
+            except SymplatError as exc:
                 return exc.code
             return None
 
@@ -509,7 +510,7 @@ class TestErrorCodes:
         core.tick()  # activates the app
         before = core.scheduler.reservations["solver-1"].to_json()
         payload = {"app_id": "solver-1", "delta_per_task": {"cpu_cores": 1}, field: value}
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             core.handle("adjust", payload, tenant="alice")
         assert err.value.code == "invalid_value"
         assert core.scheduler.reservations["solver-1"].to_json() == before
@@ -529,7 +530,7 @@ class TestErrorCodes:
         core.tick()  # activates the app
         before = (core.scheduler.reservations["solver-1"].to_json(),
                   core.engine.apps["solver-1"].status, len(core.event_log))
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             core.handle(op, payload, tenant="alice")
         assert err.value.code == "invalid_value"
         assert (core.scheduler.reservations["solver-1"].to_json(),
@@ -539,7 +540,7 @@ class TestErrorCodes:
     def test_malformed_field_keeps_the_connection(self, server):
         client = WireClient(server.address, tenant="alice")
         client.request("submit", {"spec": app_spec().to_json()})
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             client.request("status", {"app_id": ["solver-1"]})
         assert err.value.code == "invalid_value"
         out = client.request("status", {"app_id": "solver-1"})
@@ -549,7 +550,7 @@ class TestErrorCodes:
     def test_malformed_hello_keeps_the_connection(self, server):
         client = WireClient(server.address, tenant="alice")
         for payload in (["a"], "alice"):
-            with pytest.raises(ApiError) as err:
+            with pytest.raises(SymplatError) as err:
                 client.request("hello", payload)
             assert err.value.code == "malformed_message"
         assert client.request("hello", {"tenant": "bob"}) == {"tenant": "bob", "operator": False}
@@ -560,7 +561,7 @@ class TestErrorCodes:
         client.request("submit", {"spec": app_spec().to_json()})
         with server.core_lock:
             server.core.tick()  # activates the app
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             client.request("adjust", {"app_id": "solver-1", "walltime_extension_s": "10"})
         assert err.value.code == "invalid_value"
         out = client.request("adjust", {"app_id": "solver-1", "walltime_extension_s": 10})
@@ -573,7 +574,7 @@ class TestSubscriptionOwnership:
         alice = WireClient(server.address, tenant="alice")
         other = WireClient(server.address, tenant="alice")
         sub_id = alice.request("subscribe_metrics", {})["subscription_id"]
-        with pytest.raises(ApiError) as err:
+        with pytest.raises(SymplatError) as err:
             other.request("unsubscribe", {"subscription_id": sub_id})
         assert err.value.code == "forbidden"
         assert sub_id in server.core.bus.subscriptions
@@ -611,7 +612,7 @@ class TestAsymmetricPolicy:
                 ("subscribe_metrics", {}),
                 ("subscribe_events", {}),
             ]:
-                with pytest.raises(ApiError) as err:
+                with pytest.raises(SymplatError) as err:
                     client.request(op, payload)
                 assert err.value.code == "policy_disabled", op
             client.close()

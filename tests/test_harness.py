@@ -1,8 +1,11 @@
+import functools
 import json
 import textwrap
+import threading
 
 import pytest
 
+from symplat import api, cli
 from symplat.api import WireServer
 from symplat.cli import main
 from symplat.core import PlatformCore
@@ -86,6 +89,29 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError) as err:
             scenario_from_dict(doc)
         assert err.value.fieldpath == "script[0]"
+
+    def test_file_error_names_the_field_path_once(self, tmp_path):
+        doc = scenario_doc()
+        doc["apps"][0]["spec"]["task_count"] = 0
+        path = tmp_path / "zero-tasks.yaml"
+        path.write_text(json.dumps(doc))  # JSON is YAML
+        with pytest.raises(ValidationError) as err:
+            load_scenario(str(path))
+        assert str(err.value) == "apps[0]: app tiny: task_count must be >= 1"
+
+    @pytest.mark.parametrize("field, value", [
+        ("grace_s", "60"), ("grace_s", -1), ("grace_s", True),
+        ("retention_s", 0), ("retention_s", 1.5), ("retention_s", False),
+    ])
+    def test_grace_and_retention_must_be_integers_in_range(self, field, value):
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(scenario_doc(**{field: value}))
+        assert err.value.fieldpath == field
+
+    def test_least_grace_and_retention_run(self):
+        scenario = scenario_from_dict(scenario_doc(grace_s=0, retention_s=1))
+        assert (scenario.grace_s, scenario.retention_s) == (0, 1)
+        assert run_scenario(scenario).apps["tiny"] == "Completed"
 
     def test_yaml_syntax_error_carries_location(self, tmp_path):
         bad = tmp_path / "broken.yaml"
@@ -184,6 +210,13 @@ class TestCli:
         assert main(["validate", str(bad)]) == 2
         assert "duration_s" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("grace_s", "60"), ("retention_s", 0)])
+    def test_run_of_invalid_limits_is_usage_error(self, field, value, tmp_path, capsys):
+        path = tmp_path / "limits.yaml"
+        path.write_text(json.dumps(scenario_doc(**{field: value})))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -224,8 +257,31 @@ class TestCli:
                     adjust["granted_extension_s"]) == ("Granted", 2, 30)
             report = run("report", "--t0", "0", "--t1", "1")
             assert report == core.scheduler.utilization_report(0, 1000).to_json()
-            # freeze is an operator command: the client must say so in its hello
+            # freeze, thaw and drain are operator commands: the client must say
+            # so in its hello
             assert run("freeze", "tiny") == {"app_id": "tiny", "frozen": True}
             assert core.scheduler.reservations["tiny"].status == "Frozen"
+            assert run("thaw", "tiny") == {"app_id": "tiny", "frozen": False}
+            assert core.scheduler.reservations["tiny"].status == "Active"
+            assert run("drain", "n01") == {"node_id": "n01", "draining": ["tiny"]}
+            assert core.event_log[-1]["event"] == "Draining"
         finally:
             server.stop()
+
+    def test_metrics_follow_waits_out_a_quiet_stream(self, tmp_path, monkeypatch):
+        # a client timeout shorter than the wait: following must outlast it
+        monkeypatch.setattr(cli, "WireClient", functools.partial(api.WireClient, timeout=0.3))
+        scen = scenario_from_dict(MINIMAL)
+        sock = str(tmp_path / "symplat.sock")
+        server = WireServer(PlatformCore(scen.nodes, scen.images), sock).start()  # no clock
+        codes = []
+        follower = threading.Thread(
+            target=lambda: codes.append(main(["metrics", "--follow", "--connect", sock])))
+        follower.start()
+        try:
+            follower.join(1.0)
+            assert follower.is_alive(), codes
+        finally:
+            server.stop()
+        follower.join(5.0)
+        assert not follower.is_alive() and codes == [0]

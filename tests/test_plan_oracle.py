@@ -10,6 +10,8 @@ of the current plan. Both also compare the plan's availability profiles from
 kept plan carries forward (a grant patches them in place of a recomputation).
 (c) checks on the random histories that a computation which renewed a
 promise and pinned no job is its own fixed point, which is why it is kept.
+(d) repeats (a) on grow-heavy histories, whose grants reduce nothing, the
+case in which a grant keeps the plan.
 """
 
 import copy
@@ -88,8 +90,21 @@ def random_spec(rng, app_id):
     )
 
 
-def random_step(rng, sched, now, serial):
-    """Apply one random scheduler operation at `now`."""
+def random_adjust(rng, sched, active, now, grow=False):
+    """Adjust a random Active job; with `grow`, by a delta with no negative
+    component."""
+    cpu, fs = ((0, 2, 4, 8), (0, 0, 100 * 10**6, 200 * 10**6)) if grow else (
+        (-4, -2, 2, 8), (0, 0, -100 * 10**6, 200 * 10**6))
+    delta = ResourceVector(cpu_cores=rng.choice(cpu), fs_bps=rng.choice(fs))
+    ext = rng.choice([0, 0, 60, 600])
+    if delta.is_zero() and ext == 0:
+        ext = 60
+    sched.request_adjustment(rng.choice(active), delta, ext, now)
+
+
+def random_step(rng, sched, now, serial, grow=False):
+    """Apply one random scheduler operation at `now`; with `grow`, its
+    adjusts reduce nothing."""
     live = sorted(a for a, r in sched.reservations.items()
                   if r.status in ("Queued", "Active", "Frozen"))
     active = [a for a in live if sched.reservations[a].status == "Active"]
@@ -106,30 +121,35 @@ def random_step(rng, sched, now, serial):
     elif roll < 0.76 and active:
         sched.finish(rng.choice(active), now, "Completed")
     elif roll < 0.9 and active:
-        delta = ResourceVector(cpu_cores=rng.choice([-4, -2, 2, 8]),
-                               fs_bps=rng.choice([0, 0, -100 * 10**6, 200 * 10**6]))
-        ext = rng.choice([0, 0, 60, 600])
-        if delta.is_zero() and ext == 0:
-            ext = 60
-        sched.request_adjustment(rng.choice(active), delta, ext, now)
+        random_adjust(rng, sched, active, now, grow)
     elif active or any(sched.reservations[a].status == "Frozen" for a in live):
         frozen = [a for a in live if sched.reservations[a].status == "Frozen"]
         app_id = rng.choice(active + frozen)
         sched.set_frozen(app_id, app_id in active)
 
 
-def random_histories(seed, io_reservations, check, make=ReservationScheduler):
-    """Run 500 random histories on schedulers from `make`, calling
-    check(sched, now, context) after every step and at quiet instants.
-    Returns how many checks were made."""
+def grow_step(rng, sched, now, serial):
+    """A step of the grow-heavy histories: a random step whose adjusts
+    grow, then a grow of an Active job if there is one."""
+    random_step(rng, sched, now, serial, grow=True)
+    active = sorted(a for a, r in sched.reservations.items() if r.status == "Active")
+    if active:
+        random_adjust(rng, sched, active, now, grow=True)
+
+
+def random_histories(seed, io_reservations, check, make=ReservationScheduler,
+                     step=random_step):
+    """Run 500 random histories of `step`s on schedulers from `make`,
+    calling check(sched, now, context) after every step and at quiet
+    instants. Returns how many checks were made."""
     rng = random.Random(seed)
     checks = 0
     for trial in range(500):
         sched = make(random_nodes(rng), io_reservations=io_reservations)
         now = 0
-        for step in range(rng.randint(3, 10)):
-            random_step(rng, sched, now, step)
-            check(sched, now, f"trial {trial} step {step} at {now}")
+        for i in range(rng.randint(3, 10)):
+            step(rng, sched, now, i)
+            check(sched, now, f"trial {trial} step {i} at {now}")
             checks += 1
             # quiet instants, where the plan may come from the cache: some
             # later, some exactly at the next planned start, where it expires
@@ -139,7 +159,7 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler):
                     now = min(starts)
                 else:
                     now += rng.choice([0, 1000, 60_000, 300_000])
-                check(sched, now, f"trial {trial} step {step} quiet at {now}")
+                check(sched, now, f"trial {trial} step {i} quiet at {now}")
                 checks += 1
             now += rng.choice([0, 1000, 30_000, 120_000])
     return checks
@@ -149,6 +169,40 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler):
 def test_random_queues_match_reference(io_reservations):
     seed = 11 if io_reservations else 12
     assert random_histories(seed, io_reservations, assert_same_plan) >= 1000
+
+
+class GrantCountingScheduler(ReservationScheduler):
+    """Counts the grants that reduce nothing, and how many of them were made
+    on a plan that pinned a job."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.grants = self.pinned_grants = 0
+
+    def request_adjustment(self, app_id, delta_per_task, extension_s, now):
+        pinned = bool(self.plan(now).pinned)
+        decision, granted, ext, reason = super().request_adjustment(
+            app_id, delta_per_task, extension_s, now)
+        if decision != "Denied" and min(granted) >= 0:
+            self.grants += 1
+            self.pinned_grants += pinned
+        return decision, granted, ext, reason
+
+
+@pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
+def test_grow_heavy_histories_match_reference(io_reservations):
+    """The grant keep: a grant that reduces nothing keeps the plan, patched."""
+    schedulers = set()
+
+    def check(sched, now, context):
+        schedulers.add(sched)
+        assert_same_plan(sched, now, context)
+
+    random_histories(31 if io_reservations else 32, io_reservations, check,
+                     make=GrantCountingScheduler, step=grow_step)
+    assert sum(s.grants for s in schedulers) >= 500
+    # and some on a pinned plan, which the grant clears
+    assert sum(s.pinned_grants for s in schedulers) >= 1
 
 
 class FixedPointScheduler(ReservationScheduler):
