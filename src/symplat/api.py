@@ -21,7 +21,7 @@ import threading
 import time
 import traceback
 
-from .model import SymplatError
+from .model import SymplatError, checked
 from .telemetry import CHANNEL_DEPTH, Channel
 
 MAX_LINE_BYTES = 1 << 20
@@ -123,17 +123,16 @@ class _ConnectionHandler:
         if not isinstance(op, str):
             return _error(msg_id, "malformed_message", "op must be a string")
 
-        if op == "hello":
-            if not isinstance(payload, dict):
-                return _error(msg_id, "malformed_message", "payload must be an object")
-            self.tenant = payload.get("tenant", "anonymous")
-            self.operator = bool(payload.get("operator", False))
-            self.hello_done = True
-            return {"id": msg_id, "result": {"tenant": self.tenant, "operator": self.operator}}
-        if not self.hello_done:
-            return _error(msg_id, "handshake_required", "first message must be hello")
-
         try:
+            if op == "hello":
+                if not isinstance(payload, dict):
+                    raise SymplatError("malformed_message", "payload must be an object")
+                tenant = checked("tenant", payload.get("tenant", "anonymous"), (str,))
+                self.operator = checked("operator", payload.get("operator", False), (bool,))
+                self.tenant, self.hello_done = tenant, True
+                return {"id": msg_id, "result": {"tenant": tenant, "operator": self.operator}}
+            if not self.hello_done:
+                return _error(msg_id, "handshake_required", "first message must be hello")
             result = self.server.core.handle(op, payload, tenant=self.tenant,
                                              operator=self.operator, outbox=self.outbox)
         except SymplatError as exc:

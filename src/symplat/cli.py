@@ -125,7 +125,8 @@ def cmd_metrics(args):
                 print(json.dumps(push["push"], sort_keys=True), flush=True)
         else:
             deadline = time.monotonic() + args.duration
-            while time.monotonic() < deadline:
+            while (left := deadline - time.monotonic()) > 0:
+                client.sock.settimeout(min(left, client.sock.gettimeout()))  # nor past the deadline
                 try:
                     push = client.next_push()
                 except (TimeoutError, OSError):

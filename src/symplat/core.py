@@ -23,6 +23,7 @@ from .model import (
     PlatformEnvEvent,
     ResourceVector,
     SymplatError,
+    checked,
 )
 from .scheduler import ReservationScheduler
 from .telemetry import EVENT_KINDS, BoundaryCondition, MetricBus
@@ -251,9 +252,8 @@ class PlatformCore:
         app_id = payload["app_id"]
         self._require_owner(app_id, tenant, operator)
         delta = ResourceVector.from_json(payload.get("delta_per_task", {}))
-        extension_s = payload.get("walltime_extension_s", 0)
-        if not isinstance(extension_s, int) or isinstance(extension_s, bool) or extension_s < 0:
-            raise InvalidValue(f"walltime_extension_s must be an integer >= 0, got {extension_s!r}")
+        extension_s = checked("walltime_extension_s", payload.get("walltime_extension_s", 0),
+                              least=0)
         decision, granted_delta, granted_ext, reason = self.scheduler.request_adjustment(
             app_id, delta, extension_s, self.now)
         if decision != "Denied":
@@ -327,6 +327,6 @@ class PlatformCore:
         return self._op_freeze_app(payload, frozen=False)
 
     def _op_utilization_report(self, payload, **_):
-        t0 = payload.get("t0", 0)
-        t1 = payload.get("t1", self.now)
+        t0 = checked("t0", payload.get("t0", 0), least=0)
+        t1 = checked("t1", payload.get("t1", self.now), least=0)
         return self.scheduler.utilization_report(t0, t1).to_json()

@@ -53,6 +53,18 @@ class EmptyRange(SymplatError):
     code = "empty_range"
 
 
+def checked(name, value, kinds=(int,), least=None, most=None, error=InvalidValue):
+    """`value` if its type is exactly one of `kinds` (a bool is no int, a float
+    no int) and it lies in [least, most] (NaN lies in no range); else raise
+    `error` naming `name`. Every number and flag read from outside comes here."""
+    if type(value) not in kinds:
+        raise error(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
+    if not ((least is None or least <= value) and (most is None or value <= most)):
+        raise error(f"{name} must be "
+                    + (f">= {least}" if most is None else f"in [{least}, {most}]"))
+    return value
+
+
 class ResourceVector(NamedTuple):
     """An extended resource vector: an immutable tuple in RV_DIMS order."""
 
@@ -113,11 +125,7 @@ class ResourceVector(NamedTuple):
         unknown = set(obj) - set(RV_DIMS)
         if unknown:
             raise InvalidValue(f"unknown resource dimensions: {sorted(unknown)}")
-        vals = [obj.get(d, 0) for d in RV_DIMS]
-        for d, v in zip(RV_DIMS, vals):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidValue(f"{d} must be an integer, got {v!r}")
-        return cls._make(vals)
+        return cls._make(checked(d, obj.get(d, 0)) for d in RV_DIMS)
 
 
 RV_DIMS = ResourceVector._fields
@@ -179,12 +187,10 @@ class Phase:
     def validate(self, prev_progress):
         if self.kind not in PHASE_KINDS:
             raise InvalidValue(f"unknown phase kind {self.kind!r}")
-        if self.work_amount <= 0:
-            raise InvalidValue("phase work_amount must be > 0")
+        checked("phase work_amount", self.work_amount, least=1)
         if self.emits_state not in LOGICAL_STATES:
             raise InvalidValue(f"unknown logical state {self.emits_state!r}")
-        if not 0.0 <= self.progress_at_end <= 1.0:
-            raise InvalidValue("progress_at_end must be in [0,1]")
+        checked("progress_at_end", self.progress_at_end, (int, float), 0, 1)
         if self.progress_at_end < prev_progress:
             raise InvalidValue("progress_at_end must be non-decreasing across phases")
         if not self.demand.is_nonnegative():
@@ -221,7 +227,7 @@ class ApplicationSpec:
     image: str | None = None
 
     def validate(self):
-        if not self.app_id:
+        if not checked("app_id", self.app_id, (str,)):
             raise InvalidValue("app_id must be non-empty")
         if self.kind not in ("container", "native"):
             raise InvalidValue(f"app {self.app_id}: kind must be container or native")
@@ -229,10 +235,8 @@ class ApplicationSpec:
             raise InvalidValue(f"app {self.app_id}: container apps require an image")
         if self.kind == "native" and self.image:
             raise InvalidValue(f"app {self.app_id}: native apps carry no image")
-        if self.task_count < 1:
-            raise InvalidValue(f"app {self.app_id}: task_count must be >= 1")
-        if self.walltime_limit_s <= 0:
-            raise InvalidValue(f"app {self.app_id}: walltime_limit_s must be > 0")
+        checked(f"app {self.app_id}: task_count", self.task_count, least=1)
+        checked(f"app {self.app_id}: walltime_limit_s", self.walltime_limit_s, least=1)
         if not self.per_task_reservation.is_nonnegative():
             raise InvalidValue(f"app {self.app_id}: reservation must be non-negative")
         if self.kind == "native" and not self.per_task_reservation.only(IO_DIMS).is_zero():
@@ -243,8 +247,8 @@ class ApplicationSpec:
         for ph in self.trace:
             ph.validate(prev)
             prev = ph.progress_at_end
-        if self.trace and self.trace[-1].progress_at_end != 1.0:
-            raise InvalidValue(f"app {self.app_id}: final phase must end at progress 1.0")
+        if not self.trace or self.trace[-1].progress_at_end != 1.0:
+            raise InvalidValue(f"app {self.app_id}: the trace must end at progress 1.0")
 
     def to_json(self):
         obj = {
@@ -290,8 +294,7 @@ def logical_transition(current, requested, now, checkpoint_progress=0.0):
     """
     if requested.state not in LOGICAL_STATES:
         raise InvalidValue(f"unknown logical state {requested.state!r}")
-    if not 0.0 <= requested.progress <= 1.0:
-        raise InvalidValue("progress must be in [0,1]")
+    checked("progress", requested.progress, (int, float), 0, 1)
     if current.state == "Error":
         raise TerminalState(f"application is in terminal Error state (progress {current.progress})")
     if requested.progress < current.progress:

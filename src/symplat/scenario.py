@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import yaml
 
-from .model import ApplicationSpec, EnvironmentImage, InvalidValue, NodeSpec
+from .model import ApplicationSpec, EnvironmentImage, InvalidValue, NodeSpec, checked
 
 
 class ParseError(Exception):
@@ -46,8 +47,14 @@ class Scenario:
     retention_s: int = 3600
 
 
+def _checked(name, value, fieldpath=None, **kwargs):
+    """`checked`, refusing with a ValidationError at `fieldpath` (else at `name`)."""
+    return checked(name, value, error=partial(ValidationError, fieldpath=fieldpath or name),
+                   **kwargs)
+
+
 def _require(obj, key, fieldpath):
-    if key not in obj:
+    if key not in _checked("entry", obj, fieldpath, kinds=(dict,)):
         raise ValidationError(f"missing required field {key!r}", fieldpath)
     return obj[key]
 
@@ -60,17 +67,12 @@ def scenario_from_dict(doc, name="<scenario>"):
     mode = doc.get("mode", "symmetric")
     if mode not in ("symmetric", "asymmetric"):
         raise ValidationError(f"mode must be symmetric or asymmetric, got {mode!r}", "mode")
-    duration_s = _require(doc, "duration_s", "duration_s")
-    if not isinstance(duration_s, int) or duration_s < 0:
-        raise ValidationError("duration_s must be a non-negative integer", "duration_s")
-    limits = {}
-    for key, default, least in (("grace_s", 60, 0), ("retention_s", 3600, 1)):
-        value = limits[key] = doc.get(key, default)
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise ValidationError(f"{key} must be an integer >= {least}", key)
+    duration_s = _checked("duration_s", _require(doc, "duration_s", "duration_s"), least=0)
+    limits = {key: _checked(key, doc.get(key, default), least=least)
+              for key, default, least in (("grace_s", 60, 0), ("retention_s", 3600, 1))}
 
     nodes = []
-    for i, n in enumerate(doc.get("cluster", [])):
+    for i, n in enumerate(_checked("cluster", doc.get("cluster", []), kinds=(list,))):
         try:
             node = NodeSpec.from_json(n)
             node.validate()
@@ -81,7 +83,7 @@ def scenario_from_dict(doc, name="<scenario>"):
         raise ValidationError("node_ids must be unique", "cluster")
 
     images = []
-    for i, img in enumerate(doc.get("images", [])):
+    for i, img in enumerate(_checked("images", doc.get("images", []), kinds=(list,))):
         try:
             images.append(EnvironmentImage.from_json(img))
         except (KeyError, TypeError) as exc:
@@ -91,7 +93,7 @@ def scenario_from_dict(doc, name="<scenario>"):
         raise ValidationError("image_ids must be unique", "images")
 
     apps = []
-    for i, entry in enumerate(doc.get("apps", [])):
+    for i, entry in enumerate(_checked("apps", doc.get("apps", []), kinds=(list,))):
         fieldpath = f"apps[{i}]"
         try:
             spec = ApplicationSpec.from_json(_require(entry, "spec", fieldpath))
@@ -100,27 +102,23 @@ def scenario_from_dict(doc, name="<scenario>"):
             raise ValidationError(str(exc), fieldpath) from exc
         if spec.kind == "container" and spec.image not in image_ids:
             raise ValidationError(f"unknown image {spec.image!r}", fieldpath)
-        submit_at = entry.get("submit_at_s", 0)
-        if not isinstance(submit_at, int) or submit_at < 0:
-            raise ValidationError("submit_at_s must be a non-negative integer", fieldpath)
+        submit_at = _checked("submit_at_s", entry.get("submit_at_s", 0), fieldpath, least=0)
         apps.append((spec, submit_at * 1000, entry.get("tenant", "default")))
     app_ids = [spec.app_id for spec, _, _ in apps]
     if len(set(app_ids)) != len(app_ids):
         raise ValidationError("app_ids must be unique", "apps")
 
     script = []
-    for i, entry in enumerate(doc.get("script", [])):
+    for i, entry in enumerate(_checked("script", doc.get("script", []), kinds=(list,))):
         fieldpath = f"script[{i}]"
-        at_s = _require(entry, "at_s", fieldpath)
-        op = _require(entry, "op", fieldpath)
-        if not isinstance(at_s, int) or at_s < 0 or at_s > duration_s:
-            raise ValidationError("at_s must be within [0, duration_s]", fieldpath)
+        at_s = _checked("at_s", _require(entry, "at_s", fieldpath), fieldpath,
+                        least=0, most=duration_s)
         script.append(ScriptOp(
             at_ms=at_s * 1000,
-            op=op,
+            op=_require(entry, "op", fieldpath),
             payload=entry.get("payload", {}),
-            tenant=entry.get("tenant"),
-            operator=entry.get("operator", True),
+            tenant=_checked("tenant", entry.get("tenant"), fieldpath, kinds=(str, type(None))),
+            operator=_checked("operator", entry.get("operator", True), fieldpath, kinds=(bool,)),
         ))
     script.sort(key=lambda s: s.at_ms)
 

@@ -33,6 +33,7 @@ from .model import (
     NodeSample,
     PhysicalSample,
     SymplatError,
+    checked,
 )
 
 # Droppable messages a channel holds before it drops the oldest one: a
@@ -82,10 +83,8 @@ class BoundaryCondition:
             raise InvalidBoundary(f"unknown metric {self.metric!r}")
         if self.bound not in ("min", "max"):
             raise InvalidBoundary(f"bound must be min or max, got {self.bound!r}")
-        if self.threshold < 0:
-            raise InvalidBoundary("threshold must be >= 0")
-        if self.window_s < 1:
-            raise InvalidBoundary("window_s must be >= 1")
+        checked("threshold", self.threshold, least=0, error=InvalidBoundary)
+        checked("window_s", self.window_s, least=1, error=InvalidBoundary)
 
     @classmethod
     def from_json(cls, obj):

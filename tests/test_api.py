@@ -523,6 +523,13 @@ class TestErrorCodes:
         ("set_logical_state", {"app_id": "solver-1", "progress": "x"}),
         ("report_progress", {"app_id": "solver-1", "progress": "x"}),
         ("subscribe_metrics", {"subject": 5}),
+        ("submit", {"spec": {**app_spec("solver-2").to_json(), "task_count": 1.5}}),
+        ("submit", {"spec": {**app_spec().to_json(), "app_id": 5}}),
+        ("submit", {"spec": {**app_spec("solver-2").to_json(),
+                             "walltime_limit_s": float("nan")}}),
+        ("utilization_report", {"t0": True}),
+        ("utilization_report", {"t0": 0.5}),
+        ("submit", {"spec": {**app_spec("solver-2").to_json(), "trace": []}}),
     ])
     def test_malformed_field_is_invalid_value(self, op, payload):
         core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
@@ -536,6 +543,8 @@ class TestErrorCodes:
         assert (core.scheduler.reservations["solver-1"].to_json(),
                 core.engine.apps["solver-1"].status, len(core.event_log)) == before
         assert sorted(core.scheduler.reservations) == ["solver-1"]
+        for _ in range(5):  # the refused request left nothing that stops the clock
+            core.tick()
 
     def test_malformed_field_keeps_the_connection(self, server):
         client = WireClient(server.address, tenant="alice")
@@ -553,8 +562,36 @@ class TestErrorCodes:
             with pytest.raises(SymplatError) as err:
                 client.request("hello", payload)
             assert err.value.code == "malformed_message"
+        # the operator flag takes a bool: "false" is refused, not read as true
+        with pytest.raises(SymplatError) as err:
+            client.request("hello", {"tenant": "bob", "operator": "false"})
+        assert err.value.code == "invalid_value"
+        with pytest.raises(SymplatError) as err:
+            client.request("drain_node", {"node_id": "n01"})
+        assert err.value.code == "forbidden"
         assert client.request("hello", {"tenant": "bob"}) == {"tenant": "bob", "operator": False}
         client.close()
+
+    def test_malformed_submit_keeps_the_clock_running(self):
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        srv = WireServer(core, "127.0.0.1:0", speedup=50).start()
+        try:
+            client = WireClient(srv.address, tenant="alice")
+            client.request("submit", {"spec": app_spec().to_json()})
+            for field, value in (("task_count", 1.5), ("app_id", 5)):
+                spec = {**app_spec("solver-2").to_json(), field: value}
+                with pytest.raises(SymplatError) as err:
+                    client.request("submit", {"spec": spec})
+                assert err.value.code == "invalid_value"
+            start = core.now
+            deadline = time.monotonic() + 5
+            while core.now < start + 3000 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert core.now >= start + 3000
+            assert client.request("env_model", {})["now"] >= start + 3000
+            client.close()
+        finally:
+            srv.stop()
 
     def test_malformed_adjust_keeps_the_connection(self, server):
         client = WireClient(server.address, tenant="alice")

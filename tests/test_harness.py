@@ -2,6 +2,7 @@ import functools
 import json
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -107,6 +108,28 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError) as err:
             scenario_from_dict(scenario_doc(**{field: value}))
         assert err.value.fieldpath == field
+
+    @pytest.mark.parametrize("path, value, fieldpath", [
+        (("duration_s",), True, "duration_s"),
+        (("apps", 0, "submit_at_s"), True, "apps[0]"),
+        (("apps", 0, "spec", "task_count"), 1.5, "apps[0]"),
+        (("apps", 0, "spec", "walltime_limit_s"), 1.5, "apps[0]"),
+        (("script", 0, "at_s"), True, "script[0]"),
+        (("script", 0, "operator"), "false", "script[0]"),
+        (("script", 0, "tenant"), 5, "script[0]"),
+        (("script", 0), 5, "script[0]"),
+        (("cluster",), 5, "cluster"),
+    ])
+    def test_fields_take_their_exact_type(self, path, value, fieldpath):
+        doc = scenario_doc(script=[{"at_s": 1, "op": "status", "payload": {"app_id": "tiny"}}])
+        scenario_from_dict(doc)  # valid as it stands
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(doc)
+        assert err.value.fieldpath == fieldpath
 
     def test_least_grace_and_retention_run(self):
         scenario = scenario_from_dict(scenario_doc(grace_s=0, retention_s=1))
@@ -217,6 +240,14 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
+    def test_validate_refuses_a_fractional_task_count(self, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["apps"][0]["spec"]["task_count"] = 1.5
+        path = tmp_path / "fractional.yaml"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: apps[0]: ")
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -285,3 +316,14 @@ class TestCli:
             server.stop()
         follower.join(5.0)
         assert not follower.is_alive() and codes == [0]
+
+    def test_metrics_duration_stops_at_its_deadline(self, tmp_path, capsys):
+        scen = scenario_from_dict(MINIMAL)
+        sock = str(tmp_path / "symplat.sock")
+        server = WireServer(PlatformCore(scen.nodes, scen.images), sock).start()  # no clock
+        try:
+            start = time.monotonic()
+            assert main(["metrics", "--duration", "1", "--connect", sock]) == 0
+            assert time.monotonic() - start < 3
+        finally:
+            server.stop()
