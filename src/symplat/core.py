@@ -280,11 +280,14 @@ class PlatformCore:
 
     def _op_subscribe_metrics(self, payload, outbox=None, **_):
         subject = payload.get("subject") or {}
-        sub = self.bus.subscribe(subject.get("kind"), subject.get("id"), outbox=outbox)
+        kind = checked("subject kind", subject.get("kind"), (str, type(None)))
+        subject_id = checked("subject id", subject.get("id"), (str, type(None)))
+        sub = self.bus.subscribe(kind, subject_id, outbox=outbox)
         return {"subscription_id": sub.sub_id}
 
     def _op_subscribe_events(self, payload, outbox=None, **_):
-        sub = self.bus.subscribe("app", payload.get("app_id"), kinds=EVENT_KINDS, outbox=outbox)
+        app_id = checked("app_id", payload.get("app_id"), (str, type(None)))
+        sub = self.bus.subscribe("app", app_id, kinds=EVENT_KINDS, outbox=outbox)
         return {"subscription_id": sub.sub_id}
 
     def _op_unsubscribe(self, payload, operator=False, outbox=None, **_):
@@ -329,4 +332,4 @@ class PlatformCore:
     def _op_utilization_report(self, payload, **_):
         t0 = checked("t0", payload.get("t0", 0), least=0)
         t1 = checked("t1", payload.get("t1", self.now), least=0)
-        return self.scheduler.utilization_report(t0, t1).to_json()
+        return self.scheduler.utilization_report(t0, t1)

@@ -129,7 +129,7 @@ class ScenarioRunner:
 
         utilization = None
         if core.now > 0:
-            utilization = core.scheduler.utilization_report(0, core.now).to_json()
+            utilization = core.scheduler.utilization_report(0, core.now)
 
         return Report(
             scenario=self.scenario.name,

@@ -60,8 +60,9 @@ def checked(name, value, kinds=(int,), least=None, most=None, error=InvalidValue
     if type(value) not in kinds:
         raise error(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, got {value!r}")
     if not ((least is None or least <= value) and (most is None or value <= most)):
-        raise error(f"{name} must be "
-                    + (f">= {least}" if most is None else f"in [{least}, {most}]"))
+        raise error(f"{name} must be " + (f">= {least}" if most is None else
+                                          f"<= {most}" if least is None else
+                                          f"in [{least}, {most}]"))
     return value
 
 
@@ -125,7 +126,7 @@ class ResourceVector(NamedTuple):
         unknown = set(obj) - set(RV_DIMS)
         if unknown:
             raise InvalidValue(f"unknown resource dimensions: {sorted(unknown)}")
-        return cls._make(checked(d, obj.get(d, 0)) for d in RV_DIMS)
+        return cls._make(checked(d, obj.get(d, 0), most=_COMPONENT_MAX) for d in RV_DIMS)
 
 
 RV_DIMS = ResourceVector._fields
@@ -169,7 +170,7 @@ class EnvironmentImage:
     @classmethod
     def from_json(cls, obj):
         return cls(
-            image_id=obj["image_id"],
+            image_id=checked("image_id", obj["image_id"], (str,)),
             name=obj["name"],
             owner=obj["owner"],
             content_digest=obj["content_digest"],
@@ -379,13 +380,6 @@ class Reservation:
 
     def walltime_ms(self):
         return self.end_t - self.start_t
-
-    def node_task_counts(self):
-        counts = {}
-        for tid in sorted(self.placement):
-            nid = self.placement[tid]
-            counts[nid] = counts.get(nid, 0) + 1
-        return counts
 
     def to_json(self):
         return {

@@ -88,6 +88,8 @@ def scenario_from_dict(doc, name="<scenario>"):
             images.append(EnvironmentImage.from_json(img))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"missing field {exc}", f"images[{i}]") from exc
+        except InvalidValue as exc:
+            raise ValidationError(str(exc), f"images[{i}]") from exc
     image_ids = {img.image_id for img in images}
     if len(image_ids) != len(images):
         raise ValidationError("image_ids must be unique", "images")

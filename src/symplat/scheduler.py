@@ -65,6 +65,12 @@ class DuplicateApp(SymplatError):
     code = "duplicate_app"
 
 
+def node_usage(need, placement):
+    """{node_id: the summed `need` of its tasks in `placement`, in RV_DIMS order}."""
+    return {nid: tuple([q * count for q in need])
+            for nid, count in Counter(placement.values()).items()}
+
+
 class _FitCounts(dict):
     """free vector -> how many copies of `need` fit in it, at most `limit`.
 
@@ -195,24 +201,6 @@ class SchedulePlan:
     pinned: set[str]  # jobs promise repair held at their promised start
 
 
-@dataclass
-class UtilizationReport:
-    t0: int
-    t1: int
-    per_node: dict[str, dict[str, float]]
-    cluster: dict[str, float]
-    hollow_core_seconds: int
-
-    def to_json(self):
-        return {
-            "t0": self.t0,
-            "t1": self.t1,
-            "per_node": {n: dict(sorted(d.items())) for n, d in sorted(self.per_node.items())},
-            "cluster": dict(sorted(self.cluster.items())),
-            "hollow_core_seconds": self.hollow_core_seconds,
-        }
-
-
 class ReservationScheduler:
     """Single serialized state machine over one cluster's reservations."""
 
@@ -252,8 +240,8 @@ class ReservationScheduler:
         for res in self.live.values():
             if res.status != "Queued":
                 need = self.effective_per_task(res.per_task)
-                for nid, count in res.node_task_counts().items():
-                    profile[nid].reserve(res.start_t, res.end_t, [q * count for q in need])
+                for nid, usage in node_usage(need, res.placement).items():
+                    profile[nid].reserve(res.start_t, res.end_t, usage)
         return profile
 
     def _queued_order(self):
@@ -366,8 +354,8 @@ class ReservationScheduler:
                     past_promise = app_id in self._promised and self._promised[app_id][0] < start
                     until = min(until, start - 1 if past_promise else start)
                 planned[app_id] = (start, placement)
-                for nid, count in Counter(placement.values()).items():
-                    profile[nid].reserve(start, start + wall, [q * count for q in fit.need])
+                for nid, usage in node_usage(fit.need, placement).items():
+                    profile[nid].reserve(start, start + wall, usage)
             violators = [
                 a for a in order
                 if a in self._promised and planned[a][0] > max(self._promised[a][0], now)
@@ -485,8 +473,7 @@ class ReservationScheduler:
 
         # the planned profile of each hosting node, less this job's own usage
         plan = self.plan(now)
-        counts = res.node_task_counts()
-        my_usage = {n: self.effective_per_task(res.per_task).scale(c) for n, c in counts.items()}
+        my_usage = node_usage(self.effective_per_task(res.per_task), res.placement)
         others = {}
         for nid, usage in my_usage.items():
             others[nid] = plan.profile[nid].copy()
@@ -508,7 +495,7 @@ class ReservationScheduler:
         window_end = res.end_t + granted_ext * 1000
         room = delta_per_task
         if max(delta_per_task) > 0:
-            for nid, count in counts.items():
+            for nid, count in Counter(res.placement.values()).items():
                 free = others[nid].min_free(now, window_end)
                 room = [min(r, (f - u) // count) for r, f, u in zip(room, free, my_usage[nid])]
         granted_delta = ResourceVector._make(
@@ -526,10 +513,10 @@ class ReservationScheduler:
         res.end_t += granted_ext * 1000
         self._plan = None
         if not plan.pinned and min(granted_delta) >= 0:
-            need = self.effective_per_task(res.per_task)
             profile = dict(plan.profile)
-            for nid, count in counts.items():
-                others[nid].reserve(res.start_t, res.end_t, [q * count for q in need])
+            for nid, usage in node_usage(self.effective_per_task(res.per_task),
+                                         res.placement).items():
+                others[nid].reserve(res.start_t, res.end_t, usage)
                 profile[nid] = others[nid]
             self._plan = SchedulePlan(planned=plan.planned, profile=profile,
                                       order=plan.order, pinned=plan.pinned)
@@ -621,38 +608,29 @@ class ReservationScheduler:
                 for n in self.node_ids}
 
     def utilization_report(self, t0, t1):
-        """Mean committed/capacity per dimension, plus hollow core-seconds.
-
-        The report covers finished and current commitments reconstructible
-        from reservation windows.
-        """
+        """The report as sent: the mean committed/capacity per dimension over
+        [t0, t1) per node and for the cluster, rebuilt from the reservation
+        windows, and `hollow_core_seconds`, which ignores [t0, t1)."""
         if not t0 < t1:
             raise EmptyRange(f"invalid range [{t0}, {t1})")
         span = t1 - t0
-        per_node = {}
-        sums = {n: {d: 0 for d in RV_DIMS} for n in self.node_ids}
-        for app_id in sorted(self.reservations):
-            res = self.reservations[app_id]
-            if res.status == "Queued":
-                continue
-            per_task = self.effective_per_task(res.per_task)
-            for nid, count in res.node_task_counts().items():
-                overlap = min(res.end_t, t1) - max(res.start_t, t0)
-                if overlap <= 0:
-                    continue
-                usage = per_task.scale(count)
-                for d in RV_DIMS:
-                    sums[nid][d] += getattr(usage, d) * overlap
-        cluster = {d: 0.0 for d in RV_DIMS}
-        cluster_cap = {d: 0 for d in RV_DIMS}
-        for n in self.node_ids:
-            per_node[n] = {}
-            for d in RV_DIMS:
-                cap = getattr(self.capacity[n], d)
-                per_node[n][d] = (sums[n][d] / (cap * span)) if cap else 0.0
-                cluster[d] += sums[n][d]
-                cluster_cap[d] += cap
-        for d in RV_DIMS:
-            cluster[d] = cluster[d] / (cluster_cap[d] * span) if cluster_cap[d] else 0.0
-        return UtilizationReport(t0=t0, t1=t1, per_node=per_node, cluster=cluster,
-                                 hollow_core_seconds=self.hollow_core_seconds)
+        sums = {n: [0] * len(RV_DIMS) for n in self.node_ids}  # exact ints
+        for res in self.reservations.values():
+            overlap = min(res.end_t, t1) - max(res.start_t, t0)
+            if overlap > 0:  # a queued reservation has no placement
+                need = self.effective_per_task(res.per_task)
+                for nid, usage in node_usage(need, res.placement).items():
+                    sums[nid] = [s + u * overlap for s, u in zip(sums[nid], usage)]
+        per_node = {n: {} for n in self.node_ids}
+        cluster = {}
+        for i, d in enumerate(RV_DIMS):
+            # a float from 0.0 in node order: an int total divides differently above 2**53
+            committed, capacity = 0.0, 0
+            for n in self.node_ids:
+                cap = self.capacity[n][i]
+                per_node[n][d] = sums[n][i] / (cap * span) if cap else 0.0
+                committed += sums[n][i]
+                capacity += cap
+            cluster[d] = committed / (capacity * span) if capacity else 0.0
+        return {"t0": t0, "t1": t1, "per_node": per_node, "cluster": cluster,
+                "hollow_core_seconds": self.hollow_core_seconds}

@@ -77,8 +77,10 @@ class BoundaryCondition:
     window_s: int
 
     def validate(self):
+        checked("bc_id", self.bc_id, (str,), error=InvalidBoundary)
         if self.subject[0] not in ("app", "node"):
             raise InvalidBoundary(f"subject kind must be app or node, got {self.subject[0]!r}")
+        checked("subject id", self.subject[1], (str,), error=InvalidBoundary)
         if self.metric not in SAMPLE_METRICS + NODE_METRICS:
             raise InvalidBoundary(f"unknown metric {self.metric!r}")
         if self.bound not in ("min", "max"):

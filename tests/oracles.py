@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -366,7 +367,7 @@ def active_intervals(sched):
         res = sched.reservations[app_id]
         if res.status in ("Active", "Frozen"):
             per_task = sched.effective_per_task(res.per_task)
-            for nid, count in res.node_task_counts().items():
+            for nid, count in Counter(res.placement.values()).items():
                 timelines[nid].append((res.start_t, res.end_t, per_task.scale(count)))
     return timelines
 
@@ -435,3 +436,38 @@ def reference_plan(sched, now):
             break
         pinned |= newly
     return SimpleNamespace(planned=planned, order=order)
+
+
+def reference_utilization(sched, t0, t1):
+    """`sched.utilization_report(t0, t1)` by a per-reservation, per-dimension
+    scan: every placed reservation's usage on each node, times its overlap
+    with [t0, t1), summed as ints; the cluster sum is a float accumulated
+    from 0.0 in node order, as the report does."""
+    span = t1 - t0
+    sums = {n: {d: 0 for d in RV_DIMS} for n in sched.node_ids}
+    for app_id in sorted(sched.reservations):
+        res = sched.reservations[app_id]
+        if res.status == "Queued":
+            continue
+        per_task = sched.effective_per_task(res.per_task)
+        for nid, count in Counter(res.placement.values()).items():
+            overlap = min(res.end_t, t1) - max(res.start_t, t0)
+            if overlap <= 0:
+                continue
+            usage = per_task.scale(count)
+            for d in RV_DIMS:
+                sums[nid][d] += getattr(usage, d) * overlap
+    per_node = {}
+    cluster = {d: 0.0 for d in RV_DIMS}
+    cluster_cap = {d: 0 for d in RV_DIMS}
+    for n in sched.node_ids:
+        per_node[n] = {}
+        for d in RV_DIMS:
+            cap = getattr(sched.capacity[n], d)
+            per_node[n][d] = (sums[n][d] / (cap * span)) if cap else 0.0
+            cluster[d] += sums[n][d]
+            cluster_cap[d] += cap
+    for d in RV_DIMS:
+        cluster[d] = cluster[d] / (cluster_cap[d] * span) if cluster_cap[d] else 0.0
+    return {"t0": t0, "t1": t1, "per_node": per_node, "cluster": cluster,
+            "hollow_core_seconds": sched.hollow_core_seconds}

@@ -530,6 +530,10 @@ class TestErrorCodes:
         ("utilization_report", {"t0": True}),
         ("utilization_report", {"t0": 0.5}),
         ("submit", {"spec": {**app_spec("solver-2").to_json(), "trace": []}}),
+        ("register_image", {"image_id": 5, "name": "n", "owner": "o", "content_digest": "d"}),
+        ("subscribe_metrics", {"subject": {"kind": "app", "id": ["solver-1"]}}),
+        ("subscribe_metrics", {"subject": {"kind": 5}}),
+        ("subscribe_events", {"app_id": 5}),
     ])
     def test_malformed_field_is_invalid_value(self, op, payload):
         core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")

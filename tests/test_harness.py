@@ -248,6 +248,18 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: apps[0]: ")
 
+    @pytest.mark.parametrize("entry, key, value", [
+        ("cluster", "capacity", {"cpu_cores": 16, "memory_bytes": 2**64}),
+        ("images", "image_id", 5),
+    ])
+    def test_validate_refuses_a_wrong_entry_field(self, entry, key, value, tmp_path, capsys):
+        doc = scenario_doc()
+        doc[entry][0][key] = value
+        path = tmp_path / "wrong.yaml"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {entry}[0]: ")
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -287,7 +299,7 @@ class TestCli:
             assert (adjust["decision"], adjust["granted_delta"]["cpu_cores"],
                     adjust["granted_extension_s"]) == ("Granted", 2, 30)
             report = run("report", "--t0", "0", "--t1", "1")
-            assert report == core.scheduler.utilization_report(0, 1000).to_json()
+            assert report == core.scheduler.utilization_report(0, 1000)
             # freeze, thaw and drain are operator commands: the client must say
             # so in its hello
             assert run("freeze", "tiny") == {"app_id": "tiny", "frozen": True}

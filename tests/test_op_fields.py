@@ -3,8 +3,8 @@
 For each op of the operation table, one field of a valid payload (nested
 fields included) is replaced by a value of another JSON type, a float that is
 NaN or infinite, or an integer beyond 64 bits. The op either answers or
-refuses with a SymplatError, and the platform keeps working: its clock
-ticks, and `utilization_report` and `env_model` answer.
+refuses with a SymplatError that changed nothing, and the platform keeps
+working: its clock ticks, and `utilization_report` and `env_model` answer.
 """
 
 import copy
@@ -75,6 +75,13 @@ def field_paths(obj, prefix=()):
         yield from field_paths(value, prefix + (key,))
 
 
+def state(core):
+    """What a refused op must leave as it was."""
+    return (dict(core.bus.boundaries), dict(core.bus.subscriptions), dict(core.images),
+            dict(core.owners),
+            {a: r.to_json() for a, r in core.scheduler.reservations.items()})
+
+
 # each op's field paths, plus a field it does not know
 PATHS = [(op, path) for op in sorted(VALID)
          for path in [*field_paths(VALID[op]), ("unknown",)]]
@@ -94,10 +101,11 @@ def test_one_wrong_field_leaves_the_platform_working(case, value):
         obj = obj[key]
     obj[path[-1]] = value
     core = platform()
+    before = state(core)
     try:
         core.handle(op, payload, tenant="alice", operator=op in OPERATOR_OPS)
     except SymplatError:
-        pass
+        assert state(core) == before
     for _ in range(5):
         core.tick()
     core.handle("utilization_report", {})

@@ -11,7 +11,8 @@ kept plan carries forward (a grant patches them in place of a recomputation).
 (c) checks on the random histories that a computation which renewed a
 promise and pinned no job is its own fixed point, which is why it is kept.
 (d) repeats (a) on grow-heavy histories, whose grants reduce nothing, the
-case in which a grant keeps the plan.
+case in which a grant keeps the plan. (e) compares `utilization_report` over
+random windows with `oracles.reference_utilization` on histories like (a)'s.
 """
 
 import copy
@@ -22,7 +23,7 @@ from bisect import bisect_right
 import pytest
 
 from genscen import random_scenario
-from oracles import reference_plan
+from oracles import reference_plan, reference_utilization
 from symplat.harness import ScenarioRunner
 from symplat.model import ApplicationSpec, NodeSpec, Phase, ResourceVector
 from symplat.scenario import load_scenario
@@ -169,6 +170,20 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler,
 def test_random_queues_match_reference(io_reservations):
     seed = 11 if io_reservations else 12
     assert random_histories(seed, io_reservations, assert_same_plan) >= 1000
+
+
+@pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
+def test_utilization_matches_reference(io_reservations):
+    """(e) The report over a random window equals the reference scan."""
+    windows = random.Random(41 if io_reservations else 42)
+
+    def check(sched, now, context):
+        t0 = windows.randrange(now + 600_000)
+        t1 = t0 + windows.choice([1, 1000, 60_000, 600_000, 10**7])
+        assert sched.utilization_report(t0, t1) == reference_utilization(sched, t0, t1), \
+            f"{context}: [{t0}, {t1})"
+
+    assert random_histories(41 if io_reservations else 42, io_reservations, check) >= 1000
 
 
 class GrantCountingScheduler(ReservationScheduler):

@@ -1,8 +1,10 @@
 """Golden report corpus: the canonical JSON reports must stay byte-identical.
 
 `report_digests.json` holds the sha256 of `Report.to_json_str()` for every
-shipped scenario in both modes and for three generated scenarios. Re-record
-only for an intended change of behaviour:
+shipped scenario in both modes and for three generated scenarios. Each run's
+final scheduler also answers `utilization_report` over [0, now) and random
+windows exactly as `oracles.reference_utilization` does. Re-record only for
+an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_report_corpus.py --record
 """
@@ -10,11 +12,13 @@ only for an intended change of behaviour:
 import hashlib
 import json
 import os
+import random
 import sys
 
 import pytest
 
 from genscen import random_scenario
+from oracles import reference_utilization
 from symplat.harness import ScenarioRunner
 from symplat.scenario import load_scenario
 
@@ -53,7 +57,16 @@ def recorded():
 
 @pytest.mark.parametrize("name,build", corpus(), ids=[n for n, _ in corpus()])
 def test_report_digest(recorded, name, build):
-    assert digest(build()) == recorded[name], f"report {name} changed"
+    cores = set()
+    report = build(cores.add)
+    assert digest(report) == recorded[name], f"report {name} changed"
+    (core,) = cores
+    sched = core.scheduler
+    assert report.utilization == reference_utilization(sched, 0, core.now)
+    windows = random.Random(name)
+    for _ in range(20):
+        t0, t1 = sorted(windows.sample(range(core.now + 600_000), 2))
+        assert sched.utilization_report(t0, t1) == reference_utilization(sched, t0, t1), (t0, t1)
 
 
 def test_corpus_is_complete(recorded):

@@ -23,7 +23,7 @@ from symplat.scheduler import (
 )
 from symplat.scenario import load_scenario
 
-from oracles import brute_force_placement, fcfs_starts, plan_intervals
+from oracles import brute_force_placement, fcfs_starts, plan_intervals, reference_utilization
 
 GIB = 1 << 30
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -267,8 +267,8 @@ class TestUtilizationReport:
     def test_idle_cluster_all_zero(self):
         sched = ReservationScheduler(two_node_cluster())
         rep = sched.utilization_report(0, 10_000)
-        assert all(v == 0.0 for v in rep.cluster.values())
-        assert rep.hollow_core_seconds == 0
+        assert all(v == 0.0 for v in rep["cluster"].values())
+        assert rep["hollow_core_seconds"] == 0
 
     def test_single_job_ratio(self):
         cap = ResourceVector(cpu_cores=32, memory_bytes=64 * GIB, fs_bps=10**9,
@@ -278,8 +278,8 @@ class TestUtilizationReport:
         sched.submit(make_spec("j", cores=8, walltime=100), now=0)
         sched.activate_due(0)
         rep = sched.utilization_report(0, 100_000)
-        assert rep.per_node["n01"]["cpu_cores"] == pytest.approx(0.25)
-        assert rep.cluster["cpu_cores"] == pytest.approx(0.25)
+        assert rep["per_node"]["n01"]["cpu_cores"] == pytest.approx(0.25)
+        assert rep["cluster"]["cpu_cores"] == pytest.approx(0.25)
 
     def test_hollow_counts_from_last_checkpoint(self):
         sched = ReservationScheduler(two_node_cluster())
@@ -287,7 +287,7 @@ class TestUtilizationReport:
         sched.activate_due(0)
         sched.finish("j", 7_200_000, "TerminatedWalltime", last_checkpoint_t=3_600_000)
         rep = sched.utilization_report(0, 7_200_000)
-        assert rep.hollow_core_seconds == 4 * 3600
+        assert rep["hollow_core_seconds"] == 4 * 3600
 
     def test_hollow_full_runtime_without_checkpoint(self):
         sched = ReservationScheduler(two_node_cluster())
@@ -295,7 +295,7 @@ class TestUtilizationReport:
         sched.activate_due(0)
         sched.finish("j", 7_200_000, "TerminatedWalltime", last_checkpoint_t=None)
         rep = sched.utilization_report(0, 7_200_000)
-        assert rep.hollow_core_seconds == 4 * 7200
+        assert rep["hollow_core_seconds"] == 4 * 7200
 
     def test_hollow_sums_walltime_kills_each_floored(self):
         sched = ReservationScheduler(two_node_cluster())
@@ -305,7 +305,7 @@ class TestUtilizationReport:
         sched.finish("a", 7_200_000, "TerminatedWalltime", last_checkpoint_t=3_600_500)
         sched.finish("b", 7_200_000, "TerminatedWalltime", last_checkpoint_t=500)
         rep = sched.utilization_report(0, 7_200_000)
-        assert rep.hollow_core_seconds == 3599 + 7199
+        assert rep["hollow_core_seconds"] == 3599 + 7199
 
     def test_hollow_ignores_other_finishes(self):
         sched = ReservationScheduler(two_node_cluster())
@@ -316,7 +316,23 @@ class TestUtilizationReport:
         sched.finish("failed", 7_200_000, "TerminatedError")
         sched.cancel("cancelled", 7_200_000)
         rep = sched.utilization_report(0, 7_200_000)
-        assert rep.hollow_core_seconds == 0
+        assert rep["hollow_core_seconds"] == 0
+
+    def test_sums_beyond_53_bits_divide_as_the_reference(self):
+        # the cluster sum is a float accumulated in node order; an exact int
+        # total divides differently once the sums pass 2**53
+        rng = random.Random(7)
+        cap = ResourceVector(cpu_cores=64, memory_bytes=2**40)
+        sched = ReservationScheduler([NodeSpec(f"n{i:02d}", cap) for i in range(4)])
+        for i in range(12):
+            sched.submit(make_spec(f"j{i}", cores=4, tasks=rng.randint(1, 3),
+                                   walltime=rng.randrange(10**4, 10**5),
+                                   mem=rng.randrange(2**35, 2**36)), now=0)
+        assert len(sched.activate_due(0)) == 12
+        for _ in range(200):
+            t0 = rng.randrange(10**8)
+            t1 = t0 + rng.randrange(1, 10**8)
+            assert sched.utilization_report(t0, t1) == reference_utilization(sched, t0, t1)
 
     def test_empty_range_rejected(self):
         sched = ReservationScheduler(two_node_cluster())
@@ -335,7 +351,7 @@ class TestUtilizationReport:
         assert sched.activate_due(100_000) == ["b"]
         sched.finish("b", 200_000, "Completed")
         rep = sched.utilization_report(0, 200_000)
-        assert rep.per_node["n01"]["cpu_cores"] <= 1
+        assert rep["per_node"]["n01"]["cpu_cores"] <= 1
 
 
 class TestEventDrivenReplan:

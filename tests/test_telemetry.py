@@ -388,6 +388,12 @@ class TestBoundaryConditions:
             BoundaryCondition("b", ("app", "x"), "warp_factor", "max", 1, 1).validate()
         with pytest.raises(InvalidBoundary):
             BoundaryCondition("b", ("app", "x"), "cpu_cores_used", "max", 1, 0).validate()
+        bus = MetricBus()
+        for bc_id, subject_id in ((7, "x"), ("b", ["x"])):
+            with pytest.raises(InvalidBoundary):
+                bus.register_boundary(BoundaryCondition(
+                    bc_id, ("app", subject_id), "cpu_cores_used", "max", 1, 1))
+        assert bus.boundaries == {}
 
     def test_edge_triggered_with_rearm_window_one(self):
         # values 4, 9, 9, 4, 9: alarms at the first 9 and again at the last 9
