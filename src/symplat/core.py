@@ -281,6 +281,8 @@ class PlatformCore:
     def _op_subscribe_metrics(self, payload, outbox=None, **_):
         subject = payload.get("subject") or {}
         kind = checked("subject kind", subject.get("kind"), (str, type(None)))
+        if kind not in ("app", "node", None):
+            raise InvalidValue(f"subject kind must be app or node, got {kind!r}")
         subject_id = checked("subject id", subject.get("id"), (str, type(None)))
         sub = self.bus.subscribe(kind, subject_id, outbox=outbox)
         return {"subscription_id": sub.sub_id}

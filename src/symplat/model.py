@@ -14,6 +14,10 @@ TICK_MS = 1000
 
 _COMPONENT_MAX = 2**63 - 1
 
+# the most tasks one app may have: its activating tick places every one of
+# them, and a spec that reserves nothing fits any count
+MAX_TASKS = 1024
+
 LOGICAL_STATES = ("Running", "Checkpointing", "Restoring", "Idle", "Error")
 PHASE_KINDS = ("compute", "fs_io", "net_io", "checkpoint", "idle")
 
@@ -84,33 +88,22 @@ class ResourceVector(NamedTuple):
     def get(self, dim):
         return getattr(self, dim)
 
-    def _checked(self, vals, op):
+    def add(self, other):
+        vals = tuple(map(operator.add, self, other))
         if max(vals) > _COMPONENT_MAX:
             d = next(d for d, v in zip(RV_DIMS, vals) if v > _COMPONENT_MAX)
-            raise ComponentOverflow(f"{d} overflows on {op}")
+            raise ComponentOverflow(f"{d} overflows on add")
         return self._make(vals)
-
-    def add(self, other):
-        return self._checked(tuple(map(operator.add, self, other)), "add")
 
     def sub(self, other):
         """Component-wise difference; may go negative (used for deltas)."""
         return self._make(map(operator.sub, self, other))
-
-    def scale(self, k):
-        return self._checked(tuple(v * k for v in self), "scale")
-
-    def le(self, other):
-        return all(map(operator.le, self, other))
 
     def is_nonnegative(self):
         return min(self) >= 0
 
     def is_zero(self):
         return not any(self)
-
-    def min_with(self, other):
-        return self._make(map(min, self, other))
 
     def only(self, dims):
         """Copy with every dimension not in `dims` zeroed."""
@@ -171,9 +164,9 @@ class EnvironmentImage:
     def from_json(cls, obj):
         return cls(
             image_id=checked("image_id", obj["image_id"], (str,)),
-            name=obj["name"],
-            owner=obj["owner"],
-            content_digest=obj["content_digest"],
+            name=checked("name", obj["name"], (str,)),
+            owner=checked("owner", obj["owner"], (str,)),
+            content_digest=checked("content_digest", obj["content_digest"], (str,)),
         )
 
 
@@ -236,7 +229,7 @@ class ApplicationSpec:
             raise InvalidValue(f"app {self.app_id}: container apps require an image")
         if self.kind == "native" and self.image:
             raise InvalidValue(f"app {self.app_id}: native apps carry no image")
-        checked(f"app {self.app_id}: task_count", self.task_count, least=1)
+        checked(f"app {self.app_id}: task_count", self.task_count, least=1, most=MAX_TASKS)
         checked(f"app {self.app_id}: walltime_limit_s", self.walltime_limit_s, least=1)
         if not self.per_task_reservation.is_nonnegative():
             raise InvalidValue(f"app {self.app_id}: reservation must be non-negative")

@@ -12,10 +12,14 @@ kept once, as published; a query reads one metric out of them and is empty
 for a metric those samples lack. Subscriptions are handed the sample itself,
 which is encoded as a message only when it is read: by `poll`, or for a wire
 subscription by the wire service's loop. A delivery dropped from a full
-buffer is never encoded. Each boundary owns its window, which `evaluate`
-feeds and checks in one pass, and its alarm state; alarms are edge-triggered
-on the windowed mean and re-arm only after a full window of continuous
-satisfaction.
+buffer is never encoded. Each boundary owns its window, kept as runs of
+one value every 1000 ms that `evaluate` feeds and evicts arithmetically, and
+its alarm state; alarms are edge-triggered on the windowed mean and re-arm
+only after a full window of continuous satisfaction. A subject's alarm state
+is evaluated only when it can change: `publish` skips `evaluate` for a
+sample that repeats its predecessor's fed metrics 1000 ms later, before the
+subject's quiet instant (see `_Fed`), and the windows take the skipped
+samples in when they next slide.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ import bisect
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from math import inf
+from operator import attrgetter, itemgetter
 
 from .model import (
     NODE_METRICS,
@@ -230,24 +235,114 @@ class _Boundary:
     """A registered boundary on a metric its subject's samples carry: the
     condition, its window and its alarm state.
 
-    The window is a running integer sum of metric `index` over the subject's
-    samples with t in (newest - width, newest], fed by `MetricBus.evaluate`.
+    The window holds metric `index` of the subject's samples with t in
+    (newest - width, newest] as a deque of runs
+    [first_t, last_t, value, n, violates(value)]: n samples of one value, one
+    every 1000 ms. It keeps their exact integer `total`, their `count`, and
+    how many of them are `violating` alone.
     `width` is min(window_s, retention) in ms: samples older than retention
     are evicted from the store, so no wider window could see them. It starts
     from `retained`, the subject's samples already stored, oldest first.
     """
 
-    __slots__ = ("bc", "index", "width", "samples", "total", "armed", "satisfied_since")
+    __slots__ = ("bc", "index", "width", "runs", "total", "count", "violating",
+                 "armed", "satisfied_since")
 
     def __init__(self, bc, index, width, retained):
         self.bc = bc
         self.index = index
         self.width = width
+        self.runs = deque()
+        self.total = self.count = self.violating = 0
         lo = retained[-1][0] - width if retained else 0
-        self.samples = deque(s for s in retained if s[0] > lo)
-        self.total = sum(s[index] for s in self.samples)
+        for s in retained:
+            if s[0] > lo:
+                self.feed(s[0], s[index])
         self.armed = True
         self.satisfied_since = None
+
+    def violates(self, value):
+        """Whether a window of `value` alone violates the condition. The mean
+        is a correctly rounded float, so a window whose values all lie on one
+        side of the threshold as floats has its mean on that side too; as
+        ints they may not (a window of 2**53 + 3 has the mean 2**53 + 4)."""
+        bc = self.bc
+        return float(value) < bc.threshold if bc.bound == "min" else float(value) > bc.threshold
+
+    def feed(self, t, value, n=1):
+        """Add `n` samples of `value`, one every 1000 ms up to `t`."""
+        runs = self.runs
+        run = runs[-1] if runs else None
+        if run is not None and run[2] == value and run[1] == t - n * 1000:
+            run[1] = t
+            run[3] += n
+        else:
+            run = [t - (n - 1) * 1000, t, value, n, self.violates(value)]
+            runs.append(run)
+        self.total += n * value
+        self.count += n
+        if run[4]:
+            self.violating += n
+
+    def slide(self, t):
+        """Repeat the newest value every 1000 ms up to `t`: the samples that
+        `publish` skipped."""
+        runs = self.runs
+        if runs and runs[-1][1] < t:
+            self.feed(t, runs[-1][2], (t - runs[-1][1]) // 1000)
+
+    def evict(self, lo):
+        """Drop the samples at or before `lo`."""
+        runs = self.runs
+        while runs and runs[0][0] <= lo:
+            head = runs[0]
+            first_t, last_t, value, n, violating = head
+            if last_t <= lo:
+                runs.popleft()
+            else:
+                n = (lo - first_t) // 1000 + 1
+                head[0] += n * 1000
+                head[3] -= n
+            self.total -= n * value
+            self.count -= n
+            if violating:
+                self.violating -= n
+
+    def quiet_until(self):
+        """The instant before which the alarm state cannot change while the
+        subject's samples repeat the newest one every 1000 ms: such samples
+        keep every value in the window, and so the mean, on the side it is.
+        Armed and all satisfying, or disarmed and all violating, that is
+        never; disarmed and all satisfying, it is the re-arm instant."""
+        if self.violating == (0 if self.armed else self.count):
+            return inf
+        if not self.violating:
+            return self.satisfied_since + self.bc.window_s * 1000 - 1000
+        return -inf
+
+
+class _Fed(list):
+    """A subject's fed boundaries, by bc_id, and its quiet state.
+
+    `key` reads the fed metrics out of a sample; `last_key` and `last_t` are
+    those of the subject's newest sample, and `quiet_until` is the instant
+    before which no boundary's alarm state can change while the samples
+    repeat `last_key` every 1000 ms. `publish` skips `evaluate` for such a
+    sample; `evaluate` slides the windows over it before it feeds the next.
+    """
+
+    __slots__ = ("key", "last_key", "last_t", "quiet_until")
+
+    def __init__(self):
+        super().__init__()
+        self.last_t = -inf
+        self.reset()
+
+    def reset(self):
+        """Forget the quiet state, after the boundaries changed."""
+        self.key = itemgetter(*{b.index for b in self}) if self else None
+        self.last_key = None
+        self.quiet_until = -inf
 
 
 class MetricBus:
@@ -260,7 +355,7 @@ class MetricBus:
         self.alarm_log: list[Alarm] = []
         self._sub_seq = {"sub": itertools.count(1), "evsub": itertools.count(1)}
         self._fan_order: list[Subscription] = []  # by sub_id, as fan_out delivers
-        self._fed: dict[tuple, list[_Boundary]] = {}  # subject -> its fed boundaries, by bc_id
+        self._fed: dict[tuple, _Fed] = {}  # subject -> its fed boundaries
         # sample type -> subject id -> (subject, its series, its fed boundaries,
         # its (subscription, channel) targets in fan-out order); cleared
         # whenever a subscription or boundary comes or goes
@@ -365,6 +460,10 @@ class MetricBus:
                     else:
                         batch.append(sample)
                 if fed:
+                    if (t == fed.last_t + 1000 and t < fed.quiet_until
+                            and fed.key(sample) == fed.last_key):
+                        fed.last_t = t
+                        continue
                     raised = self.evaluate(sample, subject)
                     if raised:
                         _hand_over(pending)
@@ -388,9 +487,11 @@ class MetricBus:
         self.boundaries[bc.bc_id] = bc
         index = _METRIC_INDEX[bc.subject[0]].get(bc.metric)
         if index is not None:
-            b = _Boundary(bc, index, min(bc.window_s * 1000, self.retention_ms),
-                          self.series.get(bc.subject, ()))
-            bisect.insort(self._fed.setdefault(bc.subject, []), b, key=attrgetter("bc.bc_id"))
+            series = self.series.get(bc.subject, ())
+            fed = self._fed.setdefault(bc.subject, _Fed())
+            b = _Boundary(bc, index, min(bc.window_s * 1000, self.retention_ms), series)
+            bisect.insort(fed, b, key=attrgetter("bc.bc_id"))
+            fed.reset()
             self._clear_routes()
         return bc
 
@@ -398,6 +499,9 @@ class MetricBus:
         if bc_id not in self.boundaries:
             raise InvalidBoundary(f"no boundary condition {bc_id}")
         bc = self.boundaries.pop(bc_id)
+        # what stays is fed as before: its key reads a superset of its
+        # metrics and its quiet instant is at most its own, so what publish
+        # skips stays safe to skip
         fed = self._fed.get(bc.subject, [])
         fed[:] = [b for b in fed if b.bc is not bc]
         self._clear_routes()
@@ -406,22 +510,20 @@ class MetricBus:
         """Feed `sample` to the windows of the boundaries on `subject`, its
         subject, and return the alarms they raise, in bc_id order.
 
-        Each window then holds the subject's samples up to this one, so each
-        windowed mean is as of this sample."""
+        Each window first slides over the samples `publish` skipped, so it
+        then holds the subject's samples up to this one, and each windowed
+        mean is as of this sample."""
         alarms = []
+        fed = self._fed[subject]
         t = sample[0]
-        for b in self._fed.get(subject, ()):
-            i = b.index
-            window = b.samples
-            window.append(sample)
-            total = b.total + sample[i]
-            lo = t - b.width
-            while window[0][0] <= lo:  # never past `sample` itself
-                total -= window.popleft()[i]
-            b.total = total
+        quiet_until = inf
+        for b in fed:
+            b.slide(fed.last_t)
+            b.feed(t, sample[b.index])
+            b.evict(t - b.width)
             bc = b.bc
             # integer sums: equal to sum(values) / len(values) of a rescan
-            mean = total / len(window)
+            mean = b.total / b.count
             if mean < bc.threshold if bc.bound == "min" else mean > bc.threshold:
                 if b.armed:
                     alarm = Alarm(bc_id=bc.bc_id, subject=subject, t=t,
@@ -437,6 +539,10 @@ class MetricBus:
                 if t - b.satisfied_since + 1000 >= bc.window_s * 1000:
                     b.armed = True
                     b.satisfied_since = None
+            quiet_until = min(quiet_until, b.quiet_until())
+        fed.last_key = fed.key(sample)
+        fed.last_t = t
+        fed.quiet_until = quiet_until
         return alarms
 
 

@@ -8,12 +8,28 @@ from __future__ import annotations
 
 import copy
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 from symplat.engine import ALLOC_DIMS, _task_demand, water_fill
-from symplat.model import RV_DIMS, TICK_MS, ZERO, PhysicalSample
+from symplat.model import RV_DIMS, TICK_MS, ZERO, PhysicalSample, ResourceVector
+
+
+def rv_le(a, b):
+    """Whether resource vector `a` is at most `b` in every dimension."""
+    return all(map(operator.le, a, b))
+
+
+def rv_scale(v, k):
+    """Resource vector `v` times `k`, component-wise."""
+    return ResourceVector._make(x * k for x in v)
+
+
+def rv_min(a, b):
+    """The component-wise minimum of resource vectors `a` and `b`."""
+    return ResourceVector._make(map(min, a, b))
 
 
 def waterfill_oracle(pool, demands):
@@ -342,7 +358,7 @@ def _ref_min_free_over_window(capacity, intervals, start, end):
             if iv_start <= p < iv_end:
                 used = used.add(usage)
         free = capacity.sub(used)
-        free_min = free if free_min is None else free_min.min_with(free)
+        free_min = free if free_min is None else rv_min(free_min, free)
     return free_min
 
 
@@ -351,7 +367,7 @@ def _ref_first_fit(node_ids, free_by_node, per_task, task_count):
     remaining = dict(free_by_node)
     for tid in range(task_count):
         for nid in node_ids:
-            if per_task.le(remaining[nid]):
+            if rv_le(per_task, remaining[nid]):
                 placement[tid] = nid
                 remaining[nid] = remaining[nid].sub(per_task)
                 break
@@ -368,7 +384,7 @@ def active_intervals(sched):
         if res.status in ("Active", "Frozen"):
             per_task = sched.effective_per_task(res.per_task)
             for nid, count in Counter(res.placement.values()).items():
-                timelines[nid].append((res.start_t, res.end_t, per_task.scale(count)))
+                timelines[nid].append((res.start_t, res.end_t, rv_scale(per_task, count)))
     return timelines
 
 
@@ -454,7 +470,7 @@ def reference_utilization(sched, t0, t1):
             overlap = min(res.end_t, t1) - max(res.start_t, t0)
             if overlap <= 0:
                 continue
-            usage = per_task.scale(count)
+            usage = rv_scale(per_task, count)
             for d in RV_DIMS:
                 sums[nid][d] += getattr(usage, d) * overlap
     per_node = {}

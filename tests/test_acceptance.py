@@ -30,7 +30,7 @@ from symplat.scheduler import InsufficientCapacity, ReservationScheduler
 from symplat.telemetry import BoundaryCondition, MetricBus
 
 from genscen import random_scenario
-from oracles import alarm_oracle
+from oracles import alarm_oracle, rv_le
 
 GIB = 1 << 30
 
@@ -70,7 +70,7 @@ def run_checked_suite(n_scenarios=500):
                 if getattr(ns, SAMPLE_FIELD[d]) > cap.get(d):
                     capacity_violations.append(("effective", ns.node_id, d, t))
         for nid, used in core.scheduler.committed_at(t).items():
-            if not used.le(core.scheduler.capacity[nid]):
+            if not rv_le(used, core.scheduler.capacity[nid]):
                 capacity_violations.append(("committed", nid, t))
         for app_id, task_id, d, demand, reserved, eff in core.engine.last_allocations:
             if eff < min(demand, reserved):

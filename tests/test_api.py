@@ -550,6 +550,17 @@ class TestErrorCodes:
         for _ in range(5):  # the refused request left nothing that stops the clock
             core.tick()
 
+    def test_task_count_is_at_most_1024(self, server):
+        client = WireClient(server.address, tenant="alice")
+        spec = {**app_spec("wide").to_json(),
+                "per_task_reservation": {}, "task_count": 1025}
+        with pytest.raises(SymplatError) as err:
+            client.request("submit", {"spec": spec})
+        assert err.value.code == "invalid_value"
+        client.request("submit", {"spec": {**spec, "task_count": 1024}})
+        assert client.request("status", {"app_id": "wide"})["reservation"]["app_id"] == "wide"
+        client.close()
+
     def test_malformed_field_keeps_the_connection(self, server):
         client = WireClient(server.address, tenant="alice")
         client.request("submit", {"spec": app_spec().to_json()})

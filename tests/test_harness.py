@@ -98,7 +98,7 @@ class TestScenarioValidation:
         path.write_text(json.dumps(doc))  # JSON is YAML
         with pytest.raises(ValidationError) as err:
             load_scenario(str(path))
-        assert str(err.value) == "apps[0]: app tiny: task_count must be >= 1"
+        assert str(err.value) == "apps[0]: app tiny: task_count must be in [1, 1024]"
 
     @pytest.mark.parametrize("field, value", [
         ("grace_s", "60"), ("grace_s", -1), ("grace_s", True),
@@ -248,9 +248,21 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: apps[0]: ")
 
+    def test_validate_bounds_task_count_at_1024(self, tmp_path, capsys):
+        doc = scenario_doc()
+        path = tmp_path / "wide.yaml"
+        for task_count, status in ((1024, 0), (1025, 2)):
+            doc["apps"][0]["spec"]["task_count"] = task_count
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path)]) == status
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: apps[0]: ")
+
     @pytest.mark.parametrize("entry, key, value", [
         ("cluster", "capacity", {"cpu_cores": 16, "memory_bytes": 2**64}),
         ("images", "image_id", 5),
+        ("images", "name", 5),
+        ("images", "owner", [1]),
+        ("images", "content_digest", None),
     ])
     def test_validate_refuses_a_wrong_entry_field(self, entry, key, value, tmp_path, capsys):
         doc = scenario_doc()

@@ -9,6 +9,7 @@ working: its clock ticks, and `utilization_report` and `env_model` answer.
 
 import copy
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symplat.core import OPERATOR_OPS, PlatformCore
@@ -110,3 +111,20 @@ def test_one_wrong_field_leaves_the_platform_working(case, value):
         core.tick()
     core.handle("utilization_report", {})
     core.handle("env_model", {})
+
+
+@pytest.mark.parametrize("op, payload", [
+    # a subscription to a kind no sample has would never deliver
+    ("subscribe_metrics", {"subject": {"kind": "pod", "id": "x"}}),
+    ("register_image", {**VALID["register_image"], "name": 5}),
+    ("register_image", {**VALID["register_image"], "owner": [1]}),
+    ("register_image", {**VALID["register_image"], "content_digest": None}),
+    ("submit", {"spec": {**VALID["submit"]["spec"], "task_count": 1025}}),
+])
+def test_refused_as_invalid_value_leaving_the_platform_as_it_was(op, payload):
+    core = platform()
+    before = state(core)
+    with pytest.raises(SymplatError) as err:
+        core.handle(op, payload, tenant="alice", operator=op in OPERATOR_OPS)
+    assert err.value.code == "invalid_value"
+    assert state(core) == before

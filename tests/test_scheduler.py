@@ -23,7 +23,8 @@ from symplat.scheduler import (
 )
 from symplat.scenario import load_scenario
 
-from oracles import brute_force_placement, fcfs_starts, plan_intervals, reference_utilization
+from oracles import (brute_force_placement, fcfs_starts, plan_intervals,
+                     reference_utilization, rv_le)
 
 GIB = 1 << 30
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -445,7 +446,7 @@ class TestSchedulerProperties:
                     for start, end, usage in ivs:
                         if start <= t < end:
                             used = used.add(usage)
-                    assert used.le(cap), f"trial {trial}: node {nid} over capacity at {t}"
+                    assert rv_le(used, cap), f"trial {trial}: node {nid} over capacity at {t}"
 
     def test_backfill_no_delay_vs_pure_fcfs(self):
         rng = random.Random(2)
@@ -508,7 +509,7 @@ class TestSchedulerProperties:
                     for start, end, usage in ivs:
                         if start <= t < end:
                             used = used.add(usage)
-                    assert used.le(sched.capacity[nid])
+                    assert rv_le(used, sched.capacity[nid])
 
     def test_plan_deterministic(self):
         rng = random.Random(6)

@@ -1,9 +1,11 @@
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symplat.core import PlatformCore
+from symplat.harness import ScenarioRunner
 from symplat.model import (
     ApplicationSpec,
     NodeSample,
@@ -13,6 +15,7 @@ from symplat.model import (
     ResourceVector,
     SymplatError,
 )
+from symplat.scenario import load_scenario
 from symplat.telemetry import (
     BoundaryCondition,
     Channel,
@@ -25,6 +28,8 @@ from symplat.telemetry import (
 )
 
 from oracles import alarm_oracle
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def app_sample(t, app_id="app-1", cpu=4, **kw):
@@ -452,6 +457,24 @@ class TestBoundaryConditions:
         msgs = sub.poll()
         assert len(msgs) == 1 and msgs[0]["type"] == "alarm"
         assert msgs[0]["bc_id"] == "bc-1"
+
+    def test_fleet_telemetry_evaluates_at_most_1400_node_samples(self):
+        # 32 256 node samples reach the 64 node boundaries, and every one was
+        # evaluated before publish skipped those whose alarm state cannot change
+        runner = ScenarioRunner(load_scenario(
+            os.path.join(ROOT, "perfbench", "inputs", "fleet-telemetry.yaml")))
+        bus = runner.core.bus
+        evaluated = []
+        evaluate = bus.evaluate
+
+        def counted(sample, subject):
+            evaluated.append(sample)
+            return evaluate(sample, subject)
+
+        bus.evaluate = counted
+        runner.run()
+        assert len(evaluated) <= 1400
+        assert len(bus.alarm_log) == 6
 
 
 def random_stream(rng, n):

@@ -8,6 +8,8 @@ window can start, drop or outlive its points.
 
 import random
 
+from hypothesis import example, given, settings, strategies as st
+
 from symplat.model import NODE_METRICS, SAMPLE_METRICS, NodeSample, PhysicalSample
 from symplat.telemetry import BoundaryCondition, MetricBus
 
@@ -46,6 +48,12 @@ class Harness:
             # a boundary on a metric its subject lacks is never fed
             bus_st = (False, None, True) if b is None else (not b.armed, b.satisfied_since, b.armed)
             assert bus_st == st, f"state of {bc_id} at t={sample.t}"
+            if b is not None and b.bc.subject == subject and b.runs[-1][1] == sample.t:
+                # fed this sample, not skipped it: the sums are those of a rescan
+                vals = [v for _, v in self.bus.query(subject, b.bc.metric,
+                                                     sample.t - b.width + 1, sample.t + 1)]
+                assert (b.total, b.count, b.violating) == \
+                    (sum(vals), len(vals), sum(map(b.violates, vals))), f"window of {bc_id}"
         self.alarms += len(got)
 
 
@@ -209,20 +217,95 @@ def test_random_operation_mix():
     assert alarms > 100
 
 
+def window(b):
+    """The (t, value) points of a boundary's window, expanded from its runs."""
+    points = []
+    for first_t, last_t, value, n, _ in b.runs:
+        assert last_t - first_t == (n - 1) * 1000
+        points += [(t, value) for t in range(first_t, last_t + 1, 1000)]
+    return points
+
+
 def test_each_boundary_feeds_its_own_window_until_dropped():
     h = Harness(retention_s=10)
     h.register("c", APP, window_s=30)
     h.register("a", APP, window_s=6)
     h.register("b", APP, bound="min", window_s=6)
     h.register("n", NODE, metric="interproc_bps_used")
-    h.publish(app_sample(0, 5))
+    for t in range(0, 12000, 1000):
+        h.publish(app_sample(t, 5))
     fed = h.bus._fed[APP]
-    assert [(b.bc.bc_id, b.width, len(b.samples)) for b in fed] == \
-        [("a", 6000, 1), ("b", 6000, 1), ("c", 10000, 1)]
-    assert fed[0].samples is not fed[1].samples
+    # the samples after the first repeat it, so publish skipped them
+    assert all(b.count == 1 for b in fed)
+    for b in fed:
+        b.slide(fed.last_t)
+        b.evict(fed.last_t - b.width)
+    assert [(b.bc.bc_id, b.width, window(b)) for b in fed] == [
+        ("a", 6000, [(t, 5) for t in range(6000, 12000, 1000)]),
+        ("b", 6000, [(t, 5) for t in range(6000, 12000, 1000)]),
+        ("c", 10000, [(t, 5) for t in range(2000, 12000, 1000)]),
+    ]
+    assert [(b.total, b.count) for b in fed] == [(30, 6), (30, 6), (50, 10)]
+    assert fed[0].runs is not fed[1].runs
     h.drop("a")
     h.drop("c")
     assert [b.bc.bc_id for b in fed] == ["b"]
     h.drop("b")
     assert fed == []
     assert NODE not in h.bus._fed and "n" in h.bus.boundaries
+
+
+# values and thresholds around a base: at 2**53 and above, neighbouring ints
+# round to one float, so a window of values equal to the threshold can still
+# have its mean above it (2**53 + 3 reads 2**53 + 4)
+BASES = [0, 10, 1000, 2**53 - 2, 2**53, 2**53 + 2, 2**60 + 1]
+NEAR = st.integers(-2, 2)
+# a stretch often repeats a value of the last one
+VALUE = st.integers(-1, 1)
+
+stretch = st.tuples(st.just("stretch"), VALUE, VALUE, st.integers(1, 70),
+                    st.sampled_from([1000, 1000, 1000, 2000]), st.booleans())
+register = st.tuples(st.just("register"), st.sampled_from(["b1", "b2", "b3"]),
+                     st.sampled_from(["cpu_cores_used", "fs_bps_used"]),
+                     st.sampled_from(["min", "max"]), NEAR, st.sampled_from([1, 2, 3, 5, 12, 40]))
+drop = st.tuples(st.just("drop"), st.sampled_from(["b1", "b2", "b3"]))
+
+
+@example(base=10, retention_s=30, subject="node", ops=[  # fs alone changes
+    ("register", "b1", "cpu_cores_used", "max", 0, 5),
+    ("register", "b2", "fs_bps_used", "max", 0, 5),
+    ("stretch", -1, -1, 10, 1000, False), ("stretch", -1, 1, 10, 1000, False)])
+@example(base=2**53 + 2, retention_s=30, subject="app", ops=[  # every value 2**53 + 3
+    ("register", "b1", "cpu_cores_used", "max", 1, 3), ("stretch", 1, 1, 10, 1000, False)])
+@given(base=st.sampled_from(BASES), retention_s=st.sampled_from([5, 30, 3600]),
+       subject=st.sampled_from(["app", "app-2-tasks", "node"]),
+       ops=st.lists(st.one_of(stretch, stretch, register, drop), min_size=1, max_size=30))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_quiet_stretches_match_the_reference(base, retention_s, subject, ops):
+    """Constant stretches, one or two seconds apart, with boundaries registered,
+    replaced and dropped between them: a stretch that repeats the last values
+    goes on quietly across the change. Each stretch's cpu and fs values lie
+    near the thresholds; a second task, when there is one, reads the same cpu
+    or one more."""
+    h = Harness(retention_s=retention_s)
+    subj = NODE if subject == "node" else APP
+    tasks = 2 if subject == "app-2-tasks" else 1
+    t = 0
+    for op in ops:
+        if op[0] == "stretch":
+            _, cpu, fs, length, step, second_differs = op
+            cpu, fs = max(0, base + cpu), max(0, base + fs)
+            for _ in range(length):
+                if subj == NODE:
+                    h.publish(NodeSample(t=t, node_id="n01", cpu_cores_used=cpu, fs_bps_used=fs))
+                for task_id in range(tasks if subj == APP else 0):
+                    extra = task_id if second_differs else 0
+                    h.publish(PhysicalSample(t=t, app_id="a1", task_id=task_id, node_id="n01",
+                                             cpu_cores_used=cpu + extra, fs_bps_used=fs))
+                t += step
+        elif op[0] == "register":
+            _, bc_id, metric, bound, near, window_s = op
+            h.register(bc_id, subj, metric=metric, bound=bound,
+                       threshold=max(0, base + near), window_s=window_s)
+        elif op[1] in h.ref.boundaries:
+            h.drop(op[1])
