@@ -17,6 +17,7 @@ import json
 import os
 import selectors
 import socket
+import stat
 import threading
 import time
 import traceback
@@ -199,7 +200,8 @@ class WireServer:
         if kind == "tcp":
             self._listener = socket.create_server((host, port), backlog=socket.SOMAXCONN)
         else:
-            if os.path.exists(host):
+            # replace a stale socket; any other file at the path makes the bind fail
+            if os.path.exists(host) and stat.S_ISSOCK(os.stat(host).st_mode):
                 os.unlink(host)
             self._listener = socket.create_server(host, family=socket.AF_UNIX,
                                                   backlog=socket.SOMAXCONN)

@@ -2,14 +2,15 @@
 
 One instance owns the scheduler, the node engine and the metric bus, advances
 virtual time in 1000 ms ticks, and exposes the operation table that both the
-wire service and the scenario runner drive. A tick consults the scheduler
-(`activate_due`, `enforce_walltime`) only once its cached plan has changed or
-its `next_due` instant has come; a quiet tick only steps the engine, which
-emits cached sample templates, and publishes the samples in one call. Every
-platform event is logged, pushed to event subscribers and applied to the
-running app in one place. In asymmetric mode (the static baseline)
-adjustment, boundary conditions and subscriptions are disabled and I/O
-reservations are ignored: all I/O becomes best-effort.
+wire service and the scenario runner drive. It keeps no copy of its layers'
+state. A tick consults the scheduler (`activate_due`, `enforce_walltime`)
+only once `now` reaches the scheduler's own `next_due`; a quiet tick only
+steps the engine, which emits cached sample templates, and publishes the
+samples in one call. The engine keeps each app's last samples, also after
+the app has left it. Every platform event is logged, pushed to event
+subscribers and applied to the running app in one place. In asymmetric mode
+(the static baseline) adjustment, boundary conditions and subscriptions are
+disabled and I/O reservations are ignored: all I/O becomes best-effort.
 """
 
 from __future__ import annotations
@@ -48,13 +49,8 @@ class PlatformCore:
         self.owners: dict[str, str] = {}  # app_id -> tenant
         self.now = 0
         self.event_log: list[dict] = []
-        # the last samples of each app that has left the engine, in task order
-        self._final_samples: dict[str, list[model.PhysicalSample]] = {}
         # its completions and errors are acted on at the start of the next tick
         self.last_tick_result = None
-        # the scheduler has nothing due while this plan is cached and now < _due_at
-        self._due_plan = None
-        self._due_at = None
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -66,8 +62,6 @@ class PlatformCore:
         self.event_log.append({"type": "env_event", **fields})
         self.bus.fan_out({"type": "event", **fields}, ("app", ev.app_id))
         if ev.app_id in self.engine.apps:
-            if ev.event == "Terminating":
-                self._final_samples[ev.app_id] = self.engine.last_samples(ev.app_id)
             self.engine.apply_env_event(ev)
 
     def _record_lifecycle(self, name, app_id, t, **extra):
@@ -97,13 +91,11 @@ class PlatformCore:
             for app_id in last.completions:
                 if app_id in self.engine.apps:
                     self.scheduler.finish(app_id, now, "Completed")
-                    self._final_samples[app_id] = self.engine.last_samples(app_id)
                     self.engine.remove_app(app_id)
                     self._record_lifecycle("Completed", app_id, now)
 
         sched = self.scheduler
-        plan = sched.cached_plan
-        if plan is None or plan is not self._due_plan or now >= self._due_at:
+        if now >= sched.next_due():
             for app_id in sched.activate_due(now):
                 spec = sched.specs[app_id]
                 res = sched.reservations[app_id]
@@ -112,8 +104,6 @@ class PlatformCore:
                 self._record_lifecycle("Started", app_id, now, placement=placement)
             for ev in sched.enforce_walltime(now, checkpoint_t=self._checkpoint_t):
                 self._record_event(ev)
-            self._due_plan = sched.cached_plan
-            self._due_at = sched.next_due()
 
         result = self.last_tick_result = self.engine.step_tick(now)
         if self.mode == "symmetric":
@@ -204,10 +194,7 @@ class PlatformCore:
         app_id = payload["app_id"]
         if app_id not in self.owners:
             raise SymplatError("no_such_app", f"no app {app_id}")
-        if app_id in self.engine.apps:
-            samples = self.engine.last_samples(app_id)
-        else:
-            samples = self._final_samples.get(app_id, [])
+        samples = self.engine.last_samples(app_id)
         return {"app_id": app_id, "tasks": [s.to_json() for s in samples]}
 
     def _op_env_model(self, payload, **_):

@@ -147,6 +147,8 @@ class SimEngine:
         # per node: its sample after `t`, as of its last fill plus the storage written since
         self._node_tails = {nid: (nid, 0, 0, 0, 0, 0, 0, 0) for nid in self.capacity}
         self.last_t = None  # the `now` of the last tick
+        # the samples of each removed app's last tick, in task order
+        self._final_samples: dict[str, list[PhysicalSample]] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -165,8 +167,10 @@ class SimEngine:
         return app
 
     def remove_app(self, app_id):
-        app = self.apps.pop(app_id, None)
+        app = self.apps.get(app_id)
         if app is not None:
+            self._final_samples[app_id] = self.last_samples(app_id)
+            del self.apps[app_id]
             self._layout = None
             self._invalidate(app)
         return app
@@ -323,10 +327,12 @@ class SimEngine:
         return TickResult(samples, node_samples, completions, errors)
 
     def last_samples(self, app_id):
-        """The samples the last tick emitted for `app_id`'s tasks, in task order."""
+        """The samples the last tick emitted for `app_id`'s tasks, in task
+        order: for an app that has left, those of the last tick before it
+        left; none for an app that never ran."""
         app = self.apps.get(app_id)
         if app is None:
-            raise UnknownApp(f"no app {app_id} on this engine")
+            return self._final_samples.get(app_id, [])
         stamp = (self.last_t,)
         return [tuple.__new__(PhysicalSample, stamp + task.tail)
                 for task in app.tasks.values() if task.tail]

@@ -85,9 +85,6 @@ class ResourceVector(NamedTuple):
     # concatenation or repetition
     __add__ = __mul__ = __rmul__ = None
 
-    def get(self, dim):
-        return getattr(self, dim)
-
     def add(self, other):
         vals = tuple(map(operator.add, self, other))
         if max(vals) > _COMPONENT_MAX:

@@ -105,7 +105,8 @@ def scenario_from_dict(doc, name="<scenario>"):
         if spec.kind == "container" and spec.image not in image_ids:
             raise ValidationError(f"unknown image {spec.image!r}", fieldpath)
         submit_at = _checked("submit_at_s", entry.get("submit_at_s", 0), fieldpath, least=0)
-        apps.append((spec, submit_at * 1000, entry.get("tenant", "default")))
+        tenant = _checked("tenant", entry.get("tenant", "default"), fieldpath, kinds=(str,))
+        apps.append((spec, submit_at * 1000, tenant))
     app_ids = [spec.app_id for spec, _, _ in apps]
     if len(set(app_ids)) != len(app_ids):
         raise ValidationError("app_ids must be unique", "apps")
@@ -125,9 +126,9 @@ def scenario_from_dict(doc, name="<scenario>"):
     script.sort(key=lambda s: s.at_ms)
 
     return Scenario(
-        name=doc.get("name", name),
+        name=_checked("name", doc.get("name", name), kinds=(str,)),
         mode=mode,
-        seed=doc.get("seed", 0),
+        seed=_checked("seed", doc.get("seed", 0)),
         duration_ms=duration_s * 1000,
         nodes=nodes,
         images=images,

@@ -15,10 +15,11 @@ an activation or grant on a plan whose promise repair pinned a job. Every
 other change keeps the plan, or patches it into a new plan object, each by a
 proof written where it happens; a computation that renewed a promise is kept
 too, when it pinned no job. Each computation reuses one fit table per job
-shape. While a plan is cached, `next_due` gives the first instant at which
-`activate_due` or `enforce_walltime` can act, so the platform consults the
-scheduler on a tick only from that instant on, or once a mutation has cleared
-or replaced the plan.
+shape. Each consult (`activate_due` then `enforce_walltime`) ends by noting
+the first instant at which either can act again; `next_due` gives that
+instant while the plan it was noted for is still cached, so the platform
+consults the scheduler on a tick only from that instant on, or once a
+mutation has cleared or replaced the plan.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ class SchedulePlan:
     profile of every node with all of them committed.
 
     A plan is never changed in place: a kept plan that an activation or a
-    grant patches becomes a new object, so a reader that compares identity
-    (the platform's `next_due` skip) sees every change.
+    grant patches becomes a new object, so `ReservationScheduler.next_due`,
+    which compares identity, sees every change.
     """
 
     planned: dict[str, tuple[int, dict[int, str]]]
@@ -219,6 +220,9 @@ class ReservationScheduler:
         self._promised: dict[str, tuple[int, dict[int, str]]] = {}
         self._plan: SchedulePlan | None = None
         self._plan_span = (0, 0)  # the instants at which `_plan` is current
+        # nothing is due before `_due_at` while `_due_plan` is the cached plan
+        self._due_plan = None
+        self._due_at = _ORIGIN
         self.replans = 0  # plan computations, cached returns excluded
         # (per-task need, task_count) of each queued shape -> its fit table,
         # kept across computations and pruned by each to the shapes queued
@@ -380,26 +384,11 @@ class ReservationScheduler:
         self._plan_span = (now, until)
         return plan
 
-    @property
-    def cached_plan(self):
-        """The plan `plan` returns while its inputs hold; None once they changed."""
-        return self._plan
-
     def next_due(self):
-        """While `cached_plan` holds: the first instant at which `activate_due`
-        or `enforce_walltime` can do anything. That is the earliest of the
-        instant after the plan's span, every planned start, and the drain
-        instant (end_t - grace) of each undrained running job or the end_t of
-        a drained one. None when no plan is cached."""
-        if self._plan is None:
-            return None
-        due = self._plan_span[1] + 1
-        for start, _ in self._plan.planned.values():
-            due = min(due, start)
-        for app_id, res in self.live.items():
-            if res.status != "Queued":
-                due = min(due, res.end_t if app_id in self._drained else res.end_t - self.grace_ms)
-        return due
+        """The first instant at which `activate_due` or `enforce_walltime` can
+        do anything, as the last consult found it; _ORIGIN ("consult now")
+        once the plan it was found for is no longer cached."""
+        return self._due_at if self._plan is self._due_plan else _ORIGIN
 
     def activate_due(self, now):
         """Start queued jobs whose planned start has arrived. Returns app_ids.
@@ -532,9 +521,15 @@ class ReservationScheduler:
 
         `checkpoint_t` maps app_id to the virtual time of its last completed
         checkpoint (or None); it feeds `hollow_core_seconds`.
+
+        It ends a consult, so it notes the instant `next_due` gives while the
+        plan stays cached: the earliest of the instant after the plan's span,
+        every planned start, and the drain instant (end_t - grace) of each
+        undrained running job or the end_t of a drained one.
         """
         checkpoint_t = checkpoint_t or (lambda app_id: None)
         events = []
+        due = float("inf")
         for app_id in sorted(self.live):
             res = self.live[app_id]
             if res.status == "Queued":
@@ -553,6 +548,11 @@ class ReservationScheduler:
                     event="Terminating", app_id=app_id,
                     reason="walltime limit reached", effective_at=now,
                 ))
+            else:
+                due = min(due, res.end_t if app_id in self._drained else drain_t)
+        plan = self._due_plan = self._plan
+        self._due_at = _ORIGIN if plan is None else min(
+            due, self._plan_span[1] + 1, *(start for start, _ in plan.planned.values()))
         return events
 
     def finish(self, app_id, now, status, last_checkpoint_t=None):

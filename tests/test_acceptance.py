@@ -67,7 +67,7 @@ def run_checked_suite(n_scenarios=500):
         for ns in core.last_tick_result.node_samples:
             cap = core.scheduler.capacity[ns.node_id]
             for d in RV_DIMS:
-                if getattr(ns, SAMPLE_FIELD[d]) > cap.get(d):
+                if getattr(ns, SAMPLE_FIELD[d]) > getattr(cap, d):
                     capacity_violations.append(("effective", ns.node_id, d, t))
         for nid, used in core.scheduler.committed_at(t).items():
             if not rv_le(used, core.scheduler.capacity[nid]):

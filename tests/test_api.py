@@ -1,5 +1,7 @@
 import json
+import os
 import socket
+import stat
 import sys
 import threading
 import time
@@ -63,6 +65,28 @@ def read_line(sock, buf=b""):
         buf += chunk
     line, buf = buf.split(b"\n", 1)
     return json.loads(line.decode()), buf
+
+
+class TestUnixSocketPath:
+    def test_a_regular_file_at_the_path_keeps_its_bytes(self, tmp_path):
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"not a socket\n")
+        with pytest.raises(OSError):
+            WireServer(PlatformCore(cluster(), images=[IMAGE]), str(notes))
+        assert notes.read_bytes() == b"not a socket\n"
+
+    def test_a_stale_socket_is_replaced(self, tmp_path):
+        path = str(tmp_path / "symplat.sock")
+        core = PlatformCore(cluster(), images=[IMAGE])
+        WireServer(core, path).start().stop()
+        assert stat.S_ISSOCK(os.stat(path).st_mode)  # a stopped server leaves it behind
+        server = WireServer(core, path).start()
+        try:
+            client = WireClient(path)
+            assert client.request("env_model", {})["now"] == 0
+            client.close()
+        finally:
+            server.stop()
 
 
 class TestParseListen:
@@ -339,7 +363,8 @@ class TestOperations:
 def test_physical_model_is_each_apps_last_samples(mode):
     """`physical_model` returns the samples the last tick emitted for a running
     app, in task order, the samples of its last tick for an app that has
-    completed or been terminated, and none for a queued app."""
+    completed or been terminated (cancelled, at its walltime, or after a
+    logical Error), and none for a queued app."""
     def spec(app_id, cores=4, tasks=1, work=10**6, walltime=3600):
         return ApplicationSpec(
             app_id=app_id, kind="container", image="img-1", task_count=tasks,
@@ -348,9 +373,17 @@ def test_physical_model_is_each_apps_last_samples(mode):
             trace=(Phase(kind="compute", work_amount=work,
                          demand=ResourceVector(cpu_cores=cores)),))
 
+    # writes 1000 bytes a tick into 2500 reserved: logical Error on its third tick
+    spill = ApplicationSpec(
+        app_id="spill", kind="container", image="img-1", task_count=1,
+        per_task_reservation=ResourceVector(cpu_cores=1, memory_bytes=GIB, fs_bps=1000,
+                                            storage_bytes=2500),
+        walltime_limit_s=3600,
+        trace=(Phase(kind="fs_io", work_amount=10**6,
+                     demand=ResourceVector(fs_bps=1000, storage_bytes=1)),))
     core = PlatformCore(cluster(), images=[IMAGE], mode=mode)
     specs = [spec("wide", cores=20, tasks=2), spec("short", work=10), spec("cut", walltime=5),
-             spec("gone", tasks=3), spec("blocked", cores=20, tasks=2)]
+             spec("gone", tasks=3), spill, spec("blocked", cores=20, tasks=2)]
     last = {}  # app_id -> the samples of the last tick that sampled it
     for tick in range(10):
         if tick == 0:
@@ -370,10 +403,12 @@ def test_physical_model_is_each_apps_last_samples(mode):
             assert out == {"app_id": app_id, "tasks": last.get(app_id, [])}, (tick, app_id)
     outcomes = {s.app_id: core.scheduler.reservations[s.app_id].status for s in specs}
     assert outcomes == {"wide": "Active", "short": "Completed", "cut": "TerminatedWalltime",
-                        "gone": "Cancelled", "blocked": "Queued"}
+                        "gone": "Cancelled", "spill": "TerminatedError", "blocked": "Queued"}
     wide = core.handle("physical_model", {"app_id": "wide"})["tasks"]
     assert [(s["task_id"], s["node_id"]) for s in wide] == [(0, "n01"), (1, "n02")]
     assert [s["t"] for s in core.handle("physical_model", {"app_id": "short"})["tasks"]] == [2000]
+    spilled = core.handle("physical_model", {"app_id": "spill"})["tasks"]
+    assert [(s["t"], s["storage_bytes_used"]) for s in spilled] == [(2000, 3000)]
 
 
 class TestPushes:

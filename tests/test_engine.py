@@ -417,7 +417,7 @@ class TestEngineProperties:
                     per_node_dim.setdefault((nid, dim), 0)
                     per_node_dim[(nid, dim)] += eff
                 for (nid, dim), total in per_node_dim.items():
-                    assert total <= engine.capacity[nid].get(dim), \
+                    assert total <= getattr(engine.capacity[nid], dim), \
                         f"seed {seed}: node {nid} oversubscribed on {dim}"
 
     def test_no_guarantees_without_io_reservations(self):

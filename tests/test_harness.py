@@ -119,6 +119,10 @@ class TestScenarioValidation:
         (("script", 0, "tenant"), 5, "script[0]"),
         (("script", 0), 5, "script[0]"),
         (("cluster",), 5, "cluster"),
+        (("seed",), "abc", "seed"),
+        (("seed",), 1.5, "seed"),
+        (("name",), ["a"], "name"),
+        (("apps", 0, "tenant"), 5, "apps[0]"),
     ])
     def test_fields_take_their_exact_type(self, path, value, fieldpath):
         doc = scenario_doc(script=[{"at_s": 1, "op": "status", "payload": {"app_id": "tiny"}}])
@@ -288,6 +292,15 @@ class TestCli:
         if env is not None:
             monkeypatch.setenv("CHPC_LISTEN", env)
         assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_serve_refuses_a_file_at_its_socket_path(self, tmp_path, capsys):
+        doc = tmp_path / "minimal.yaml"
+        doc.write_text(json.dumps(MINIMAL))
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"not a socket\n")
+        assert main(["serve", str(doc), "--listen", str(notes), "--speedup", "1000"]) == 1
+        assert notes.read_bytes() == b"not a socket\n"
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_client_commands_against_a_live_server(self, tmp_path, capsys):

@@ -1,11 +1,12 @@
 """A tick that skips the scheduler skips nothing it would have done.
 
 `PlatformCore.tick` calls `activate_due` and `enforce_walltime` only once
-the scheduler's cached plan has changed or its `next_due` instant has come.
-Here the core runs the report corpus and random generated scenarios; before
-every tick a deep copy of the scheduler is taken, and on every tick that
-skipped the two calls, the copy must start nothing, emit no event and leave
-its promises and drained set as they were.
+`now` reaches the scheduler's `next_due`: the instant the last consult noted,
+while the plan it noted it for is still cached. Here the core runs the report
+corpus and random generated scenarios; before every tick a deep copy of the
+scheduler is taken, and on every tick that skipped the two calls, the copy
+must start nothing, emit no event and leave its promises and drained set as
+they were.
 """
 
 import copy
