@@ -197,6 +197,7 @@ class WireServer:
         self.core = core
         self.core_lock = threading.RLock()
         kind, host, port = parse_listen(listen)
+        self._socket_file = None  # (path, (st_dev, st_ino)) of the unix socket bound
         if kind == "tcp":
             self._listener = socket.create_server((host, port), backlog=socket.SOMAXCONN)
         else:
@@ -205,6 +206,8 @@ class WireServer:
                 os.unlink(host)
             self._listener = socket.create_server(host, family=socket.AF_UNIX,
                                                   backlog=socket.SOMAXCONN)
+            st = os.stat(host)
+            self._socket_file = (host, (st.st_dev, st.st_ino))
         self._listener.setblocking(False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
@@ -263,6 +266,14 @@ class WireServer:
             conn.close()
         self._selector.close()
         self._listener.close()
+        if self._socket_file is not None:
+            path, ident = self._socket_file
+            try:
+                st = os.stat(path)
+                if (st.st_dev, st.st_ino) == ident:  # still this server's socket
+                    os.unlink(path)
+            except FileNotFoundError:
+                pass
 
 
 class WireClient:

@@ -60,8 +60,13 @@ def cmd_serve(args):
     core = PlatformCore(scenario.nodes, scenario.images, mode=args.mode or scenario.mode,
                         grace_s=scenario.grace_s, retention_s=scenario.retention_s)
     listen = args.listen or os.environ.get("CHPC_LISTEN") or DEFAULT_LISTEN
-    server = WireServer(core, listen, speedup=args.speedup,
-                        duration_ms=scenario.duration_ms or None)
+    try:
+        server = WireServer(core, listen, speedup=args.speedup,
+                            duration_ms=scenario.duration_ms or None)
+    except OSError as exc:  # not a missing scenario, even when it is an ENOENT
+        reason = os.strerror(exc.errno) if exc.errno else exc
+        print(f"error: cannot listen on {listen}: {reason}", file=sys.stderr)
+        return 1
     # serve submits only the t=0 apps: later submissions and the scenario's
     # `script` are not replayed, clients send them through the API
     for spec, submit_at, tenant in scenario.apps:

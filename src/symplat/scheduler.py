@@ -8,6 +8,15 @@ planned job is subtracted from the profile before the next job is planned,
 so a later job may slot in earlier only where it cannot delay any job
 planned before it.
 
+Committed usage is kept, not rebuilt. `_active` holds each node's profile of
+the Active and Frozen reservations, the base every plan computation copies;
+`_ledger` holds each node's committed usage of every reservation ever placed,
+over its window [start_t, end_t), which `utilization_report` integrates.
+Both change in `_commit`, called from three places: `activate_due` reserves
+a started job's window in both, a grant in `request_adjustment` releases the
+job's old usage and window from both and reserves the new ones, and `finish`
+releases the window from `_active` alone.
+
 The plan is recomputed only when its result can change: after a submit, a
 cancel of a queued job, a finish before the job's end, a grant that reduces
 usage, a `now` later than the earliest start the last computation found, or
@@ -25,6 +34,7 @@ mutation has cleared or replaced the plan.
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -140,6 +150,17 @@ class AvailabilityProfile:
         j = max(i + 1, bisect_left(self.times, end))
         return tuple(map(min, *self.free[i:j])) if j - i > 1 else self.free[i]
 
+    def integral(self, t0, t1):
+        """Per-dimension integral of the step function over [t0, t1), t0 < t1,
+        exact in ints (value times ms)."""
+        i = bisect_right(self.times, t0) - 1
+        j = bisect_left(self.times, t1)  # segments i..j-1 meet [t0, t1)
+        if j - i == 1:
+            return [f * (t1 - t0) for f in self.free[i]]
+        edges = [t0, *self.times[i + 1:j], t1]
+        widths = [b - a for a, b in zip(edges, edges[1:])]
+        return [sum(map(operator.mul, column, widths)) for column in zip(*self.free[i:j])]
+
     def first_shortfall(self, start, end, need):
         """Earliest instant in [start, end) at which `need` does not fit; `end` if none."""
         i = bisect_right(self.times, start) - 1
@@ -216,6 +237,10 @@ class ReservationScheduler:
         self.live: dict[str, Reservation] = {}
         self.specs: dict[str, ApplicationSpec] = {}
         self._drained: set[str] = set()
+        # kept committed usage, see the module docstring; the ledger is a step
+        # function of usage, not of free capacity, so it counts up from ZERO
+        self._active = {n: AvailabilityProfile([_ORIGIN], [c]) for n, c in self.capacity.items()}
+        self._ledger = {n: AvailabilityProfile([_ORIGIN], [ZERO]) for n in self.node_ids}
         self.hollow_core_seconds = 0  # of walltime-killed jobs, since their last checkpoint
         self._promised: dict[str, tuple[int, dict[int, str]]] = {}
         self._plan: SchedulePlan | None = None
@@ -238,15 +263,14 @@ class ReservationScheduler:
         """
         return rv if self.io_reservations else rv.only(HARD_DIMS)
 
-    def _active_profile(self):
-        """Availability profile per node of the Active/Frozen reservations."""
-        profile = {n: AvailabilityProfile([_ORIGIN], [self.capacity[n]]) for n in self.node_ids}
-        for res in self.live.values():
-            if res.status != "Queued":
-                need = self.effective_per_task(res.per_task)
-                for nid, usage in node_usage(need, res.placement).items():
-                    profile[nid].reserve(res.start_t, res.end_t, usage)
-        return profile
+    def _commit(self, res, sign, ledger=True):
+        """Commit (sign 1) or release (sign -1) `res`'s usage over
+        [start_t, end_t) in `_active`, and in `_ledger` too unless told not."""
+        need = self.effective_per_task(res.per_task)
+        for nid, usage in node_usage(need, res.placement).items():
+            self._active[nid].reserve(res.start_t, res.end_t, [sign * u for u in usage])
+            if ledger:
+                self._ledger[nid].reserve(res.start_t, res.end_t, [-sign * u for u in usage])
 
     def _queued_order(self):
         # a queued reservation's start_t is its submit time until it starts
@@ -343,11 +367,10 @@ class ReservationScheduler:
                 fit = tables[shape] = _FitCounts(*shape)
             self._fits[shape] = fit
             jobs[app_id] = (fit, res.walltime_ms())
-        base = self._active_profile()
         pinned: set[str] = set()
         until = float("inf")
         for _ in range(len(order) + 1):
-            profile = {n: p.copy() for n, p in base.items()}
+            profile = {n: p.copy() for n, p in self._active.items()}
             planned = {}
             for app_id in order:
                 fit, wall = jobs[app_id]
@@ -419,6 +442,7 @@ class ReservationScheduler:
                 res.start_t = now
                 res.end_t = now + self.specs[app_id].walltime_limit_s * 1000
                 res.status = "Active"
+                self._commit(res, 1)
                 self._promised.pop(app_id, None)
                 started.append(app_id)
         if started:
@@ -498,8 +522,10 @@ class ReservationScheduler:
         if nothing:
             return "Denied", ZERO, 0, "no capacity for any requested increase"
 
+        self._commit(res, -1)
         res.per_task = res.per_task.add(granted_delta)
         res.end_t += granted_ext * 1000
+        self._commit(res, 1)
         self._plan = None
         if not plan.pinned and min(granted_delta) >= 0:
             profile = dict(plan.profile)
@@ -556,11 +582,13 @@ class ReservationScheduler:
         return events
 
     def finish(self, app_id, now, status, last_checkpoint_t=None):
-        """End a running job. A finish at or after its end_t keeps the plan:
-        it releases nothing from `now` on, and no computation from `now` on
-        reads the profiles before `now`."""
+        """End a running job. Its window leaves `_active` but stays in the
+        ledger (ROADMAP item 1). A finish at or after its end_t keeps the
+        plan: it releases nothing from `now` on, and no computation from
+        `now` on reads the profiles before `now`."""
         res = self.live.pop(app_id)
         res.status = status
+        self._commit(res, -1, ledger=False)
         if now < res.end_t:
             self._plan = None
         else:
@@ -603,24 +631,18 @@ class ReservationScheduler:
 
     def committed_at(self, t):
         """Per-node committed usage at instant t (Active/Frozen reservations)."""
-        profile = self._active_profile()
-        return {n: self.capacity[n].sub(profile[n].min_free(t, t))
+        return {n: self.capacity[n].sub(self._active[n].min_free(t, t))
                 for n in self.node_ids}
 
     def utilization_report(self, t0, t1):
         """The report as sent: the mean committed/capacity per dimension over
-        [t0, t1) per node and for the cluster, rebuilt from the reservation
-        windows, and `hollow_core_seconds`, which ignores [t0, t1)."""
+        [t0, t1) per node and for the cluster, integrated from the ledger of
+        every placed reservation's window, and `hollow_core_seconds`, which
+        ignores [t0, t1)."""
         if not t0 < t1:
             raise EmptyRange(f"invalid range [{t0}, {t1})")
         span = t1 - t0
-        sums = {n: [0] * len(RV_DIMS) for n in self.node_ids}  # exact ints
-        for res in self.reservations.values():
-            overlap = min(res.end_t, t1) - max(res.start_t, t0)
-            if overlap > 0:  # a queued reservation has no placement
-                need = self.effective_per_task(res.per_task)
-                for nid, usage in node_usage(need, res.placement).items():
-                    sums[nid] = [s + u * overlap for s, u in zip(sums[nid], usage)]
+        sums = {n: self._ledger[n].integral(t0, t1) for n in self.node_ids}  # exact ints
         per_node = {n: {} for n in self.node_ids}
         cluster = {}
         for i, d in enumerate(RV_DIMS):

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 from symplat.engine import ALLOC_DIMS, _task_demand, water_fill
 from symplat.model import RV_DIMS, TICK_MS, ZERO, PhysicalSample, ResourceVector
+from symplat.scheduler import _ORIGIN, AvailabilityProfile, node_usage
 
 
 def rv_le(a, b):
@@ -386,6 +387,34 @@ def active_intervals(sched):
             for nid, count in Counter(res.placement.values()).items():
                 timelines[nid].append((res.start_t, res.end_t, rv_scale(per_task, count)))
     return timelines
+
+
+def rebuilt_profiles(sched, reservations, base, sign):
+    """Per node, the step function that starts at `base[node]` and moves by
+    `sign` times the usage of each of `reservations` over its [start_t,
+    end_t), replayed from scratch. A queued reservation has no placement, so
+    it moves nothing."""
+    profile = {n: AvailabilityProfile([_ORIGIN], [base[n]]) for n in sched.node_ids}
+    for res in reservations:
+        need = sched.effective_per_task(res.per_task)
+        for nid, usage in node_usage(need, res.placement).items():
+            profile[nid].reserve(res.start_t, res.end_t, [-sign * u for u in usage])
+    return profile
+
+
+def reference_active_profile(sched):
+    """What the scheduler keeps as `_active`, rebuilt from `live`: the free
+    capacity left by the Active/Frozen reservations, which every plan starts
+    from."""
+    live = [r for r in sched.live.values() if r.status != "Queued"]
+    return rebuilt_profiles(sched, live, sched.capacity, -1)
+
+
+def reference_ledger(sched):
+    """What the scheduler keeps as `_ledger`, rebuilt from every reservation
+    ever placed, finished ones included: their committed usage."""
+    zero = dict.fromkeys(sched.node_ids, ZERO)
+    return rebuilt_profiles(sched, sched.reservations.values(), zero, 1)
 
 
 def plan_intervals(sched, plan):

@@ -77,9 +77,11 @@ class TestUnixSocketPath:
 
     def test_a_stale_socket_is_replaced(self, tmp_path):
         path = str(tmp_path / "symplat.sock")
+        stale = socket.socket(socket.AF_UNIX)
+        stale.bind(path)
+        stale.close()  # closing a bound socket leaves its file behind
+        assert stat.S_ISSOCK(os.stat(path).st_mode)
         core = PlatformCore(cluster(), images=[IMAGE])
-        WireServer(core, path).start().stop()
-        assert stat.S_ISSOCK(os.stat(path).st_mode)  # a stopped server leaves it behind
         server = WireServer(core, path).start()
         try:
             client = WireClient(path)
@@ -87,6 +89,24 @@ class TestUnixSocketPath:
             client.close()
         finally:
             server.stop()
+
+    def test_stop_removes_the_socket_file(self, tmp_path):
+        path = tmp_path / "symplat.sock"
+        WireServer(PlatformCore(cluster(), images=[IMAGE]), str(path)).start().stop()
+        assert not path.exists()
+
+    def test_stop_keeps_a_file_another_process_put_at_the_path(self, tmp_path):
+        path = str(tmp_path / "symplat.sock")
+        server = WireServer(PlatformCore(cluster(), images=[IMAGE]), path).start()
+        os.unlink(path)
+        other = socket.socket(socket.AF_UNIX)
+        try:
+            other.bind(path)
+            theirs = os.stat(path).st_ino
+            server.stop()
+            assert os.stat(path).st_ino == theirs
+        finally:
+            other.close()
 
 
 class TestParseListen:

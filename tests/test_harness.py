@@ -303,6 +303,14 @@ class TestCli:
         assert notes.read_bytes() == b"not a socket\n"
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_serve_reports_a_bind_failure_with_its_path(self, tmp_path, capsys):
+        doc = tmp_path / "minimal.yaml"
+        doc.write_text(json.dumps(MINIMAL))
+        listen = str(tmp_path / "missing" / "x.sock")
+        assert main(["serve", str(doc), "--listen", listen, "--speedup", "1000"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot listen on {listen}: No such file or directory\n")
+
     def test_client_commands_against_a_live_server(self, tmp_path, capsys):
         scen = scenario_from_dict(MINIMAL)
         core = PlatformCore(scen.nodes, scen.images)

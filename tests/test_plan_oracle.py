@@ -13,6 +13,8 @@ promise and pinned no job is its own fixed point, which is why it is kept.
 (d) repeats (a) on grow-heavy histories, whose grants reduce nothing, the
 case in which a grant keeps the plan. (e) compares `utilization_report` over
 random windows with `oracles.reference_utilization` on histories like (a)'s.
+Every random history and every corpus tick also compares the committed usage
+the scheduler keeps, `_active` and `_ledger`, with rebuilds from scratch.
 """
 
 import copy
@@ -23,25 +25,28 @@ from bisect import bisect_right
 import pytest
 
 from genscen import random_scenario
-from oracles import reference_plan, reference_utilization
+from oracles import (reference_active_profile, reference_ledger, reference_plan,
+                     reference_utilization)
 from symplat.harness import ScenarioRunner
 from symplat.model import ApplicationSpec, NodeSpec, Phase, ResourceVector
 from symplat.scenario import load_scenario
-from symplat.scheduler import InsufficientCapacity, ReservationScheduler
+from symplat.scheduler import _ORIGIN, InsufficientCapacity, ReservationScheduler
 
 GIB = 1 << 30
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fresh_copy(sched):
-    """A copy of `sched` with no cached plan and no fit tables, on which
-    `ReservationScheduler.plan` computes from scratch. A computation writes
-    only the promises, the cache and its span, the fit tables and the
-    counter, so the copy holds its own of those and shares the rest."""
+    """A copy of `sched` with no cached plan, no fit tables and an active
+    profile rebuilt from `live`, on which `ReservationScheduler.plan`
+    computes from scratch. A computation writes only the promises, the cache
+    and its span, the fit tables and the counter, so the copy holds its own
+    of those and shares the rest."""
     fresh = copy.copy(sched)
     fresh._promised = dict(sched._promised)
     fresh._plan = None
     fresh._fits = {}
+    fresh._active = reference_active_profile(sched)
     return fresh
 
 
@@ -54,6 +59,15 @@ def steps_from(profile, now):
         if tuple(free) != steps[-1][1]:
             steps.append((t, tuple(free)))
     return steps
+
+
+def assert_kept_usage(sched, context):
+    """The kept profiles equal their rebuilds over all time."""
+    for kept, rebuilt in ((sched._active, reference_active_profile(sched)),
+                          (sched._ledger, reference_ledger(sched))):
+        for nid in sched.node_ids:
+            assert steps_from(kept[nid], _ORIGIN) == steps_from(rebuilt[nid], _ORIGIN), \
+                f"{context}: {nid}"
 
 
 def assert_same_plan(sched, now, context):
@@ -142,7 +156,8 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler,
                      step=random_step):
     """Run 500 random histories of `step`s on schedulers from `make`,
     calling check(sched, now, context) after every step and at quiet
-    instants. Returns how many checks were made."""
+    instants, and checking the kept usage after every step. Returns how many
+    checks were made."""
     rng = random.Random(seed)
     checks = 0
     for trial in range(500):
@@ -150,6 +165,7 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler,
         now = 0
         for i in range(rng.randint(3, 10)):
             step(rng, sched, now, i)
+            assert_kept_usage(sched, f"trial {trial} step {i} at {now}")
             check(sched, now, f"trial {trial} step {i} at {now}")
             checks += 1
             # quiet instants, where the plan may come from the cache: some
@@ -272,6 +288,7 @@ def test_plan_matches_reference_after_every_tick(name, path, mode, seed):
     def check(core):
         nonlocal ticks
         ticks += 1
+        assert_kept_usage(core.scheduler, f"{name} at {core.now}")
         assert_same_plan(core.scheduler, core.now, f"{name} at {core.now}")
 
     ScenarioRunner(scenario, mode_override=mode).run(on_tick=check)

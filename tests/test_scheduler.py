@@ -13,7 +13,10 @@ from symplat.model import (
     ResourceVector,
     ZERO,
 )
+from symplat import scheduler
 from symplat.scheduler import (
+    _ORIGIN,
+    AvailabilityProfile,
     InsufficientCapacity,
     NoSuchApp,
     NotActive,
@@ -353,6 +356,45 @@ class TestUtilizationReport:
         sched.finish("b", 200_000, "Completed")
         rep = sched.utilization_report(0, 200_000)
         assert rep["per_node"]["n01"]["cpu_cores"] <= 1
+
+
+class TestKeptUsage:
+    def test_integral_sums_the_step_function(self):
+        profile = AvailabilityProfile([_ORIGIN], [(10, 4)])
+        for start, end, usage in ((3, 9, (2, 1)), (5, 20, (4, 0)), (12, 14, (-1, 3))):
+            profile.reserve(start, end, usage)
+        for t0 in range(0, 22):
+            for t1 in range(t0 + 1, 24):
+                expected = [sum(profile.min_free(t, t)[k] for t in range(t0, t1)) for k in (0, 1)]
+                assert profile.integral(t0, t1) == expected, (t0, t1)
+
+    def test_reports_and_plans_scan_no_placed_reservation(self, monkeypatch):
+        """Committed usage is kept, not rebuilt: with 1000 finished, two
+        Active and one Frozen reservation, a report makes no `node_usage`
+        call, and a plan computation makes one per queued job it places."""
+        sched = ReservationScheduler(two_node_cluster())
+        now = 0
+        for i in range(1000):
+            sched.submit(make_spec(f"done-{i:04d}", cores=2, walltime=1), now)
+            sched.activate_due(now)
+            now += 1000
+            sched.finish(f"done-{i:04d}", now, "Completed")  # at its end_t
+        for app_id in ("run-a", "run-b", "frozen"):
+            sched.submit(make_spec(app_id, cores=8, walltime=600), now)
+        assert sched.activate_due(now) == ["frozen", "run-a", "run-b"]
+        sched.set_frozen("frozen", True)
+        sched.submit(make_spec("wide", cores=16, tasks=2), now)  # waits for the cluster
+        calls = []
+        real = scheduler.node_usage
+        monkeypatch.setattr(scheduler, "node_usage",
+                            lambda *args: calls.append(args) or real(*args))
+        report = sched.utilization_report(0, now + 1000)
+        assert calls == []
+        assert report == reference_utilization(sched, 0, now + 1000)
+        replans = sched.replans
+        assert sched.plan(now).planned["wide"][0] == now + 600_000
+        assert sched.replans == replans + 1
+        assert len(calls) == 1  # "wide" alone
 
 
 class TestEventDrivenReplan:
