@@ -9,7 +9,10 @@ when I/O reservations are enabled; otherwise everything I/O is best-effort.
 
 Rates are piecewise constant: they are recomputed (a node re-filled) only when
 one of its inputs changes, that is the node's task set, a task's phase, frozen
-or done state, or an app's reservation. A re-fill also rebuilds each of the
+or done state, or a task's guaranteed rate min(demand, reserved) in some
+dimension. A granted adjustment that moves no task's guaranteed rate on a
+node re-fills nothing there: its tasks' rows take the new reservation, and
+their rates and templates stand. A re-fill also rebuilds each of the
 node's tasks' template: its sample after `t`, its work advance per tick, the
 ticks left in its phase and whether the phase writes storage. A quiet tick
 emits every cached template stamped with `now` and counts each advancing task
@@ -34,6 +37,7 @@ from .model import (
 # RV_DIMS order so that a vector indexes as a row (storage_bytes is a stock)
 ALLOC_DIMS = RV_DIMS[:6]
 BEST_EFFORT_DIMS = ALLOC_DIMS[2:]
+_ALLOC_INDEXES = range(len(ALLOC_DIMS))
 _IDLE = (0,) * len(ALLOC_DIMS)
 TICK_S = TICK_MS // 1000
 # where storage_bytes_used sits in a task's and in a node's sample tail
@@ -192,9 +196,31 @@ class SimEngine:
             self._invalidate(app)
         elif ev.event == "Adjusting":
             if ev.detail is not None:
-                app.reserved = app.reserved.add(ev.detail)
-                self._invalidate(app)
+                self._reserve(app, app.reserved.add(ev.detail))
         return app
+
+    def _reserve(self, app, reserved):
+        """Give `app` a granted per-task reservation.
+
+        A fill reads the reservation only as min(demand, reserved) per
+        ALLOC_DIMS dimension, so only a node on which one of the app's tasks
+        has that minimum move is re-filled. A task on a node already stale
+        is re-filled anyway; its row may hold a stale demand. Every other
+        task's row, whose demand is the one its node's rates were filled
+        from, takes the new vector at once: a re-fill would compute the same
+        rates and template, so only the reserved column it reports changes.
+        """
+        old, app.reserved = app.reserved, reserved
+        stale = self._stale
+        for task in app.tasks.values():
+            if task.node_id in stale:
+                continue
+            row = task.row
+            demand = row[2]
+            if any(min(demand[i], old[i]) != min(demand[i], reserved[i]) for i in _ALLOC_INDEXES):
+                stale.add(task.node_id)
+            else:
+                row[3] = reserved
 
     def set_logical_status(self, app_id, status):
         app = self.apps.get(app_id)

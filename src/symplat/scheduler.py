@@ -19,8 +19,9 @@ releases the window from `_active` alone.
 
 The plan is recomputed only when its result can change: after a submit, a
 cancel of a queued job, a finish before the job's end, a grant that reduces
-usage, a `now` later than the earliest start the last computation found, or
-an activation or grant on a plan whose promise repair pinned a job. Every
+usage where a task of some queued job fits beside the job's new usage, a
+`now` later than the earliest start the last computation found, or an
+activation or grant on a plan whose promise repair pinned a job. Every
 other change keeps the plan, or patches it into a new plan object, each by a
 proof written where it happens; a computation that renewed a promise is kept
 too, when it pinned no job. Each computation reuses one fit table per job
@@ -272,6 +273,13 @@ class ReservationScheduler:
             if ledger:
                 self._ledger[nid].reserve(res.start_t, res.end_t, [-sign * u for u in usage])
 
+    def _fits_beside(self, order, usage):
+        """Whether one task of some job in `order` fits on some node of
+        `usage` ({node_id: usage}) beside that node's usage there."""
+        needs = {self.effective_per_task(self.reservations[a].per_task) for a in order}
+        return any(all(q <= c - u for q, c, u in zip(need, self.capacity[nid], used))
+                   for nid, used in usage.items() for need in needs)
+
     def _queued_order(self):
         # a queued reservation's start_t is its submit time until it starts
         queued = [(r.start_t, a) for a, r in self.live.items() if r.status == "Queued"]
@@ -463,16 +471,31 @@ class ReservationScheduler:
         granted up to the largest amount that fits the current plan without
         delaying any planned start; extensions as the largest feasible prefix.
 
-        A grant that reduces nothing, on a plan that pinned no job, keeps the
-        plan's starts and patches its profiles. The grant was checked against
-        the plan's own profiles, so every planned job still fits at its
-        planned start, on the same nodes in the same first-fit counts. The
-        grant only takes capacity, so no profile a fresh computation builds
-        has more room than the plan's, and no job can start earlier. Nothing
-        was pinned, so the greedy pass is the whole computation, and with the
-        same starts and promises the span is the same. The job's new usage
-        over its new window replaces its old usage in the profiles of its
-        nodes. Any other grant clears the plan.
+        Two kinds of grant, on a plan that pinned no job, keep the plan's
+        starts and patch its profiles: the job's new usage over its new
+        window replaces its old usage in the profiles of its nodes. Nothing
+        was pinned, so in both the greedy pass is the whole computation, and
+        with the same starts and promises the span is the same. Any other
+        grant clears the plan.
+
+        A grant that reduces nothing: it was checked against the plan's own
+        profiles, so every planned job still fits at its planned start, on
+        the same nodes in the same first-fit counts. The grant only takes
+        capacity, so no profile a fresh computation builds has more room
+        than the plan's, and no job can start earlier.
+
+        A pure reduction (no dimension raised, no extension granted) after
+        which no queued job's per-task need fits on any of the job's nodes
+        beside the job's new usage there. The grant frees capacity only on
+        those nodes over [start_t, end_t), and start_t <= now. A window
+        [s, s + wall) with s >= now that meets [now, end_t) on one of them
+        holds an instant at which the job's new usage is committed, and
+        before the grant its larger old usage, beside usage that the greedy
+        pass only adds to. So every such window fits 0 tasks of each queued
+        job, both before and after the grant. Every other window sees
+        identical free vectors. So each node's fit counts from `now` on are
+        the same step function, the greedy pass finds the same starts and
+        placements, and the promises and the span are unchanged.
         """
         if app_id not in self.reservations:
             raise NoSuchApp(f"no app {app_id}")
@@ -526,11 +549,13 @@ class ReservationScheduler:
         res.per_task = res.per_task.add(granted_delta)
         res.end_t += granted_ext * 1000
         self._commit(res, 1)
+        new_usage = node_usage(self.effective_per_task(res.per_task), res.placement)
         self._plan = None
-        if not plan.pinned and min(granted_delta) >= 0:
+        if not plan.pinned and (min(granted_delta) >= 0 or (
+                granted_ext == 0 and max(granted_delta) <= 0
+                and not self._fits_beside(plan.order, new_usage))):
             profile = dict(plan.profile)
-            for nid, usage in node_usage(self.effective_per_task(res.per_task),
-                                         res.placement).items():
+            for nid, usage in new_usage.items():
                 others[nid].reserve(res.start_t, res.end_t, usage)
                 profile[nid] = others[nid]
             self._plan = SchedulePlan(planned=plan.planned, profile=profile,

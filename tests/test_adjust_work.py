@@ -1,0 +1,73 @@
+"""A granted adjustment recomputes only what it changes.
+
+Replays the committed wire-clocked benchmark inputs in process: the
+scenario's t=0 apps are submitted as `symplat serve` submits them, and the
+op mix goes through `PlatformCore.handle` with the benchmark's rule for
+adjusts (+1 core per task, then -1 once granted, so each app's reservation
+alternates), with a tick every 170 requests. Its three queued jobs need a
+whole 32-core node per task, which no node holding an app can give, and
+each app demands no more cores than it first reserved, so no grant can move
+a planned start or a guaranteed rate: the plan is kept and no node is
+re-filled. Both input files are only read.
+"""
+
+import os
+
+import yaml
+
+from oracles import reference_allocations
+from symplat.core import PlatformCore
+from symplat.scenario import load_scenario
+from test_plan_oracle import assert_kept_usage, assert_same_plan
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+INPUTS = os.path.join(ROOT, "perfbench", "inputs")
+
+
+def payload(op, app, extra, progress):
+    """The request the benchmark's op mix sends for (op, app)."""
+    if op == "adjust":
+        return {"app_id": app, "delta_per_task": {"cpu_cores": -1 if extra.get(app) else 1}}
+    if op == "report_progress":
+        progress[app] = progress.get(app, 0) + 1
+        return {"app_id": app, "progress": progress[app] * 1e-6}
+    if op in ("status", "physical_model"):
+        return {"app_id": app}
+    return {}
+
+
+def test_wire_clocked_adjusts_neither_replan_nor_refill():
+    scenario = load_scenario(os.path.join(INPUTS, "wire-clocked.yaml"))
+    with open(os.path.join(INPUTS, "wire-clocked-mix.yaml"), encoding="utf-8") as fh:
+        mix = yaml.safe_load(fh)
+    core = PlatformCore(scenario.nodes, scenario.images, mode=scenario.mode,
+                        grace_s=scenario.grace_s, retention_s=scenario.retention_s)
+    for spec, submit_at, tenant in scenario.apps:
+        if submit_at == 0:
+            core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
+    core.tick()
+    core.tick()  # the benchmark's warm-up: the apps start, the queue stays
+    sched, engine = core.scheduler, core.engine
+    assert sum(r.status == "Queued" for r in sched.live.values()) == 3
+    replans, refills = sched.replans, engine.refills
+    extra, progress = {}, {}
+    grants = 0
+    ops = mix["ops"]
+    for i in range(3000):
+        op, app = ops[i % len(ops)]
+        result = core.handle(op, payload(op, app, extra, progress), tenant=mix["tenant"])
+        if op == "adjust":
+            granted = result["granted_delta"].get("cpu_cores", 0)
+            extra[app] = extra.get(app, 0) + granted
+            grants += granted != 0
+        if i % 170 == 169:
+            core.tick()
+    # the grants since the last tick changed rows in place: tick once more on them
+    expected, _ = reference_allocations(engine)
+    core.tick()
+    assert engine.last_allocations == expected
+    assert grants > 100
+    assert sched.replans - replans <= 2  # 68 when every reduction replanned
+    assert engine.refills - refills <= 2  # 31 when every grant re-filled its nodes
+    assert_kept_usage(sched, f"at {core.now}")
+    assert_same_plan(sched, core.now, f"at {core.now}")

@@ -370,6 +370,26 @@ class TestEventDrivenEngine:
         engine.step_tick(2000)
         assert engine.refills == refills + 1
 
+    def test_grant_that_moves_no_guaranteed_rate_refills_no_node(self):
+        engine = SimEngine(self.two_nodes())
+        # "a" demands 2 of its 4 reserved cores, so a grant up from 4 or down
+        # to 2 moves no task's min(demand, reserved)
+        engine.add_app(compute_app("a", cores=2, work=10**9, reserved_cores=4, tasks=2),
+                       {0: "n01", 1: "n02"}, 0)
+        engine.add_app(fs_app("b", 400_000_000, 10**12), {0: "n02"}, 0)
+        engine.step_tick(0)
+        refills = engine.refills
+        before = engine.last_allocations
+        for t, delta, cores in ((1000, 3, 7), (2000, -5, 2)):
+            engine.apply_env_event(self.event("Adjusting", "a", ResourceVector(cpu_cores=delta)))
+            result = engine.step_tick(t)
+            assert engine.refills == refills
+            assert engine.last_allocations == [
+                (a, tid, dim, demand, cores if (a, dim) == ("a", "cpu_cores") else reserved, eff)
+                for a, tid, dim, demand, reserved, eff in before]
+            assert [(s.cpu_cores_used, s.fs_bps_used) for s in result.samples] == \
+                [(2, 0), (2, 0), (0, 400_000_000)]
+
     def test_kalman_refills_only_on_input_changes(self):
         runner = ScenarioRunner(load_scenario(os.path.join(ROOT, "scenarios", "kalman.yaml")),
                                 mode_override="symmetric")

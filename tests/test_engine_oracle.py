@@ -6,10 +6,11 @@ tick did before rows were cached and re-filled only on a change of input;
 did before the engine emitted cached sample templates. The random histories
 here run several nodes through adds, removes, Freezing/Thawed (also in the
 middle of a phase), grow and shrink Adjusting (also a shrink of cpu to 0,
-which stops a compute phase, and a later grow that restarts it),
-Terminating, Draining, logical status writes, phase completions (also where
-the advance does not divide the work amount), colocated net_io and storage
-overruns, and compare `last_allocations`, every task's phase, work done,
+which stops a compute phase, and a later grow that restarts it, and grants
+that move no task's guaranteed rate min(demand, reserved), whose nodes the
+engine does not re-fill), Terminating, Draining, logical status writes,
+phase completions (also where the advance does not divide the work amount),
+colocated net_io and storage overruns, and compare `last_allocations`, every task's phase, work done,
 storage and done flag, the task samples, the node samples, completions and
 errors with the references after every tick.
 """
@@ -20,7 +21,7 @@ from collections import Counter
 import pytest
 
 from oracles import reference_allocations, reference_step
-from symplat.engine import ALLOC_DIMS, SimEngine
+from symplat.engine import ALLOC_DIMS, SimEngine, _task_demand
 from symplat.model import (
     ApplicationSpec,
     LogicalStatus,
@@ -120,8 +121,22 @@ def random_event(rng, engine, now, serial, seen):
         seen["thaw mid-phase"] += 1
     if detail is not None and detail.cpu_cores > 0 and zero_cpu_compute_tasks({app.app_id: app}):
         seen["cpu grow from 0"] += 1
+    if detail is not None and not detail.is_zero() and rate_neutral(app, detail):
+        seen["rate-neutral grants"] += 1
     engine.apply_env_event(PlatformEnvEvent(event=event, app_id=app.app_id, reason="test",
                                             effective_at=now, detail=detail))
+
+
+def rate_neutral(app, detail):
+    """Whether granting `detail` moves no task's guaranteed rate
+    min(demand, reserved), so that its nodes need no re-fill."""
+    wire_free = len(app.tasks) > 1 and app.colocated()
+    new = app.reserved.add(detail)
+    # zip stops at the ALLOC_DIMS: storage_bytes is a stock, not a rate
+    return all(min(d, a) == min(d, b)
+               for task in app.tasks.values()
+               for d, a, b, _ in zip(_task_demand(app, task, wire_free), app.reserved, new,
+                                     ALLOC_DIMS))
 
 
 def assert_tick_matches(engine, result, expected, node_used, context):
@@ -185,4 +200,4 @@ def test_random_histories_match_reference(io_guarantees):
     # the histories reach the paths they are meant to cover
     assert all(seen[k] > 0 for k in ("errors", "completions", "uneven completions",
                                      "zero-advance compute ticks", "cpu grow from 0",
-                                     "thaw mid-phase")), seen
+                                     "thaw mid-phase", "rate-neutral grants")), seen

@@ -11,7 +11,8 @@ kept plan carries forward (a grant patches them in place of a recomputation).
 (c) checks on the random histories that a computation which renewed a
 promise and pinned no job is its own fixed point, which is why it is kept.
 (d) repeats (a) on grow-heavy histories, whose grants reduce nothing, the
-case in which a grant keeps the plan. (e) compares `utilization_report` over
+case in which a grant keeps the plan; (a) itself counts the pure reductions
+that kept it, which it must reach. (e) compares `utilization_report` over
 random windows with `oracles.reference_utilization` on histories like (a)'s.
 Every random history and every corpus tick also compares the committed usage
 the scheduler keeps, `_active` and `_ledger`, with rebuilds from scratch.
@@ -182,10 +183,35 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler,
     return checks
 
 
+class ReductionCountingScheduler(ReservationScheduler):
+    """Counts the pure reductions (no dimension raised, no extension
+    granted) that kept the plan."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kept_reductions = 0
+
+    def request_adjustment(self, app_id, delta_per_task, extension_s, now):
+        decision, granted, ext, reason = super().request_adjustment(
+            app_id, delta_per_task, extension_s, now)
+        if decision != "Denied" and max(granted) <= 0 and ext == 0 and self._plan is not None:
+            self.kept_reductions += 1
+        return decision, granted, ext, reason
+
+
 @pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
 def test_random_queues_match_reference(io_reservations):
     seed = 11 if io_reservations else 12
-    assert random_histories(seed, io_reservations, assert_same_plan) >= 1000
+    schedulers = set()
+
+    def check(sched, now, context):
+        schedulers.add(sched)
+        assert_same_plan(sched, now, context)
+
+    assert random_histories(seed, io_reservations, check,
+                            make=ReductionCountingScheduler) >= 1000
+    # the reduction keep: a reduction that frees no room a queued job can use
+    assert sum(s.kept_reductions for s in schedulers) > 0
 
 
 @pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])

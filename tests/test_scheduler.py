@@ -447,9 +447,25 @@ class TestEventDrivenReplan:
         sched.finish("short", 1_200_000, "TerminatedWalltime")  # at its end_t
         assert sched.plan(1_200_000).planned["wide"][0] == 3_600_000
         assert sched.replans == replans
+        # a reduction keeps the plan when no queued job fits beside what is left:
+        # "wide" needs 16 cores per task, and "long" still holds 8 of n01's 16
         sched.request_adjustment("long", ResourceVector(cpu_cores=-4), 0, 1_200_000)
-        sched.plan(1_200_000)
-        assert sched.replans == replans + 1  # a reduction can move a start earlier
+        assert sched.plan(1_200_000).planned["wide"][0] == 3_600_000
+        assert sched.replans == replans
+
+    def test_a_reduction_that_frees_room_for_a_queued_job_replans(self):
+        sched = ReservationScheduler(two_node_cluster())
+        sched.submit(make_spec("a", cores=12, walltime=3600), now=0)
+        sched.submit(make_spec("b", cores=12, walltime=3600), now=0)
+        sched.submit(make_spec("small", cores=8, walltime=600), now=0)
+        assert sched.activate_due(0) == ["a", "b"]
+        assert sched.plan(0).planned["small"][0] == 3_600_000
+        replans = sched.replans
+        # "b" keeps 8 of n02's 16 cores: "small" fits beside it and starts at once
+        decision, _, _, _ = sched.request_adjustment("b", ResourceVector(cpu_cores=-4), 0, 60_000)
+        assert decision == "Granted"
+        assert sched.plan(60_000).planned["small"] == (60_000, {0: "n02"})
+        assert sched.replans == replans + 1
 
     def test_deep_backlog_computes_at_most_22_plans(self):
         # 44 when every activation, grant, freeze and renewed promise replanned
