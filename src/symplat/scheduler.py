@@ -21,15 +21,16 @@ The plan is recomputed only when its result can change: after a submit, a
 cancel of a queued job, a finish before the job's end, a grant that reduces
 usage where a task of some queued job fits beside the job's new usage, a
 `now` later than the earliest start the last computation found, or an
-activation or grant on a plan whose promise repair pinned a job. Every
-other change keeps the plan, or patches it into a new plan object, each by a
-proof written where it happens; a computation that renewed a promise is kept
-too, when it pinned no job. Each computation reuses one fit table per job
-shape. Each consult (`activate_due` then `enforce_walltime`) ends by noting
-the first instant at which either can act again; `next_due` gives that
-instant while the plan it was noted for is still cached, so the platform
-consults the scheduler on a tick only from that instant on, or once a
-mutation has cleared or replaced the plan.
+activation or grant on a plan whose promise repair pinned a job; a
+computation that renewed a promise is kept too, when it pinned no job. Every
+other change keeps the cached plan or patches it in place, by a proof
+written where it happens, so a caller reads a returned plan before its next
+scheduler call. A plan is current for `now` in [since, until], and nothing
+is due before its `due`: _ORIGIN ("consult now") until a consult
+(`activate_due` then `enforce_walltime`) notes it, which `next_due` reads.
+So the platform consults the scheduler on a tick only from that instant on,
+or once a mutation has cleared the plan. Each computation reuses one fit
+table per job shape.
 """
 
 from __future__ import annotations
@@ -210,18 +211,20 @@ class AvailabilityProfile:
 
 @dataclass
 class SchedulePlan:
-    """Planned start and placement per queued job, and the availability
-    profile of every node with all of them committed.
-
-    A plan is never changed in place: a kept plan that an activation or a
-    grant patches becomes a new object, so `ReservationScheduler.next_due`,
-    which compares identity, sees every change.
-    """
+    """Planned start and placement per queued job (in FCFS order), each
+    node's availability profile with all of them committed, and the cache
+    state the scheduler patches in place (see the module docstring)."""
 
     planned: dict[str, tuple[int, dict[int, str]]]
     profile: dict[str, AvailabilityProfile]
-    order: list[str]  # queued app_ids in FCFS order
     pinned: set[str]  # jobs promise repair held at their promised start
+    since: int
+    until: float
+    due: float = _ORIGIN
+
+    @property
+    def order(self):
+        return list(self.planned)
 
 
 class ReservationScheduler:
@@ -245,10 +248,6 @@ class ReservationScheduler:
         self.hollow_core_seconds = 0  # of walltime-killed jobs, since their last checkpoint
         self._promised: dict[str, tuple[int, dict[int, str]]] = {}
         self._plan: SchedulePlan | None = None
-        self._plan_span = (0, 0)  # the instants at which `_plan` is current
-        # nothing is due before `_due_at` while `_due_plan` is the cached plan
-        self._due_plan = None
-        self._due_at = _ORIGIN
         self.replans = 0  # plan computations, cached returns excluded
         # (per-task need, task_count) of each queued shape -> its fit table,
         # kept across computations and pruned by each to the shapes queued
@@ -360,8 +359,7 @@ class ReservationScheduler:
         computes the same span. A computation that pinned a job and renewed a
         promise is not kept: the next one repairs from the renewed promise.
         """
-        since, until = self._plan_span
-        if self._plan is not None and since <= now <= until:
+        if self._plan is not None and self._plan.since <= now <= self._plan.until:
             return self._plan
         self.replans += 1
         order = self._queued_order()
@@ -410,16 +408,14 @@ class ReservationScheduler:
             if a not in self._promised or planned[a][0] <= self._promised[a][0]:
                 renewed = renewed or self._promised.get(a) != planned[a]
                 self._promised[a] = planned[a]
-        plan = SchedulePlan(planned=planned, profile=profile, order=order, pinned=pinned)
+        plan = SchedulePlan(planned, profile, pinned, since=now, until=until)
         self._plan = None if renewed and pinned else plan
-        self._plan_span = (now, until)
         return plan
 
     def next_due(self):
         """The first instant at which `activate_due` or `enforce_walltime` can
-        do anything, as the last consult found it; _ORIGIN ("consult now")
-        once the plan it was found for is no longer cached."""
-        return self._due_at if self._plan is self._due_plan else _ORIGIN
+        act: the cached plan's `due`, or _ORIGIN ("consult now") if none."""
+        return _ORIGIN if self._plan is None else self._plan.due
 
     def activate_due(self, now):
         """Start queued jobs whose planned start has arrived. Returns app_ids.
@@ -438,12 +434,12 @@ class ReservationScheduler:
         j still fits at its planned start, on the same nodes in the same
         first-fit counts. Nothing was pinned, so the greedy pass is the whole
         computation. No promise changes, so the span is recomputed from the
-        start terms left.
+        start terms left. Its `due` is at most `now`: none noted it yet, or a
+        consult did, no later than the started jobs' starts.
         """
         started = []
         plan = self.plan(now)
-        for app_id in plan.order:
-            start, placement = plan.planned[app_id]
+        for app_id, (start, placement) in plan.planned.items():
             if start <= now:
                 res = self.reservations[app_id]
                 res.placement = placement
@@ -453,15 +449,14 @@ class ReservationScheduler:
                 self._commit(res, 1)
                 self._promised.pop(app_id, None)
                 started.append(app_id)
-        if started:
+        if started and plan.pinned:
             self._plan = None
-            if not plan.pinned:
-                planned = {a: plan.planned[a] for a in plan.order if a not in started}
-                self._plan = SchedulePlan(planned=planned, profile=plan.profile,
-                                          order=list(planned), pinned=plan.pinned)
-                self._plan_span = (now, min(
-                    (s - 1 if self._promised[a][0] < s else s for a, (s, _) in planned.items()),
-                    default=float("inf")))
+        elif started:
+            for app_id in started:
+                del plan.planned[app_id]
+            plan.since, plan.until = now, min(
+                (s - 1 if self._promised[a][0] < s else s for a, (s, _) in plan.planned.items()),
+                default=float("inf"))
         return started
 
     def request_adjustment(self, app_id, delta_per_task, extension_s, now):
@@ -472,11 +467,18 @@ class ReservationScheduler:
         delaying any planned start; extensions as the largest feasible prefix.
 
         Two kinds of grant, on a plan that pinned no job, keep the plan's
-        starts and patch its profiles: the job's new usage over its new
-        window replaces its old usage in the profiles of its nodes. Nothing
-        was pinned, so in both the greedy pass is the whole computation, and
-        with the same starts and promises the span is the same. Any other
-        grant clears the plan.
+        starts and patch its profiles in place: the job's new usage over its
+        new window replaces its old usage in the profiles of its nodes.
+        Nothing was pinned, so in both the greedy pass is the whole
+        computation, and with the same starts and promises the span is the
+        same. Any other grant clears the plan.
+
+        A kept plan keeps its `due` (see `enforce_walltime` for its terms):
+        with the same starts and span only this job's term can move, through
+        its end_t, which no grant lowers. It moves earlier only when the
+        grant un-drains the job, from the old end_t to the new end_t - grace,
+        earlier for an extension shorter than the grace window, so that grant
+        lowers `due` to the job's new drain instant.
 
         A grant that reduces nothing: it was checked against the plan's own
         profiles, so every planned job still fits at its planned start, on
@@ -554,15 +556,14 @@ class ReservationScheduler:
         if not plan.pinned and (min(granted_delta) >= 0 or (
                 granted_ext == 0 and max(granted_delta) <= 0
                 and not self._fits_beside(plan.order, new_usage))):
-            profile = dict(plan.profile)
             for nid, usage in new_usage.items():
                 others[nid].reserve(res.start_t, res.end_t, usage)
-                profile[nid] = others[nid]
-            self._plan = SchedulePlan(planned=plan.planned, profile=profile,
-                                      order=plan.order, pinned=plan.pinned)
-            self._plan_span = (now, self._plan_span[1])
+                plan.profile[nid] = others[nid]
+            plan.since = now
+            self._plan = plan
         if res.app_id in self._drained and now < res.end_t - self.grace_ms:
             self._drained.discard(res.app_id)
+            plan.due = min(plan.due, res.end_t - self.grace_ms)  # read only if kept
         decision = "Granted" if fully else "PartiallyGranted"
         reason = "granted in full" if fully else "granted maximal feasible amount"
         return decision, granted_delta, granted_ext, reason
@@ -573,10 +574,10 @@ class ReservationScheduler:
         `checkpoint_t` maps app_id to the virtual time of its last completed
         checkpoint (or None); it feeds `hollow_core_seconds`.
 
-        It ends a consult, so it notes the instant `next_due` gives while the
-        plan stays cached: the earliest of the instant after the plan's span,
-        every planned start, and the drain instant (end_t - grace) of each
-        undrained running job or the end_t of a drained one.
+        It ends a consult, so it notes the cached plan's `due`: the earliest
+        of the instant after the plan's span, every planned start, and the
+        drain instant (end_t - grace) of each undrained running job or the
+        end_t of a drained one.
         """
         checkpoint_t = checkpoint_t or (lambda app_id: None)
         events = []
@@ -601,9 +602,8 @@ class ReservationScheduler:
                 ))
             else:
                 due = min(due, res.end_t if app_id in self._drained else drain_t)
-        plan = self._due_plan = self._plan
-        self._due_at = _ORIGIN if plan is None else min(
-            due, self._plan_span[1] + 1, *(start for start, _ in plan.planned.values()))
+        if (plan := self._plan) is not None:
+            plan.due = min(due, plan.until + 1, *(start for start, _ in plan.planned.values()))
         return events
 
     def finish(self, app_id, now, status, last_checkpoint_t=None):
@@ -616,8 +616,8 @@ class ReservationScheduler:
         self._commit(res, -1, ledger=False)
         if now < res.end_t:
             self._plan = None
-        else:
-            self._plan_span = (max(self._plan_span[0], now), self._plan_span[1])
+        elif self._plan is not None:
+            self._plan.since = max(self._plan.since, now)
         if status == "TerminatedWalltime":
             spec = self.specs[app_id]
             since = res.start_t if last_checkpoint_t is None else last_checkpoint_t

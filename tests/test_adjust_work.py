@@ -7,8 +7,9 @@ adjusts (+1 core per task, then -1 once granted, so each app's reservation
 alternates), with a tick every 170 requests. Its three queued jobs need a
 whole 32-core node per task, which no node holding an app can give, and
 each app demands no more cores than it first reserved, so no grant can move
-a planned start or a guaranteed rate: the plan is kept and no node is
-re-filled. Both input files are only read.
+a planned start or a guaranteed rate: the plan is kept, no node is
+re-filled, and no tick after the first consults the scheduler. Both input
+files are only read.
 """
 
 import os
@@ -42,6 +43,14 @@ def test_wire_clocked_adjusts_neither_replan_nor_refill():
         mix = yaml.safe_load(fh)
     core = PlatformCore(scenario.nodes, scenario.images, mode=scenario.mode,
                         grace_s=scenario.grace_s, retention_s=scenario.retention_s)
+    consults = []
+    activate_due = core.scheduler.activate_due
+
+    def counted_activate_due(now):
+        consults.append(now)
+        return activate_due(now)
+
+    core.scheduler.activate_due = counted_activate_due
     for spec, submit_at, tenant in scenario.apps:
         if submit_at == 0:
             core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
@@ -69,5 +78,7 @@ def test_wire_clocked_adjusts_neither_replan_nor_refill():
     assert grants > 100
     assert sched.replans - replans <= 2  # 68 when every reduction replanned
     assert engine.refills - refills <= 2  # 31 when every grant re-filled its nodes
+    # 1 of the 20 ticks; 19 when every kept grant made a new plan object
+    assert len(consults) <= 2
     assert_kept_usage(sched, f"at {core.now}")
     assert_same_plan(sched, core.now, f"at {core.now}")

@@ -1,12 +1,12 @@
 """A tick that skips the scheduler skips nothing it would have done.
 
 `PlatformCore.tick` calls `activate_due` and `enforce_walltime` only once
-`now` reaches the scheduler's `next_due`: the instant the last consult noted,
-while the plan it noted it for is still cached. Here the core runs the report
-corpus and random generated scenarios; before every tick a deep copy of the
-scheduler is taken, and on every tick that skipped the two calls, the copy
-must start nothing, emit no event and leave its promises and drained set as
-they were.
+`now` reaches the scheduler's `next_due`: the cached plan's `due`, which the
+last consult noted and a grant that un-drains its job may lower. Here the
+core runs the report corpus, random generated scenarios and one such grant;
+before every tick a deep copy of the scheduler is taken, and on every tick
+that skipped the two calls, the copy must start nothing, emit no event and
+leave its promises and drained set as they were.
 """
 
 import copy
@@ -16,7 +16,7 @@ import pytest
 
 from genscen import random_scenario
 from symplat.harness import ScenarioRunner
-from symplat.scenario import load_scenario
+from symplat.scenario import load_scenario, scenario_from_dict
 from symplat.scheduler import ReservationScheduler
 from test_report_corpus import MODES, ROOT, SCENARIOS, SEEDS
 
@@ -25,6 +25,22 @@ from test_report_corpus import MODES, ROOT, SCENARIOS, SEEDS
 # can expire before any planned start or drain instant
 RANDOM_SETS = {"default": (range(100, 250), {}),
                "busy": (range(330, 370), {"max_nodes": 2, "max_apps": 20, "duration_s": 120})}
+
+# one app alone on one node: 100 s of walltime with a 60 s grace window, so it
+# drains at 40 s; at 50 s it asks for 30 s more, and with nothing queued the
+# grant keeps the plan
+UNDRAIN = {
+    "schema": 1, "name": "undrain", "duration_s": 200, "grace_s": 60,
+    "cluster": [{"node_id": "n01", "capacity": {"cpu_cores": 8, "memory_bytes": 8 << 30}}],
+    "images": [{"image_id": "img", "name": "img", "owner": "t", "content_digest": "sha256:0"}],
+    "apps": [{"tenant": "t", "spec": {
+        "app_id": "job", "kind": "container", "image": "img", "task_count": 1,
+        "walltime_limit_s": 100, "per_task_reservation": {"cpu_cores": 4, "memory_bytes": 1 << 30},
+        "trace": [{"kind": "compute", "work_amount": 4000, "demand": {"cpu_cores": 4},
+                   "progress_at_end": 1.0}]}}],
+    "script": [{"at_s": 50, "op": "adjust", "tenant": "t", "operator": False,
+                "payload": {"app_id": "job", "walltime_extension_s": 30}}],
+}
 
 
 def check_skipped_ticks(runner):
@@ -89,4 +105,16 @@ def test_skipped_ticks_of_random_scenarios(kind):
         t, s = check_skipped_ticks(ScenarioRunner(random_scenario(seed, **shape)))
         ticks, skipped = ticks + t, skipped + s
     # the scenarios reach both skipped and consulted ticks
+    assert 0 < skipped < ticks
+
+
+def test_a_grant_that_undrains_its_job_moves_its_drain_earlier():
+    """The grant un-drains the job, whose due term falls from its old end_t
+    (100 s) to its new drain instant (130 s - 60 s): the kept plan's `due`
+    must fall with it, or the second Draining comes at 100 s."""
+    report = ScenarioRunner(scenario_from_dict(UNDRAIN)).run()
+    events = [(e["event"], e["effective_at"]) for e in report.events if e["type"] == "env_event"]
+    assert events == [("Draining", 40_000), ("Adjusting", 50_000),
+                      ("Draining", 70_000), ("Terminating", 130_000)]
+    ticks, skipped = check_skipped_ticks(ScenarioRunner(scenario_from_dict(UNDRAIN)))
     assert 0 < skipped < ticks

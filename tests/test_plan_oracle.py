@@ -40,9 +40,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def fresh_copy(sched):
     """A copy of `sched` with no cached plan, no fit tables and an active
     profile rebuilt from `live`, on which `ReservationScheduler.plan`
-    computes from scratch. A computation writes only the promises, the cache
-    and its span, the fit tables and the counter, so the copy holds its own
-    of those and shares the rest."""
+    computes from scratch. A computation writes only the promises, the cached
+    plan, the fit tables and the counter, so the copy holds its own of those
+    and shares the rest."""
     fresh = copy.copy(sched)
     fresh._promised = dict(sched._promised)
     fresh._plan = None
@@ -279,7 +279,7 @@ class FixedPointScheduler(ReservationScheduler):
             second = ReservationScheduler.plan(again, now)
             context = f"renewed at {now}"
             assert second.order == plan.order and second.planned == plan.planned, context
-            assert again._plan_span == self._plan_span, context
+            assert (second.since, second.until) == (plan.since, plan.until), context
             assert again._promised == self._promised, context
             self.fixed_points += 1
         return plan

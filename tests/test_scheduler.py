@@ -192,12 +192,13 @@ class TestAdjustment:
         sched = ReservationScheduler(two_node_cluster())
         self._active(sched, make_spec("j", cores=16, tasks=2, walltime=3600))
         sched.submit(make_spec("next", cores=16, tasks=2, walltime=3600), now=1000)
-        before = sched.plan(2000)
+        # a snapshot: the scheduler patches its cached plan in place
+        before = {a: s for a, (s, _) in sched.plan(2000).planned.items()}
         decision, delta, ext, _ = sched.request_adjustment(
             "j", ResourceVector(cpu_cores=1), 0, now=2000)
         assert decision == "Denied" and delta == ZERO and ext == 0
-        after = sched.plan(2000)
-        assert before.planned == after.planned
+        after = {a: s for a, (s, _) in sched.plan(2000).planned.items()}
+        assert before == after
 
     def test_errors(self):
         sched = ReservationScheduler(two_node_cluster())
@@ -540,11 +541,12 @@ class TestSchedulerProperties:
             sched.submit(make_spec("base", cores=8, tasks=2, walltime=3600), 0)
             sched.activate_due(0)
             random_queue(rng, sched, rng.randint(1, 6))
-            before = sched.plan(1000)
+            # a snapshot: the scheduler patches its cached plan in place
+            before = {a: s for a, (s, _) in sched.plan(1000).planned.items()}
             sched.request_adjustment("base", ResourceVector(cpu_cores=-4), 0, 1000)
             after = sched.plan(1000)
-            for app_id in before.order:
-                assert after.planned[app_id][0] <= before.planned[app_id][0]
+            for app_id, start in before.items():
+                assert after.planned[app_id][0] <= start
 
     def test_adjustment_soundness(self):
         rng = random.Random(5)
