@@ -9,6 +9,10 @@ One thread serves every connection: a `selectors` loop answers each request
 line inline, runs the clock's due ticks, and writes each connection's channel
 with non-blocking sends. It holds `core_lock`, through which other threads
 reach the core while it runs, for each request, tick and channel poll.
+
+A core result is read-only (see `PlatformCore.handle`), so the server keeps
+each op's last encoded result and reuses the text for a response whose
+result is that same object.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .model import SymplatError, checked
 from .telemetry import CHANNEL_DEPTH, Channel
 
 MAX_LINE_BYTES = 1 << 20
+# one encoder for every line: `json.dumps(..., sort_keys=True)` builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
 # longest wait of the loop: pushes made by other threads go out within it
 POLL_S = 0.1
 
@@ -47,9 +53,10 @@ def _error(msg_id, code, message):
 class _ConnectionHandler:
     """One connection: its session, its channel and its unsent bytes.
 
-    Responses are put on the channel non-droppable and pushes droppable, so a
-    slow reader cannot stall the loop, a response is never lost, and a push
-    made while serving a request goes out before that request's response.
+    Responses are put on the channel non-droppable (a core result's as its
+    encoded line) and pushes droppable, so a slow reader cannot stall the
+    loop, a response is never lost, and a push made while serving a request
+    goes out before that request's response.
     A connection is backlogged while its channel holds CHANNEL_DEPTH messages
     or its unsent bytes exceed MAX_LINE_BYTES: it then answers no request,
     and reads no more once a received line waits, until they drain. So a
@@ -138,7 +145,7 @@ class _ConnectionHandler:
                                              operator=self.operator, outbox=self.outbox)
         except SymplatError as exc:
             return _error(msg_id, exc.code, str(exc))
-        return {"id": msg_id, "result": result}
+        return self.server._response_line(op, msg_id, result)
 
     def _write(self):
         """Send until the socket is full or all is sent; False once the peer is gone."""
@@ -146,8 +153,10 @@ class _ConnectionHandler:
             if not self._wbuf:
                 with self.server.core_lock:
                     msgs = self.outbox.poll()
-                # responses carry an id; anything else (gap markers too) is a push
-                lines = [json.dumps(m if "id" in m else {"id": None, "push": m}, sort_keys=True)
+                # a core result's response comes encoded, other responses carry
+                # an id, and anything else (gap markers too) is a push
+                lines = [m if type(m) is str
+                         else _ENCODER.encode(m if "id" in m else {"id": None, "push": m})
                          for m in msgs]
                 self._wbuf = ("\n".join(lines) + "\n").encode("utf-8")
             try:
@@ -212,6 +221,7 @@ class WireServer:
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
         self._conns = set()
+        self._encoded = {}  # op -> (result, its encoding) of the op's last response
         addr = self._listener.getsockname()
         self.address = f"{addr[0]}:{addr[1]}" if kind == "tcp" else addr
         self._server = self  # perfbench/server.py installs its timed lock as _server.core_lock
@@ -219,6 +229,16 @@ class WireServer:
         self.duration_ms = duration_ms
         self._thread = threading.Thread(target=self._serve, name="symplat-wire", daemon=True)
         self._stopping = False
+
+    def _response_line(self, op, msg_id, result):
+        """The line answering `msg_id` with `result`, as
+        `json.dumps({"id": msg_id, "result": result}, sort_keys=True)` encodes
+        it ("id" sorts first); a result that is the op's last one reuses its
+        encoding."""
+        kept = self._encoded.get(op)
+        if kept is None or kept[0] is not result:
+            kept = self._encoded[op] = (result, _ENCODER.encode(result))
+        return '{"id": ' + _ENCODER.encode(msg_id) + ', "result": ' + kept[1] + "}"
 
     def _accept(self):
         try:

@@ -3,14 +3,15 @@
 One instance owns the scheduler, the node engine and the metric bus, advances
 virtual time in 1000 ms ticks, and exposes the operation table that both the
 wire service and the scenario runner drive. It keeps no copy of its layers'
-state. A tick consults the scheduler (`activate_due`, `enforce_walltime`)
-only once `now` reaches the scheduler's own `next_due`; a quiet tick only
-steps the engine, which emits cached sample templates, and publishes the
-samples in one call. The engine keeps each app's last samples, also after
-the app has left it. Every platform event is logged, pushed to event
-subscribers and applied to the running app in one place. In asymmetric mode
-(the static baseline) adjustment, boundary conditions and subscriptions are
-disabled and I/O reservations are ignored: all I/O becomes best-effort.
+state, only its last `env_model` answer (see there). A tick consults the
+scheduler (`activate_due`, `enforce_walltime`) only once `now` reaches the
+scheduler's own `next_due`; a quiet tick only steps the engine, which
+emits cached sample templates, and publishes the samples in one call. The
+engine keeps each app's last samples, also after the app has left it.
+Every platform event is logged, pushed to event subscribers and applied to
+the running app in one place. In asymmetric mode (the static baseline)
+adjustment, boundary conditions and subscriptions are disabled and I/O
+reservations are ignored: all I/O becomes best-effort.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class PlatformCore:
         self.event_log: list[dict] = []
         # its completions and errors are acted on at the start of the next tick
         self.last_tick_result = None
+        self._env_model = None  # (now, plan, result) of the last env_model, see there
 
     # ------------------------------------------------------------------
     # event plumbing
@@ -120,6 +122,10 @@ class PlatformCore:
 
     def handle(self, op, payload, tenant=None, operator=False, outbox=None):
         """Run one API operation. Raises SymplatError with a machine-readable code.
+
+        The result is read-only: `env_model` and `utilization_report` return
+        the same object again while nothing they read has changed, and the
+        wire service reuses the encoding of a result it has already encoded.
 
         `outbox` is the caller's wire connection channel: subscriptions made
         by this call deliver into it, and only its own subscriptions (or any,
@@ -198,9 +204,24 @@ class PlatformCore:
         return {"app_id": app_id, "tasks": [s.to_json() for s in samples]}
 
     def _op_env_model(self, payload, **_):
+        """The nodes, their last samples and the planned queue, at `now`.
+
+        The last answer is returned again while `now` and the plan object
+        that `scheduler.plan(now)` returns are both unchanged. The nodes never
+        change. The node samples change only in a tick, and every tick
+        advances `now`. The queue's order and planned starts change only with
+        a new plan object, or in `activate_due`'s in-place delete, which runs
+        only inside a tick. A kept grant and a finish at `end_t` patch only
+        the plan's `profile`, `since` and `due`, which the answer does not
+        read. The kept answer holds the plan, so no later plan can take its
+        identity.
+        """
         plan = self.scheduler.plan(self.now)
+        kept = self._env_model
+        if kept is not None and kept[0] == self.now and kept[1] is plan:
+            return kept[2]
         queue = [{"app_id": a, "planned_start": plan.planned[a][0]} for a in plan.order]
-        return {
+        result = {
             "nodes": [n.to_json() for n in self.scheduler.nodes],
             # the last tick sampled every node, in node_id order
             "node_samples": [ns.to_json() for ns in self.last_tick_result.node_samples]
@@ -208,6 +229,8 @@ class PlatformCore:
             "queue": queue,
             "now": self.now,
         }
+        self._env_model = (self.now, plan, result)
+        return result
 
     def _op_set_logical_state(self, payload, tenant=None, operator=False, **_):
         app_id = payload["app_id"]

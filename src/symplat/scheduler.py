@@ -15,7 +15,9 @@ over its window [start_t, end_t), which `utilization_report` integrates.
 Both change in `_commit`, called from three places: `activate_due` reserves
 a started job's window in both, a grant in `request_adjustment` releases the
 job's old usage and window from both and reserves the new ones, and `finish`
-releases the window from `_active` alone.
+releases the window from `_active` alone. The last `utilization_report` is
+kept for its window until the ledger or `hollow_core_seconds` changes: a
+`_commit` to the ledger, or a walltime kill in `finish`.
 
 The plan is recomputed only when its result can change: after a submit, a
 cancel of a queued job, a finish before the job's end, a grant that reduces
@@ -246,6 +248,7 @@ class ReservationScheduler:
         self._active = {n: AvailabilityProfile([_ORIGIN], [c]) for n, c in self.capacity.items()}
         self._ledger = {n: AvailabilityProfile([_ORIGIN], [ZERO]) for n in self.node_ids}
         self.hollow_core_seconds = 0  # of walltime-killed jobs, since their last checkpoint
+        self._report = None  # (t0, t1, report) of the last utilization_report
         self._promised: dict[str, tuple[int, dict[int, str]]] = {}
         self._plan: SchedulePlan | None = None
         self.replans = 0  # plan computations, cached returns excluded
@@ -267,6 +270,8 @@ class ReservationScheduler:
         """Commit (sign 1) or release (sign -1) `res`'s usage over
         [start_t, end_t) in `_active`, and in `_ledger` too unless told not."""
         need = self.effective_per_task(res.per_task)
+        if ledger:
+            self._report = None
         for nid, usage in node_usage(need, res.placement).items():
             self._active[nid].reserve(res.start_t, res.end_t, [sign * u for u in usage])
             if ledger:
@@ -619,6 +624,7 @@ class ReservationScheduler:
         elif self._plan is not None:
             self._plan.since = max(self._plan.since, now)
         if status == "TerminatedWalltime":
+            self._report = None
             spec = self.specs[app_id]
             since = res.start_t if last_checkpoint_t is None else last_checkpoint_t
             self.hollow_core_seconds += (spec.per_task_reservation.cpu_cores * spec.task_count
@@ -663,9 +669,16 @@ class ReservationScheduler:
         """The report as sent: the mean committed/capacity per dimension over
         [t0, t1) per node and for the cluster, integrated from the ledger of
         every placed reservation's window, and `hollow_core_seconds`, which
-        ignores [t0, t1)."""
+        ignores [t0, t1).
+
+        The report reads nothing else, so the last one is returned again for
+        the same window until `_commit` changes the ledger or `finish` adds
+        to `hollow_core_seconds`; both clear it. A caller only reads it."""
         if not t0 < t1:
             raise EmptyRange(f"invalid range [{t0}, {t1})")
+        kept = self._report
+        if kept is not None and kept[0] == t0 and kept[1] == t1:
+            return kept[2]
         span = t1 - t0
         sums = {n: self._ledger[n].integral(t0, t1) for n in self.node_ids}  # exact ints
         per_node = {n: {} for n in self.node_ids}
@@ -679,5 +692,7 @@ class ReservationScheduler:
                 committed += sums[n][i]
                 capacity += cap
             cluster[d] = committed / (capacity * span) if capacity else 0.0
-        return {"t0": t0, "t1": t1, "per_node": per_node, "cluster": cluster,
-                "hollow_core_seconds": self.hollow_core_seconds}
+        report = {"t0": t0, "t1": t1, "per_node": per_node, "cluster": cluster,
+                  "hollow_core_seconds": self.hollow_core_seconds}
+        self._report = (t0, t1, report)
+        return report

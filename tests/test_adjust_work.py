@@ -8,8 +8,10 @@ alternates), with a tick every 170 requests. Its three queued jobs need a
 whole 32-core node per task, which no node holding an app can give, and
 each app demands no more cores than it first reserved, so no grant can move
 a planned start or a guaranteed rate: the plan is kept, no node is
-re-filled, and no tick after the first consults the scheduler. Both input
-files are only read.
+re-filled, and no tick after the first consults the scheduler. Nor does a
+read rebuild an answer that nothing has changed: `env_model` builds one per
+tick, and `utilization_report` one per grant or tick. Both input files are
+only read.
 """
 
 import os
@@ -37,12 +39,41 @@ def payload(op, app, extra, progress):
     return {}
 
 
-def test_wire_clocked_adjusts_neither_replan_nor_refill():
+def wire_clocked_core():
+    """A core with the wire-clocked scenario's t=0 apps submitted, after the
+    benchmark's two warm-up ticks, and the op mix."""
     scenario = load_scenario(os.path.join(INPUTS, "wire-clocked.yaml"))
     with open(os.path.join(INPUTS, "wire-clocked-mix.yaml"), encoding="utf-8") as fh:
         mix = yaml.safe_load(fh)
     core = PlatformCore(scenario.nodes, scenario.images, mode=scenario.mode,
                         grace_s=scenario.grace_s, retention_s=scenario.retention_s)
+    for spec, submit_at, tenant in scenario.apps:
+        if submit_at == 0:
+            core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
+    core.tick()
+    core.tick()  # the apps start, the queue stays
+    return core, mix
+
+
+def replay(core, mix, requests=3000):
+    """Send `requests` requests of the op mix through `core.handle`, with a
+    tick after every 170th. Yields (op, result) after each request and
+    ("tick", None) after each tick."""
+    extra, progress = {}, {}
+    ops = mix["ops"]
+    for i in range(requests):
+        op, app = ops[i % len(ops)]
+        result = core.handle(op, payload(op, app, extra, progress), tenant=mix["tenant"])
+        if op == "adjust":
+            extra[app] = extra.get(app, 0) + result["granted_delta"].get("cpu_cores", 0)
+        yield op, result
+        if i % 170 == 169:
+            core.tick()
+            yield "tick", None
+
+
+def test_wire_clocked_adjusts_neither_replan_nor_refill():
+    core, mix = wire_clocked_core()
     consults = []
     activate_due = core.scheduler.activate_due
 
@@ -51,26 +82,19 @@ def test_wire_clocked_adjusts_neither_replan_nor_refill():
         return activate_due(now)
 
     core.scheduler.activate_due = counted_activate_due
-    for spec, submit_at, tenant in scenario.apps:
-        if submit_at == 0:
-            core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
-    core.tick()
-    core.tick()  # the benchmark's warm-up: the apps start, the queue stays
     sched, engine = core.scheduler, core.engine
     assert sum(r.status == "Queued" for r in sched.live.values()) == 3
     replans, refills = sched.replans, engine.refills
-    extra, progress = {}, {}
-    grants = 0
-    ops = mix["ops"]
-    for i in range(3000):
-        op, app = ops[i % len(ops)]
-        result = core.handle(op, payload(op, app, extra, progress), tenant=mix["tenant"])
+    grants = ticks = 0
+    # a read's answer is built when it is not the object that read last returned
+    last, built = {}, {"env_model": 0, "utilization_report": 0}
+    for op, result in replay(core, mix):
+        ticks += op == "tick"
         if op == "adjust":
-            granted = result["granted_delta"].get("cpu_cores", 0)
-            extra[app] = extra.get(app, 0) + granted
-            grants += granted != 0
-        if i % 170 == 169:
-            core.tick()
+            grants += result["granted_delta"].get("cpu_cores", 0) != 0
+        if op in built and result is not last.get(op):
+            built[op] += 1
+            last[op] = result
     # the grants since the last tick changed rows in place: tick once more on them
     expected, _ = reference_allocations(engine)
     core.tick()
@@ -78,7 +102,12 @@ def test_wire_clocked_adjusts_neither_replan_nor_refill():
     assert grants > 100
     assert sched.replans - replans <= 2  # 68 when every reduction replanned
     assert engine.refills - refills <= 2  # 31 when every grant re-filled its nodes
-    # 1 of the 20 ticks; 19 when every kept grant made a new plan object
-    assert len(consults) <= 2
+    # none of the 18 ticks after the warm-up; 18 when every kept grant made a
+    # new plan object
+    assert len(consults) <= 1
+    # 18 of 500 calls (17 ticks), and 124 of 500 (137 grants); 500 and 500
+    # when every call built its answer
+    assert built["env_model"] <= ticks + 1
+    assert built["utilization_report"] <= grants + ticks + 1
     assert_kept_usage(sched, f"at {core.now}")
     assert_same_plan(sched, core.now, f"at {core.now}")

@@ -192,6 +192,62 @@ class TestWireCodec:
         assert seen[1:] == [f"req-{i}" for i in range(20)]  # in order, once each
         sock.close()
 
+    def test_every_line_is_canonical_json(self):
+        """Each line reads as `json.dumps(..., sort_keys=True)` writes it,
+        also a response whose encoded result the server reused: two env_model
+        answers within one tick, and a report asked again before a grant."""
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        srv = WireServer(core, "127.0.0.1:0", speedup=20).start()
+        sock = raw_connection(srv)
+        buf, lines = b"", []
+
+        def ask(*requests):
+            nonlocal buf
+            sock.sendall(b"".join(json.dumps({"id": i, "op": op, "payload": p}).encode() + b"\n"
+                                  for i, op, p in requests))
+            msgs = []
+            for _ in requests:
+                while b"\n" not in buf:
+                    chunk = sock.recv(65536)
+                    assert chunk
+                    buf += chunk
+                line, buf = buf.split(b"\n", 1)
+                lines.append(line.decode())
+                msgs.append(json.loads(line))
+            return msgs
+
+        try:
+            ask(("h", "hello", {"tenant": "alice"}))
+            ask(("s", "submit", {"spec": app_spec().to_json()}))
+            deadline = time.monotonic() + 10
+            while ask(("st", "status", {"app_id": "solver-1"}))[0]["result"][
+                    "reservation"]["status"] != "Active":
+                assert time.monotonic() < deadline
+            for _ in range(20):  # both lines go in one send, so one pass answers both
+                first, second = ask(({"z": 1, "a": [2]}, "env_model", {}), (7, "env_model", {}))
+                if first["result"]["now"] == second["result"]["now"]:
+                    break
+            assert first["result"] == second["result"]
+            assert first["id"] == {"z": 1, "a": [2]} and second["id"] == 7
+            while ask(("e", "env_model", {}))[0]["result"]["now"] == first["result"]["now"]:
+                assert time.monotonic() < deadline
+            window = {"t0": 0, "t1": 3_600_000}
+            before, again = ask(("u1", "utilization_report", window),
+                                ("u2", "utilization_report", window))
+            assert before["result"] == again["result"]
+            adjust = {"app_id": "solver-1", "delta_per_task": {"cpu_cores": 1}}
+            assert ask(("a", "adjust", adjust))[0]["result"]["decision"] == "Granted"
+            after = ask(("u3", "utilization_report", window))[0]
+            assert after["result"]["cluster"]["cpu_cores"] == pytest.approx(
+                before["result"]["cluster"]["cpu_cores"] * 5 / 4)  # 4 cores per task, then 5
+            error = ask(("x", "status", {"app_id": "nope"}))[0]
+            assert error["error"]["code"] == "no_such_app"
+        finally:
+            sock.close()
+            srv.stop()
+        assert lines and all(line == json.dumps(json.loads(line), sort_keys=True)
+                             for line in lines)
+
     def test_half_closed_client_gets_every_response(self, tmp_path):
         path = str(tmp_path / "symplat.sock")
         srv = WireServer(PlatformCore(cluster(), images=[IMAGE]), path).start()

@@ -1,0 +1,92 @@
+"""Every symplat name that the benchmark's traced runs wrap or swap exists.
+
+`perfbench/layers.py` and `perfbench/server.py` replace methods by name
+(`tracer.wrap(<owner>, "<name>", ...)`) and put a timing proxy on the wire
+server's `core_lock` through its `_server` attribute. A rename in symplat
+breaks only the traced run, so this test reads both files (and changes
+neither) and looks each name up where the benchmark does.
+"""
+
+import ast
+import importlib
+import os
+
+from symplat.api import WireServer
+from symplat.core import PlatformCore
+from symplat.model import NodeSpec, ResourceVector
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HOOK_FILES = [os.path.join(ROOT, "perfbench", name) for name in ("layers.py", "server.py")]
+
+
+def parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def dotted(node, aliases):
+    """`m.core.PlatformCore` -> ["m", "core", "PlatformCore"], through local
+    names bound to such a chain (`sched = m.scheduler.ReservationScheduler`)."""
+    if isinstance(node, ast.Attribute):
+        return dotted(node.value, aliases) + [node.attr]
+    if isinstance(node, ast.Name):
+        return dotted(aliases[node.id], aliases) if node.id in aliases else [node.id]
+    raise AssertionError(f"unexpected owner expression {ast.dump(node)}")
+
+
+def wrap_targets(tree):
+    """(owner chain below the symplat namespace, method name) of every
+    `tracer.wrap(owner, "name", ...)` call."""
+    aliases = {n.targets[0].id: n.value for n in ast.walk(tree)
+               if isinstance(n, ast.Assign) and len(n.targets) == 1
+               and isinstance(n.targets[0], ast.Name)
+               and isinstance(n.value, (ast.Attribute, ast.Name))}
+    targets = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "tracer"):
+            owner, name = node.args[:2]
+            targets.append((dotted(owner, aliases)[1:], name.value))
+    return targets
+
+
+def server_attributes(tree):
+    """Attribute chains below the wire server assigned to, such as
+    ["_server", "core_lock"] for `server._server.core_lock = ...`."""
+    chains = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute):
+                    chain = dotted(target, {})
+                    if chain[0] == "server":
+                        chains.append(chain[1:])
+    return chains
+
+
+def test_every_wrapped_method_exists():
+    targets = [t for path in HOOK_FILES for t in wrap_targets(parse(path))]
+    assert len(targets) >= 14
+    for chain, name in targets:
+        owner = importlib.import_module("symplat." + chain[0])
+        for attr in chain[1:]:
+            owner = getattr(owner, attr)
+        # the tracer reads a class's own __dict__, so an inherited method will not do
+        found = name in owner.__dict__ if isinstance(owner, type) else hasattr(owner, name)
+        assert found, f"perfbench wraps {'.'.join(chain)}.{name}, which symplat lacks"
+
+
+def test_the_timed_lock_reaches_the_server(tmp_path):
+    chains = server_attributes(parse(os.path.join(ROOT, "perfbench", "server.py")))
+    assert ["_server", "core_lock"] in chains and ["core_lock"] in chains
+    node = NodeSpec("n01", ResourceVector(cpu_cores=4, memory_bytes=1 << 30))
+    srv = WireServer(PlatformCore([node]), str(tmp_path / "hooks.sock"))
+    try:
+        for chain in chains:
+            owner = srv
+            for attr in chain:
+                assert hasattr(owner, attr), f"perfbench sets server.{'.'.join(chain)}"
+                owner = getattr(owner, attr)
+    finally:
+        srv.stop()

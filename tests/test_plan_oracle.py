@@ -13,7 +13,8 @@ promise and pinned no job is its own fixed point, which is why it is kept.
 (d) repeats (a) on grow-heavy histories, whose grants reduce nothing, the
 case in which a grant keeps the plan; (a) itself counts the pure reductions
 that kept it, which it must reach. (e) compares `utilization_report` over
-random windows with `oracles.reference_utilization` on histories like (a)'s.
+random windows, and again over the previous one, with
+`oracles.reference_utilization` on histories like (a)'s.
 Every random history and every corpus tick also compares the committed usage
 the scheduler keeps, `_active` and `_ledger`, with rebuilds from scratch.
 """
@@ -216,14 +217,19 @@ def test_random_queues_match_reference(io_reservations):
 
 @pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
 def test_utilization_matches_reference(io_reservations):
-    """(e) The report over a random window equals the reference scan."""
+    """(e) The report over a random window equals the reference scan, and so
+    do the previous check's window, asked first, and [0, now): the scheduler
+    keeps its last report, and a step that changed the ledger must clear it."""
     windows = random.Random(41 if io_reservations else 42)
+    previous = []
 
     def check(sched, now, context):
         t0 = windows.randrange(now + 600_000)
         t1 = t0 + windows.choice([1, 1000, 60_000, 600_000, 10**7])
-        assert sched.utilization_report(t0, t1) == reference_utilization(sched, t0, t1), \
-            f"{context}: [{t0}, {t1})"
+        for a, b in previous + ([(0, now)] if now else []) + [(t0, t1)]:
+            assert sched.utilization_report(a, b) == reference_utilization(sched, a, b), \
+                f"{context}: [{a}, {b})"
+        previous[:] = [(t0, t1)]
 
     assert random_histories(41 if io_reservations else 42, io_reservations, check) >= 1000
 
