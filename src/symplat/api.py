@@ -10,7 +10,9 @@ line inline, runs the clock's due ticks, and writes each connection's channel
 with non-blocking sends. It holds `core_lock`, through which other threads
 reach the core while it runs, for each request, tick and channel poll.
 
-A core result is read-only (see `PlatformCore.handle`), so the server keeps
+Every response is encoded where it is answered, and the writer encodes
+only pushes: a `str` on a connection's channel is a response's line. A
+core result is read-only (see `PlatformCore.handle`), so the server keeps
 each op's last encoded result and reuses the text for a response whose
 result is that same object.
 """
@@ -47,16 +49,17 @@ def parse_listen(listen):
 
 
 def _error(msg_id, code, message):
-    return {"id": msg_id, "error": {"code": code, "message": message}}
+    return _ENCODER.encode({"id": msg_id, "error": {"code": code, "message": message}})
 
 
 class _ConnectionHandler:
     """One connection: its session, its channel and its unsent bytes.
 
-    Responses are put on the channel non-droppable (a core result's as its
-    encoded line) and pushes droppable, so a slow reader cannot stall the
-    loop, a response is never lost, and a push made while serving a request
-    goes out before that request's response.
+    Every response, a core result's, an error's or hello's, is encoded
+    where it is answered and put on the channel as its line, non-droppable;
+    pushes are put droppable and encoded when written. So a slow reader
+    cannot stall the loop, a response is never lost, and a push made while
+    serving a request goes out before that request's response.
     A connection is backlogged while its channel holds CHANNEL_DEPTH messages
     or its unsent bytes exceed MAX_LINE_BYTES: it then answers no request,
     and reads no more once a received line waits, until they drain. So a
@@ -138,7 +141,8 @@ class _ConnectionHandler:
                 tenant = checked("tenant", payload.get("tenant", "anonymous"), (str,))
                 self.operator = checked("operator", payload.get("operator", False), (bool,))
                 self.tenant, self.hello_done = tenant, True
-                return {"id": msg_id, "result": {"tenant": tenant, "operator": self.operator}}
+                return _ENCODER.encode(
+                    {"id": msg_id, "result": {"tenant": tenant, "operator": self.operator}})
             if not self.hello_done:
                 return _error(msg_id, "handshake_required", "first message must be hello")
             result = self.server.core.handle(op, payload, tenant=self.tenant,
@@ -153,10 +157,9 @@ class _ConnectionHandler:
             if not self._wbuf:
                 with self.server.core_lock:
                     msgs = self.outbox.poll()
-                # a core result's response comes encoded, other responses carry
-                # an id, and anything else (gap markers too) is a push
-                lines = [m if type(m) is str
-                         else _ENCODER.encode(m if "id" in m else {"id": None, "push": m})
+                # a response comes as its line; anything else (gap markers
+                # too) is a push
+                lines = [m if type(m) is str else _ENCODER.encode({"id": None, "push": m})
                          for m in msgs]
                 self._wbuf = ("\n".join(lines) + "\n").encode("utf-8")
             try:

@@ -211,10 +211,10 @@ class PlatformCore:
         change. The node samples change only in a tick, and every tick
         advances `now`. The queue's order and planned starts change only with
         a new plan object, or in `activate_due`'s in-place delete, which runs
-        only inside a tick. A kept grant and a finish at `end_t` patch only
-        the plan's `profile`, `since` and `due`, which the answer does not
-        read. The kept answer holds the plan, so no later plan can take its
-        identity.
+        only inside a tick. A kept grant patches only the plan's `profile`
+        and `due`, which the answer does not read, and a finish at `end_t`
+        keeps the plan as it is. The kept answer holds the plan, so no later
+        plan can take its identity.
         """
         plan = self.scheduler.plan(self.now)
         kept = self._env_model
@@ -309,12 +309,6 @@ class PlatformCore:
             raise SymplatError("forbidden", f"subscription {sub_id} belongs to another connection")
         self.bus.unsubscribe(sub_id)
         return {"subscription_id": sub_id}
-
-    def poll_subscription(self, sub_id):
-        sub = self.bus.subscriptions.get(sub_id)
-        if sub is None:
-            raise SymplatError("unknown_subscription", f"no subscription {sub_id}")
-        return sub.poll()
 
     def _op_drain_node(self, payload, **_):
         node_id = payload["node_id"]

@@ -68,6 +68,8 @@ def scenario_from_dict(doc, name="<scenario>"):
     if mode not in ("symmetric", "asymmetric"):
         raise ValidationError(f"mode must be symmetric or asymmetric, got {mode!r}", "mode")
     duration_s = _checked("duration_s", _require(doc, "duration_s", "duration_s"), least=0)
+    # a run ticks while now < duration: its last tick starts at duration_s - 1
+    last_s = duration_s - 1 if duration_s else None
     limits = {key: _checked(key, doc.get(key, default), least=least)
               for key, default, least in (("grace_s", 60, 0), ("retention_s", 3600, 1))}
 
@@ -104,7 +106,8 @@ def scenario_from_dict(doc, name="<scenario>"):
             raise ValidationError(str(exc), fieldpath) from exc
         if spec.kind == "container" and spec.image not in image_ids:
             raise ValidationError(f"unknown image {spec.image!r}", fieldpath)
-        submit_at = _checked("submit_at_s", entry.get("submit_at_s", 0), fieldpath, least=0)
+        submit_at = _checked("submit_at_s", entry.get("submit_at_s", 0), fieldpath,
+                             least=0, most=last_s)
         tenant = _checked("tenant", entry.get("tenant", "default"), fieldpath, kinds=(str,))
         apps.append((spec, submit_at * 1000, tenant))
     app_ids = [spec.app_id for spec, _, _ in apps]
@@ -115,7 +118,7 @@ def scenario_from_dict(doc, name="<scenario>"):
     for i, entry in enumerate(_checked("script", doc.get("script", []), kinds=(list,))):
         fieldpath = f"script[{i}]"
         at_s = _checked("at_s", _require(entry, "at_s", fieldpath), fieldpath,
-                        least=0, most=duration_s)
+                        least=0, most=last_s or 0)
         script.append(ScriptOp(
             at_ms=at_s * 1000,
             op=_require(entry, "op", fieldpath),

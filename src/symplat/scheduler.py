@@ -27,8 +27,8 @@ activation or grant on a plan whose promise repair pinned a job; a
 computation that renewed a promise is kept too, when it pinned no job. Every
 other change keeps the cached plan or patches it in place, by a proof
 written where it happens, so a caller reads a returned plan before its next
-scheduler call. A plan is current for `now` in [since, until], and nothing
-is due before its `due`: _ORIGIN ("consult now") until a consult
+scheduler call. A plan is current for every `now` up to its `until` (a
+caller's `now` never decreases), and nothing is due before its `due`: _ORIGIN ("consult now") until a consult
 (`activate_due` then `enforce_walltime`) notes it, which `next_due` reads.
 So the platform consults the scheduler on a tick only from that instant on,
 or once a mutation has cleared the plan. Each computation reuses one fit
@@ -220,7 +220,6 @@ class SchedulePlan:
     planned: dict[str, tuple[int, dict[int, str]]]
     profile: dict[str, AvailabilityProfile]
     pinned: set[str]  # jobs promise repair held at their promised start
-    since: int
     until: float
     due: float = _ORIGIN
 
@@ -352,7 +351,9 @@ class ReservationScheduler:
         later `now` up to the earliest start that any pass computed (one
         instant before it for a job already past its promise, whose promise
         check reads `now`): up to there every earliest fit and every promise
-        check would come out the same.
+        check would come out the same. `now` never decreases between calls:
+        the platform's clock only advances, so no earlier `now` is asked of a
+        kept plan.
 
         A computation that renewed a promise is kept only when it pinned no
         job, for then it is its own fixed point. Its one pass is the greedy
@@ -364,7 +365,7 @@ class ReservationScheduler:
         computes the same span. A computation that pinned a job and renewed a
         promise is not kept: the next one repairs from the renewed promise.
         """
-        if self._plan is not None and self._plan.since <= now <= self._plan.until:
+        if self._plan is not None and now <= self._plan.until:
             return self._plan
         self.replans += 1
         order = self._queued_order()
@@ -413,7 +414,7 @@ class ReservationScheduler:
             if a not in self._promised or planned[a][0] <= self._promised[a][0]:
                 renewed = renewed or self._promised.get(a) != planned[a]
                 self._promised[a] = planned[a]
-        plan = SchedulePlan(planned, profile, pinned, since=now, until=until)
+        plan = SchedulePlan(planned, profile, pinned, until=until)
         self._plan = None if renewed and pinned else plan
         return plan
 
@@ -459,7 +460,7 @@ class ReservationScheduler:
         elif started:
             for app_id in started:
                 del plan.planned[app_id]
-            plan.since, plan.until = now, min(
+            plan.until = min(
                 (s - 1 if self._promised[a][0] < s else s for a, (s, _) in plan.planned.items()),
                 default=float("inf"))
         return started
@@ -564,7 +565,6 @@ class ReservationScheduler:
             for nid, usage in new_usage.items():
                 others[nid].reserve(res.start_t, res.end_t, usage)
                 plan.profile[nid] = others[nid]
-            plan.since = now
             self._plan = plan
         if res.app_id in self._drained and now < res.end_t - self.grace_ms:
             self._drained.discard(res.app_id)
@@ -621,8 +621,6 @@ class ReservationScheduler:
         self._commit(res, -1, ledger=False)
         if now < res.end_t:
             self._plan = None
-        elif self._plan is not None:
-            self._plan.since = max(self._plan.since, now)
         if status == "TerminatedWalltime":
             self._report = None
             spec = self.specs[app_id]

@@ -144,14 +144,13 @@ def _message(item):
 class Channel:
     """Bounded ordered message queue with gap markers.
 
-    Beyond `depth` droppable messages, the oldest droppable one is dropped;
-    the next poll then starts with a {"type": "gap", "dropped": n} marker.
-    Non-droppable messages are never dropped and do not count toward `depth`.
-    Samples are held as they are and encoded by poll.
+    Beyond CHANNEL_DEPTH droppable messages, the oldest droppable one is
+    dropped; the next poll then starts with a {"type": "gap", "dropped": n}
+    marker. Non-droppable messages are never dropped and do not count toward
+    the depth. Samples are held as they are and encoded by poll.
     """
 
-    def __init__(self, depth=CHANNEL_DEPTH):
-        self.depth = depth
+    def __init__(self):
         self._items = deque()  # (msg, droppable)
         self._droppable = 0
         self._gap = 0
@@ -164,15 +163,16 @@ class Channel:
 
     def put_many(self, msgs):
         """Put each of `msgs` droppable, as successive `put`s would: the oldest
-        droppable messages beyond `depth`, queued or in `msgs`, are dropped."""
-        excess = self._droppable + len(msgs) - self.depth
+        droppable messages beyond CHANNEL_DEPTH, queued or in `msgs`, are
+        dropped."""
+        excess = self._droppable + len(msgs) - CHANNEL_DEPTH
         if excess <= 0:
             self._droppable += len(msgs)
         else:
             self._gap += excess
             queued = min(excess, self._droppable)  # dropped from the queue
             msgs = msgs[excess - queued:]  # the rest never enter it
-            self._droppable = self.depth
+            self._droppable = CHANNEL_DEPTH
             items = self._items
             for _ in range(queued):
                 if items[0][1]:  # O(1) whenever the head is droppable
@@ -199,18 +199,19 @@ class Channel:
 class Subscription(Channel):
     """Bus messages of some `kinds` about one subject kind and/or id.
 
-    Matches go to `outbox` (a wire connection's channel) when one is given,
-    else into this subscription's own buffer until poll().
+    `channel` is where its matches go, named once: `outbox` (a wire
+    connection's channel) when one is given, else the subscription itself,
+    whose buffer its owner polls. `delivered` counts the matches put there.
     """
 
-    def __init__(self, sub_id, kinds, subject_kind=None, subject_id=None,
-                 depth=CHANNEL_DEPTH, outbox=None):
-        super().__init__(depth)
+    def __init__(self, sub_id, kinds, subject_kind=None, subject_id=None, outbox=None):
+        super().__init__()
         self.sub_id = sub_id
         self.kinds = kinds
         self.subject_kind = subject_kind
         self.subject_id = subject_id
         self.outbox = outbox
+        self.channel = self if outbox is None else outbox
         self.delivered = 0
 
     def matches(self, kind, subject):
@@ -218,10 +219,6 @@ class Subscription(Channel):
         return (kind in self.kinds
                 and (self.subject_kind is None or subject[0] == self.subject_kind)
                 and (self.subject_id is None or subject[1] == self.subject_id))
-
-    def deliver(self, msg):
-        self.delivered += 1
-        (self if self.outbox is None else self.outbox).put(msg)
 
 
 # metric -> its index in the samples of each subject kind
@@ -346,9 +343,8 @@ class _Fed(list):
 
 
 class MetricBus:
-    def __init__(self, retention_s=3600, channel_depth=CHANNEL_DEPTH):
+    def __init__(self, retention_s=3600):
         self.retention_ms = retention_s * 1000
-        self.channel_depth = channel_depth
         self.series: dict[tuple, deque] = {}  # subject -> its retained samples, by t
         self.subscriptions: dict[str, Subscription] = {}
         self.boundaries: dict[str, BoundaryCondition] = {}
@@ -357,7 +353,7 @@ class MetricBus:
         self._fan_order: list[Subscription] = []  # by sub_id, as fan_out delivers
         self._fed: dict[tuple, _Fed] = {}  # subject -> its fed boundaries
         # sample type -> subject id -> (subject, its series, its fed boundaries,
-        # its (subscription, channel) targets in fan-out order); cleared
+        # its matching subscriptions in fan-out order); cleared
         # whenever a subscription or boundary comes or goes
         self._routes = {sample_type: {} for sample_type in _SAMPLE_KINDS}
 
@@ -372,8 +368,7 @@ class MetricBus:
             raise SymplatError("telemetry_error",
                                f"unsupported sample type {type(sample).__name__}")
         subject = (kinds[0], sample[1])  # both sample types: t, then the subject id
-        targets = tuple((sub, sub if sub.outbox is None else sub.outbox)
-                        for sub in self._fan_order if sub.matches(kinds[1], subject))
+        targets = tuple(sub for sub in self._fan_order if sub.matches(kinds[1], subject))
         route = (subject, self.series.setdefault(subject, deque()),
                  self._fed.get(subject), targets)
         self._routes[type(sample)][sample[1]] = route
@@ -399,8 +394,7 @@ class MetricBus:
         """New subscription; ids are sub-N, or evsub-N for event subscriptions."""
         prefix = "evsub" if "event" in kinds else "sub"
         sub_id = f"{prefix}-{next(self._sub_seq[prefix])}"
-        sub = Subscription(sub_id, kinds, subject_kind, subject_id,
-                           depth=self.channel_depth, outbox=outbox)
+        sub = Subscription(sub_id, kinds, subject_kind, subject_id, outbox=outbox)
         self.subscriptions[sub_id] = sub
         bisect.insort(self._fan_order, sub, key=attrgetter("sub_id"))
         self._clear_routes()
@@ -422,7 +416,8 @@ class MetricBus:
         kind = msg["type"]
         for sub in self._fan_order:
             if sub.matches(kind, subject):
-                sub.deliver(msg)
+                sub.delivered += 1
+                sub.channel.put(msg)
 
     # -- pipeline --------------------------------------------------------
 
@@ -452,11 +447,11 @@ class MetricBus:
                 horizon = t - retention_ms
                 while dq[0][0] <= horizon:
                     dq.popleft()
-                for sub, channel in targets:
+                for sub in targets:
                     sub.delivered += 1
-                    batch = pending.get(channel)
+                    batch = pending.get(sub.channel)
                     if batch is None:
-                        pending[channel] = [sample]  # encoded when read
+                        pending[sub.channel] = [sample]  # encoded when read
                     else:
                         batch.append(sample)
                 if fed:

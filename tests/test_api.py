@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from symplat import telemetry
 from symplat.api import MAX_LINE_BYTES, WireClient, WireServer, parse_listen
 from symplat.core import PlatformCore
 from symplat.model import (
@@ -532,19 +533,20 @@ class TestPushes:
 
 
 class TestEventSubscriptions:
-    def test_event_overflow_yields_gap_marker(self):
+    def test_event_overflow_yields_gap_marker(self, monkeypatch):
         core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
         core.handle("submit", {"spec": app_spec().to_json()}, tenant="alice")
         core.tick()
-        core.bus.channel_depth = 4
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 4)
         sub_id = core.handle("subscribe_events", {"app_id": "solver-1"})["subscription_id"]
         for _ in range(3):  # six events into a four-deep channel
             core.handle("freeze_app", {"app_id": "solver-1"}, operator=True)
             core.handle("thaw_app", {"app_id": "solver-1"}, operator=True)
-        msgs = core.poll_subscription(sub_id)
+        sub = core.bus.subscriptions[sub_id]
+        msgs = sub.poll()
         assert msgs[0] == {"type": "gap", "dropped": 2}
         assert [m["event"] for m in msgs[1:]] == ["Freezing", "Thawed"] * 2
-        assert core.poll_subscription(sub_id) == []
+        assert sub.poll() == []
 
 
 class TestErrorCodes:

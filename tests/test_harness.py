@@ -135,6 +135,35 @@ class TestScenarioValidation:
             scenario_from_dict(doc)
         assert err.value.fieldpath == fieldpath
 
+    @pytest.mark.parametrize("entry, key", [("apps", "submit_at_s"), ("script", "at_s")])
+    @pytest.mark.parametrize("after_s", [0, 20])
+    def test_validate_refuses_an_entry_no_tick_reaches(self, entry, key, after_s, tmp_path,
+                                                       capsys):
+        """A run ticks while now < duration_s, so nothing at duration_s or later runs."""
+        doc = scenario_doc(script=[{"at_s": 1, "op": "status", "payload": {"app_id": "tiny"}}])
+        doc[entry][0][key] = doc["duration_s"] + after_s
+        path = tmp_path / "late.yaml"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {entry}[0]: {key} must be in [0, 29]")
+
+    def test_entries_at_the_last_tick_run(self):
+        doc = scenario_doc(script=[{"at_s": 29, "op": "status", "payload": {"app_id": "late"}}])
+        late = json.loads(json.dumps(doc["apps"][0]))
+        late["spec"]["app_id"], late["submit_at_s"] = "late", 29
+        doc["apps"].append(late)
+        report = run_scenario(scenario_from_dict(doc)).to_json()
+        assert sorted(report["apps"]) == ["late", "tiny"]
+        assert [(e["t"], e["op"]) for e in report["op_log"]] == [
+            (0, "submit"), (29_000, "submit"), (29_000, "status")]
+        assert "result" in report["op_log"][-1]
+
+    def test_a_scenario_without_end_keeps_its_later_submits(self):
+        """`serve` of a `duration_s: 0` scenario has no end and submits only its t=0 apps."""
+        doc = scenario_doc(duration_s=0)
+        doc["apps"][0]["submit_at_s"] = 50
+        assert scenario_from_dict(doc).apps[0][1] == 50_000
+
     def test_least_grace_and_retention_run(self):
         scenario = scenario_from_dict(scenario_doc(grace_s=0, retention_s=1))
         assert (scenario.grace_s, scenario.retention_s) == (0, 1)

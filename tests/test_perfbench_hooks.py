@@ -1,10 +1,12 @@
-"""Every symplat name that the benchmark's traced runs wrap or swap exists.
+"""Every symplat name that the benchmark's traced runs wrap, swap or read exists.
 
 `perfbench/layers.py` and `perfbench/server.py` replace methods by name
 (`tracer.wrap(<owner>, "<name>", ...)`) and put a timing proxy on the wire
-server's `core_lock` through its `_server` attribute. A rename in symplat
-breaks only the traced run, so this test reads both files (and changes
-neither) and looks each name up where the benchmark does.
+server's `core_lock` through its `_server` attribute, and `bus_totals` reads
+a metric bus's attributes and its subscriptions'. A rename in symplat breaks
+only the traced run, or makes a traced count read 0, so this test reads
+both files (and changes neither) and looks each name up where the benchmark
+does.
 """
 
 import ast
@@ -13,7 +15,8 @@ import os
 
 from symplat.api import WireServer
 from symplat.core import PlatformCore
-from symplat.model import NodeSpec, ResourceVector
+from symplat.model import NodeSample, NodeSpec, ResourceVector
+from symplat.telemetry import CHANNEL_DEPTH, MetricBus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HOOK_FILES = [os.path.join(ROOT, "perfbench", name) for name in ("layers.py", "server.py")]
@@ -90,3 +93,38 @@ def test_the_timed_lock_reaches_the_server(tmp_path):
                 owner = getattr(owner, attr)
     finally:
         srv.stop()
+
+
+def bus_reads(tree):
+    """(attributes read off the bus, attributes read off a subscription,
+    names a subscription is asked for through `getattr`) in `bus_totals`."""
+    (func,) = [n for n in ast.walk(tree)
+               if isinstance(n, ast.FunctionDef) and n.name == "bus_totals"]
+    bus_attrs, sub_attrs, sub_getattrs = set(), set(), set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "bus":
+                bus_attrs.add(node.attr)
+            elif node.value.id != "tracer":
+                sub_attrs.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"):
+            sub_getattrs.add(node.args[1].value)
+    return bus_attrs, sub_attrs, sub_getattrs
+
+
+def test_the_bus_totals_read_real_figures():
+    bus_attrs, sub_attrs, sub_getattrs = bus_reads(
+        parse(os.path.join(ROOT, "perfbench", "layers.py")))
+    assert {"series", "subscriptions", "alarm_log"} <= bus_attrs
+    assert "delivered" in sub_attrs and "_gap" in sub_getattrs
+    bus = MetricBus()
+    sub = bus.subscribe()  # a library subscription, never polled
+    for t in range(0, (CHANNEL_DEPTH + 3) * 1000, 1000):
+        bus.publish(NodeSample(t, "n01", *[0] * (len(NodeSample._fields) - 2)))
+    for name in bus_attrs:
+        assert hasattr(bus, name), f"perfbench reads MetricBus.{name}"
+    for name in sub_attrs | sub_getattrs:
+        assert hasattr(sub, name), f"perfbench reads Subscription.{name}"
+    # read with a default of 0: only a figure shows that the name is right
+    assert (sub.delivered, sub._gap) == (CHANNEL_DEPTH + 3, 3)

@@ -1,9 +1,12 @@
+import collections
 import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symplat import telemetry
 from symplat.core import PlatformCore
 from symplat.harness import ScenarioRunner
 from symplat.model import (
@@ -126,8 +129,9 @@ class TestSubscriptions:
         msgs = sub.poll()
         assert [m["t"] for m in msgs] == list(range(0, 50_000, 1000))
 
-    def test_backpressure_drops_oldest_with_gap_marker(self):
-        bus = MetricBus(channel_depth=16)
+    def test_backpressure_drops_oldest_with_gap_marker(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 16)
+        bus = MetricBus()
         sub = bus.subscribe()
         for t in range(0, 20_000, 1000):  # 20 messages into a 16-deep channel
             bus.publish(app_sample(t))
@@ -149,8 +153,9 @@ class TestSubscriptions:
 
 
 class TestChannel:
-    def test_mixed_queue_drops_only_oldest_droppable_in_order(self):
-        ch = Channel(depth=2)
+    def test_mixed_queue_drops_only_oldest_droppable_in_order(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 2)
+        ch = Channel()
         ch.put("p1")
         ch.put("r1", droppable=False)
         ch.put("p2")
@@ -160,8 +165,9 @@ class TestChannel:
         assert ch.poll() == [{"type": "gap", "dropped": 2}, "r1", "p3", "r2", "p4"]
         assert ch.poll() == []
 
-    def test_non_droppable_messages_are_never_dropped(self):
-        ch = Channel(depth=1)
+    def test_non_droppable_messages_are_never_dropped(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 1)
+        ch = Channel()
         for i in range(5):
             ch.put(i, droppable=False)
         ch.put("p1")
@@ -174,20 +180,22 @@ class TestChannel:
     @settings(max_examples=100, deadline=None)
     def test_put_many_equals_successive_puts(self, depth, rounds):
         """After any prior mix of droppable and non-droppable messages."""
-        one, many = Channel(depth), Channel(depth)
-        n = 0
-        for prior, size in rounds:
-            for droppable in prior:
-                one.put(n, droppable)
-                many.put(n, droppable)
-                n += 1
-            batch = list(range(n, n + size))
-            n += size
-            for msg in batch:
-                one.put(msg)
-            many.put_many(batch)
-            assert len(many) == len(one)
-        assert many.poll() == one.poll()
+        # patched in the body: Hypothesis refuses function-scoped fixtures
+        with mock.patch.object(telemetry, "CHANNEL_DEPTH", depth):
+            one, many = Channel(), Channel()
+            n = 0
+            for prior, size in rounds:
+                for droppable in prior:
+                    one.put(n, droppable)
+                    many.put(n, droppable)
+                    n += 1
+                batch = list(range(n, n + size))
+                n += size
+                for msg in batch:
+                    one.put(msg)
+                many.put_many(batch)
+                assert len(many) == len(one)
+            assert many.poll() == one.poll()
 
     def test_metric_subscriptions_receive_no_events(self):
         bus = MetricBus()
@@ -222,8 +230,9 @@ class TestMessages:
                                    "observed": 8.0, "threshold": 4,
                                    "direction": "entered-violation"}
 
-    def test_gap_marker_comes_first_after_overflow(self):
-        bus = MetricBus(channel_depth=2)
+    def test_gap_marker_comes_first_after_overflow(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 2)
+        bus = MetricBus()
         sub = bus.subscribe()
         samples = [app_sample(t, cpu=t // 1000) for t in range(0, 5000, 1000)]
         for s in samples:
@@ -312,6 +321,71 @@ class TestSharedChannel:
         assert subs[node_id].delivered == n_nodes + 2
         assert subs[all_id].delivered == len(samples) + 2
         assert len(subs[node_id]) == len(subs[all_id]) == 0  # all went to the outbox
+
+
+class TestDeliveryAccounting:
+    """For each channel, its subscriptions' summed `delivered` is the messages
+    read from it plus those its gap markers count, over both delivery paths:
+    `publish`'s batched hand-over of samples, and `fan_out` of alarms and
+    events. The benchmark's traced runs read these as deliveries and drops."""
+
+    @staticmethod
+    def read(channel, counts):
+        for msg in channel.poll():
+            if msg["type"] == "gap":
+                counts["dropped"] += msg["dropped"]
+            else:
+                counts[msg["type"]] += 1
+
+    def check(self, channel, subs, counts):
+        delivered = sum(s.delivered for s in subs)
+        # as the traced runs read it, without a last poll
+        assert delivered == sum(counts.values()) + len(channel) + channel._gap
+        self.read(channel, counts)
+        assert delivered == sum(counts.values())
+        assert counts["dropped"] > 0
+
+    def test_library_subscriptions(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 5)
+        bus = MetricBus()
+        bus.register_boundary(BoundaryCondition("hot", ("app", "app-1"), "cpu_cores_used",
+                                                "max", 4, 1))
+        metrics, events = bus.subscribe(), bus.subscribe(kinds=("event",))
+        counts = {sub: collections.Counter() for sub in (metrics, events)}
+        for i in range(60):
+            bus.publish(*tick(i * 1000, 8 if i % 2 else 1))  # an alarm every other tick
+            if i % 3 == 0:
+                for event in ("Freezing", "Thawed"):
+                    bus.fan_out({"type": "event", "event": event, "app_id": "app-1"},
+                                ("app", "app-1"))
+            if i % 7 == 0:
+                for sub in counts:
+                    self.read(sub, counts[sub])
+        for sub, sub_counts in counts.items():
+            self.check(sub, [sub], sub_counts)
+        assert counts[metrics]["alarm"] > 0 and counts[events]["event"] > 0
+
+    def test_subscriptions_into_a_connection_channel(self, monkeypatch):
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 5)
+        core = small_core()
+        outbox = Channel()
+        for op in ("subscribe_metrics", "subscribe_events"):
+            core.handle(op, {}, outbox=outbox)
+        submit(core, job("hot", 6, 5), job("pair", 1, 12, tasks=2))
+        counts = collections.Counter()
+        for i in range(30):
+            if 2 <= i < 8:  # a Draining event per app on n01
+                core.handle("drain_node", {"node_id": "n01"}, operator=True)
+            if i % 4 == 0:
+                self.read(outbox, counts)
+            alarms = len(core.bus.alarm_log)
+            core.tick()
+            if len(core.bus.alarm_log) > alarms:  # read before the next tick drops it
+                self.read(outbox, counts)
+        subs = [s for s in core.bus.subscriptions.values() if s.channel is outbox]
+        assert len(subs) == 2
+        self.check(outbox, subs, counts)
+        assert counts["alarm"] > 0 and counts["event"] > 0
 
 
 def tick(t, cpu):
