@@ -67,14 +67,18 @@ def cmd_serve(args):
         reason = os.strerror(exc.errno) if exc.errno else exc
         print(f"error: cannot listen on {listen}: {reason}", file=sys.stderr)
         return 1
-    # serve submits only the t=0 apps: later submissions and the scenario's
-    # `script` are not replayed, clients send them through the API
-    for spec, submit_at, tenant in scenario.apps:
-        if submit_at == 0:
-            core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
-    server.start()
-    print(f"listening on {server.address}, speedup {args.speedup}", file=sys.stderr)
     try:
+        # serve submits only the t=0 apps: later submissions and the scenario's
+        # `script` are not replayed, clients send them through the API; a
+        # refused submit is reported, as `run` logs it, and serving goes on
+        for spec, submit_at, tenant in scenario.apps:
+            if submit_at == 0:
+                try:
+                    core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
+                except SymplatError as exc:
+                    print(f"refused {spec.app_id} [{exc.code}]: {exc}", file=sys.stderr)
+        server.start()
+        print(f"listening on {server.address}, speedup {args.speedup}", file=sys.stderr)
         while True:
             time.sleep(0.2)
             if scenario.duration_ms and core.now >= scenario.duration_ms:

@@ -7,11 +7,12 @@ state, only its last `env_model` answer (see there). A tick consults the
 scheduler (`activate_due`, `enforce_walltime`) only once `now` reaches the
 scheduler's own `next_due`; a quiet tick only steps the engine, which
 emits cached sample templates, and publishes the samples in one call. The
-engine keeps each app's last samples, also after the app has left it.
-Every platform event is logged, pushed to event subscribers and applied to
-the running app in one place. In asymmetric mode (the static baseline)
-adjustment, boundary conditions and subscriptions are disabled and I/O
-reservations are ignored: all I/O becomes best-effort.
+engine keeps each app's last samples, also after the app has left it. The
+core keeps no history: it hands each env event and lifecycle record to
+`record` (by default a discard), pushes every platform event to event
+subscribers and applies it to the running app in one place. In asymmetric
+mode (the static baseline) adjustment, boundary conditions and subscriptions
+are disabled and I/O reservations are ignored: all I/O becomes best-effort.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ SYMMETRIC_ONLY_OPS = {"adjust", "register_boundary", "drop_boundary",
 
 
 class PlatformCore:
-    def __init__(self, nodes, images=(), mode="symmetric", grace_s=60, retention_s=3600):
+    def __init__(self, nodes, images=(), mode="symmetric", grace_s=60, retention_s=3600,
+                 *, record=lambda _: None):
         if mode not in ("symmetric", "asymmetric"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -49,7 +51,7 @@ class PlatformCore:
             self.images[img.image_id] = img
         self.owners: dict[str, str] = {}  # app_id -> tenant
         self.now = 0
-        self.event_log: list[dict] = []
+        self.record = record  # called with each record, in order
         # its completions and errors are acted on at the start of the next tick
         self.last_tick_result = None
         self._env_model = None  # (now, plan, result) of the last env_model, see there
@@ -58,17 +60,16 @@ class PlatformCore:
     # event plumbing
 
     def _record_event(self, ev):
-        """Log `ev`, push it to event subscribers, then apply it to the app's
-        engine state if the app is running."""
+        """Record `ev`, push it to event subscribers, then apply it to the
+        app's engine state if the app is running."""
         fields = ev.to_json()
-        self.event_log.append({"type": "env_event", **fields})
+        self.record({"type": "env_event", **fields})
         self.bus.fan_out({"type": "event", **fields}, ("app", ev.app_id))
         if ev.app_id in self.engine.apps:
             self.engine.apply_env_event(ev)
 
     def _record_lifecycle(self, name, app_id, t, **extra):
-        self.event_log.append({"type": "lifecycle", "event": name, "app_id": app_id,
-                               "t": t, **extra})
+        self.record({"type": "lifecycle", "event": name, "app_id": app_id, "t": t, **extra})
 
     def _checkpoint_t(self, app_id):
         app = self.engine.apps.get(app_id)

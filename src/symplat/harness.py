@@ -65,9 +65,11 @@ class ScenarioRunner:
     def __init__(self, scenario, mode_override=None):
         self.scenario = scenario
         self.mode = mode_override or scenario.mode
+        self.events = []  # the core's records, which the report lists
         self.core = PlatformCore(
             scenario.nodes, scenario.images, mode=self.mode,
             grace_s=scenario.grace_s, retention_s=scenario.retention_s,
+            record=self.events.append,
         )
         self.op_log = []
 
@@ -107,7 +109,7 @@ class ScenarioRunner:
         core = self.core
         # last Started, and last Completed or Terminating, per app
         started_at, finished_at = {}, {}
-        for entry in core.event_log:
+        for entry in self.events:
             kind = (entry["type"], entry["event"])
             if kind == ("lifecycle", "Started"):
                 started_at[entry["app_id"]] = entry["t"]
@@ -136,7 +138,7 @@ class ScenarioRunner:
             mode=self.mode,
             seed=self.scenario.seed,
             finished_at_ms=core.now,
-            events=list(core.event_log),
+            events=self.events,
             apps=outcomes,
             utilization=utilization,
             alarms=[a.to_json() for a in core.bus.alarm_log],

@@ -144,10 +144,12 @@ def _message(item):
 class Channel:
     """Bounded ordered message queue with gap markers.
 
-    Beyond CHANNEL_DEPTH droppable messages, the oldest droppable one is
-    dropped; the next poll then starts with a {"type": "gap", "dropped": n}
-    marker. Non-droppable messages are never dropped and do not count toward
-    the depth. Samples are held as they are and encoded by poll.
+    Beyond CHANNEL_DEPTH droppable messages, the oldest sample is dropped,
+    and the oldest other droppable message (an event or alarm) only when no
+    sample waits; the next poll then starts with a {"type": "gap",
+    "dropped": n} marker. Non-droppable messages are never dropped and do
+    not count toward the depth. Samples are held as they are and encoded by
+    poll.
     """
 
     def __init__(self):
@@ -162,24 +164,36 @@ class Channel:
             self._items.append((msg, False))
 
     def put_many(self, msgs):
-        """Put each of `msgs` droppable, as successive `put`s would: the oldest
-        droppable messages beyond CHANNEL_DEPTH, queued or in `msgs`, are
-        dropped."""
+        """Put each of `msgs` droppable, as successive `put`s would: beyond
+        CHANNEL_DEPTH droppable messages, queued or in `msgs`, the oldest
+        samples are dropped, then the oldest other droppable messages.
+
+        Successive puts drop a sample only when it is the oldest waiting, and
+        another message only when no sample waits, so they keep the newest
+        other messages, at most CHANNEL_DEPTH, and the newest samples in the
+        room left: the messages kept here."""
+        items = self._items
+        items.extend(zip(msgs, itertools.repeat(True)))
         excess = self._droppable + len(msgs) - CHANNEL_DEPTH
         if excess <= 0:
             self._droppable += len(msgs)
-        else:
-            self._gap += excess
-            queued = min(excess, self._droppable)  # dropped from the queue
-            msgs = msgs[excess - queued:]  # the rest never enter it
-            self._droppable = CHANNEL_DEPTH
-            items = self._items
-            for _ in range(queued):
-                if items[0][1]:  # O(1) whenever the head is droppable
-                    items.popleft()
-                else:
-                    del items[next(i for i, (_, d) in enumerate(items) if d)]
-        self._items.extend([(msg, True) for msg in msgs])
+            return
+        self._gap += excess
+        self._droppable = CHANNEL_DEPTH
+        passed = 0  # messages moved from the head to the tail, in order
+        for _ in range(len(items)):
+            msg, droppable = items[0]
+            if droppable and type(msg) in _SAMPLE_KINDS:  # O(1) while the head is a sample
+                items.popleft()
+                excess -= 1
+                if not excess:
+                    break
+            else:
+                items.rotate(-1)
+                passed += 1
+        items.rotate(passed)
+        for _ in range(excess):  # no sample waits
+            del items[next(i for i, (_, d) in enumerate(items) if d)]
 
     def __len__(self):
         """Messages waiting for the next poll, not counting a gap marker."""

@@ -590,7 +590,8 @@ class TestErrorCodes:
         assert core.scheduler.reservations["short"].status == "Completed"
 
     def test_freeze_refuses_an_app_that_is_not_active(self):
-        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        records = []
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric", record=records.append)
         core.handle("submit", {"spec": app_spec().to_json()}, tenant="alice")
 
         def refusal(op):
@@ -607,7 +608,7 @@ class TestErrorCodes:
         assert refusal("freeze_app") == "not_active"  # already Frozen
         assert refusal("thaw_app") is None
         assert refusal("thaw_app") == "not_frozen"
-        env = [e["event"] for e in core.event_log if e["type"] == "env_event"]
+        env = [e["event"] for e in records if e["type"] == "env_event"]
         assert env == ["Freezing", "Thawed"]
 
     @pytest.mark.parametrize("field, value", [
@@ -649,16 +650,17 @@ class TestErrorCodes:
         ("subscribe_events", {"app_id": 5}),
     ])
     def test_malformed_field_is_invalid_value(self, op, payload):
-        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric")
+        records = []
+        core = PlatformCore(cluster(), images=[IMAGE], mode="symmetric", record=records.append)
         core.handle("submit", {"spec": app_spec().to_json()}, tenant="alice")
         core.tick()  # activates the app
         before = (core.scheduler.reservations["solver-1"].to_json(),
-                  core.engine.apps["solver-1"].status, len(core.event_log))
+                  core.engine.apps["solver-1"].status, len(records))
         with pytest.raises(SymplatError) as err:
             core.handle(op, payload, tenant="alice")
         assert err.value.code == "invalid_value"
         assert (core.scheduler.reservations["solver-1"].to_json(),
-                core.engine.apps["solver-1"].status, len(core.event_log)) == before
+                core.engine.apps["solver-1"].status, len(records)) == before
         assert sorted(core.scheduler.reservations) == ["solver-1"]
         for _ in range(5):  # the refused request left nothing that stops the clock
             core.tick()

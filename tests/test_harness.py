@@ -340,9 +340,23 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: cannot listen on {listen}: No such file or directory\n")
 
+    def test_serve_reports_a_refused_app_and_keeps_serving(self, tmp_path, capsys):
+        doc = scenario_doc(duration_s=5)
+        doc["cluster"][0]["capacity"]["cpu_cores"] = 4
+        doc["apps"][0]["spec"]["per_task_reservation"]["cpu_cores"] = 8
+        path = tmp_path / "wide.yaml"
+        path.write_text(json.dumps(doc))
+        sock = tmp_path / "x.sock"
+        assert main(["serve", str(path), "--listen", str(sock), "--speedup", "1000"]) == 0
+        refusal, listening = capsys.readouterr().err.splitlines()
+        assert refusal.startswith("refused tiny [insufficient_capacity]: ")
+        assert listening.startswith(f"listening on {sock}")
+        assert not sock.exists()
+
     def test_client_commands_against_a_live_server(self, tmp_path, capsys):
         scen = scenario_from_dict(MINIMAL)
-        core = PlatformCore(scen.nodes, scen.images)
+        records = []
+        core = PlatformCore(scen.nodes, scen.images, record=records.append)
         spec, _, tenant = scen.apps[0]
         core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
         core.tick()  # activates the app
@@ -369,7 +383,7 @@ class TestCli:
             assert run("thaw", "tiny") == {"app_id": "tiny", "frozen": False}
             assert core.scheduler.reservations["tiny"].status == "Active"
             assert run("drain", "n01") == {"node_id": "n01", "draining": ["tiny"]}
-            assert core.event_log[-1]["event"] == "Draining"
+            assert records[-1]["event"] == "Draining"
         finally:
             server.stop()
 

@@ -175,27 +175,46 @@ class TestChannel:
         assert ch.poll() == [{"type": "gap", "dropped": 1}, 0, 1, 2, 3, 4, "p2"]
 
     @given(depth=st.integers(1, 4),
-           rounds=st.lists(st.tuples(st.lists(st.booleans(), max_size=6), st.integers(0, 8)),
+           rounds=st.lists(st.tuples(st.lists(st.sampled_from(("response", "event", "sample")),
+                                              max_size=6),
+                                     st.lists(st.booleans(), max_size=8)),
                            min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_put_many_equals_successive_puts(self, depth, rounds):
-        """After any prior mix of droppable and non-droppable messages."""
+        """After any prior mix of non-droppable messages, events and samples,
+        and as a list that drops the oldest sample, else the oldest droppable
+        message, after each put."""
         # patched in the body: Hypothesis refuses function-scoped fixtures
         with mock.patch.object(telemetry, "CHANNEL_DEPTH", depth):
             one, many = Channel(), Channel()
+            reference, dropped = [], 0  # (message, droppable)
             n = 0
-            for prior, size in rounds:
-                for droppable in prior:
-                    one.put(n, droppable)
-                    many.put(n, droppable)
+
+            def put(msg, droppable=True):
+                nonlocal dropped
+                one.put(msg, droppable)
+                reference.append((msg, droppable))
+                queued = [i for i, (_, d) in enumerate(reference) if d]
+                if len(queued) > depth:
+                    samples = [i for i in queued if isinstance(reference[i][0], PhysicalSample)]
+                    del reference[(samples or queued)[0]]
+                    dropped += 1
+
+            for prior, batch in rounds:
+                for kind in prior:
+                    msg = app_sample(n) if kind == "sample" else n
+                    put(msg, kind != "response")
+                    many.put(msg, kind != "response")
                     n += 1
-                batch = list(range(n, n + size))
-                n += size
+                batch = [app_sample(n + i) if sample else n + i for i, sample in enumerate(batch)]
+                n += len(batch)
                 for msg in batch:
-                    one.put(msg)
+                    put(msg)
                 many.put_many(batch)
-                assert len(many) == len(one)
-            assert many.poll() == one.poll()
+                assert len(many) == len(one) == len(reference)
+            expected = [{"type": "gap", "dropped": dropped}] if dropped else []
+            expected += [telemetry._message(msg) for msg, _ in reference]
+            assert many.poll() == one.poll() == expected
 
     def test_metric_subscriptions_receive_no_events(self):
         bus = MetricBus()
@@ -374,18 +393,19 @@ class TestDeliveryAccounting:
         submit(core, job("hot", 6, 5), job("pair", 1, 12, tasks=2))
         counts = collections.Counter()
         for i in range(30):
-            if 2 <= i < 8:  # a Draining event per app on n01
-                core.handle("drain_node", {"node_id": "n01"}, operator=True)
             if i % 4 == 0:
                 self.read(outbox, counts)
-            alarms = len(core.bus.alarm_log)
+            if 2 <= i < 8:  # a Draining event per app on n01
+                core.handle("drain_node", {"node_id": "n01"}, operator=True)
             core.tick()
-            if len(core.bus.alarm_log) > alarms:  # read before the next tick drops it
-                self.read(outbox, counts)
         subs = [s for s in core.bus.subscriptions.values() if s.channel is outbox]
         assert len(subs) == 2
         self.check(outbox, subs, counts)
-        assert counts["alarm"] > 0 and counts["event"] > 0
+        # the ticks' samples are dropped first, so every alarm is read, and
+        # every event but one of the six that the drains on ticks 4-7 put
+        # beyond a depth of 5 with no sample left to drop
+        assert counts["alarm"] == len(core.bus.alarm_log) > 0
+        assert (counts["event"], sum(s.delivered for s in subs if s.kinds == ("event",))) == (9, 10)
 
 
 def tick(t, cpu):
