@@ -56,8 +56,8 @@ class _ConnectionHandler:
     """One connection: its session, its channel and its unsent bytes.
 
     Every response, a core result's, an error's or hello's, is encoded
-    where it is answered and put on the channel as its line, non-droppable;
-    pushes are put droppable and encoded when written. So a slow reader
+    where it is answered and put on the channel as its line, a `str`, which
+    the channel never drops; pushes are encoded when written. So a slow reader
     cannot stall the loop, a response is never lost, and a push made while
     serving a request goes out before that request's response.
     A connection is backlogged while its channel holds CHANNEL_DEPTH messages
@@ -69,9 +69,8 @@ class _ConnectionHandler:
     def __init__(self, server, sock):
         self.server = server
         self.sock = sock
-        self.tenant = None
+        self.tenant = None  # bound by hello
         self.operator = False
-        self.hello_done = False
         self.outbox = Channel()
         self.reading = True  # false after a half-close or an oversize line
         self._rbuf = b""  # bytes received, not yet answered
@@ -93,15 +92,18 @@ class _ConnectionHandler:
 
     def _answer_lines(self):
         """Answer the complete lines received, in order, until backlogged;
-        returns whether a complete line is still waiting."""
+        returns whether a complete line is still waiting. Once the input has
+        ended, what follows the last newline is a line too."""
         buf, start = self._rbuf, 0
         held = False
-        while True:
+        while start < len(buf):  # past the end after a last line with no newline
             end = buf.find(b"\n", start)
             if end < 0:
-                if not (self.reading and len(buf) - start > MAX_LINE_BYTES):
-                    break
-                end = len(buf)  # answered as oversize before its end arrives
+                if self.reading and len(buf) - start <= MAX_LINE_BYTES:
+                    break  # the rest of the line has yet to arrive
+                # the last line at the end of input, or answered as oversize
+                # before its end arrives
+                end = len(buf)
             if self._backlogged():
                 held = True
                 break
@@ -116,7 +118,7 @@ class _ConnectionHandler:
 
     def _dispatch(self, line):
         with self.server.core_lock:
-            self.outbox.put(self._answer(line), droppable=False)
+            self.outbox.put(self._answer(line))
 
     def _answer(self, line):
         if len(line) > MAX_LINE_BYTES:
@@ -140,10 +142,10 @@ class _ConnectionHandler:
                     raise SymplatError("malformed_message", "payload must be an object")
                 tenant = checked("tenant", payload.get("tenant", "anonymous"), (str,))
                 self.operator = checked("operator", payload.get("operator", False), (bool,))
-                self.tenant, self.hello_done = tenant, True
+                self.tenant = tenant
                 return _ENCODER.encode(
                     {"id": msg_id, "result": {"tenant": tenant, "operator": self.operator}})
-            if not self.hello_done:
+            if self.tenant is None:
                 return _error(msg_id, "handshake_required", "first message must be hello")
             result = self.server.core.handle(op, payload, tenant=self.tenant,
                                              operator=self.operator, outbox=self.outbox)

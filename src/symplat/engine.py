@@ -11,12 +11,12 @@ Rates are piecewise constant: they are recomputed (a node re-filled) only when
 one of its inputs changes, that is the node's task set, a task's phase, frozen
 or done state, or a task's guaranteed rate min(demand, reserved) in some
 dimension. A granted adjustment that moves no task's guaranteed rate on a
-node re-fills nothing there: its tasks' rows take the new reservation, and
-their rates and templates stand. A re-fill also rebuilds each of the
-node's tasks' template: its sample after `t`, its work advance per tick, the
-ticks left in its phase and whether the phase writes storage. A quiet tick
-emits every cached template stamped with `now` and counts each advancing task
-down; only a storage-writing task adds storage and checks its overrun per tick.
+node re-fills nothing there: its tasks' rates and templates stand. A re-fill
+also rebuilds each of the node's tasks' template: its sample after `t`, its
+work advance per tick, the ticks left in its phase and whether the phase
+writes storage. A quiet tick emits every cached template stamped with `now`
+and counts each advancing task down; only a storage-writing task adds storage
+and checks its overrun per tick.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class TaskRuntime:
     frozen: bool = False
     storage_used: int = 0
     done: bool = False
-    # [app_id, task_id, demand, reserved, effective] as of its node's last fill,
-    # the vectors indexed in ALLOC_DIMS order
-    row: list = field(default_factory=list, repr=False)
+    # its demand and effective rates as of its node's last fill, in ALLOC_DIMS order
+    demand: tuple = field(default=(), repr=False)
+    effective: list = field(default_factory=list, repr=False)
     # the template its node's last fill built: the fields of its sample after
     # `t`, the work it does per tick, the ticks left until its phase completes
     # (0: it does no work) and whether the phase writes storage
@@ -147,7 +147,7 @@ class SimEngine:
         self.refills = 0  # nodes re-filled
         self._layout = None  # (by app, by node) task order; None: rebuild on the next tick
         self._stale = set()  # nodes to re-fill on the next tick
-        self._alloc_rows = []  # per node: its tasks' rows, see step_tick
+        self._alloc_rows = []  # per node: its tasks as laid out for the last tick
         # per node: its sample after `t`, as of its last fill plus the storage written since
         self._node_tails = {nid: (nid, 0, 0, 0, 0, 0, 0, 0) for nid in self.capacity}
         self.last_t = None  # the `now` of the last tick
@@ -205,22 +205,19 @@ class SimEngine:
         A fill reads the reservation only as min(demand, reserved) per
         ALLOC_DIMS dimension, so only a node on which one of the app's tasks
         has that minimum move is re-filled. A task on a node already stale
-        is re-filled anyway; its row may hold a stale demand. Every other
-        task's row, whose demand is the one its node's rates were filled
-        from, takes the new vector at once: a re-fill would compute the same
-        rates and template, so only the reserved column it reports changes.
+        is re-filled anyway; it may not have been filled yet, or its demand
+        may be stale. Every other task's demand is the one its node's rates
+        were filled from, so a re-fill would compute the same rates and
+        template.
         """
         old, app.reserved = app.reserved, reserved
         stale = self._stale
         for task in app.tasks.values():
             if task.node_id in stale:
                 continue
-            row = task.row
-            demand = row[2]
+            demand = task.demand
             if any(min(demand[i], old[i]) != min(demand[i], reserved[i]) for i in _ALLOC_INDEXES):
                 stale.add(task.node_id)
-            else:
-                row[3] = reserved
 
     def set_logical_status(self, app_id, status):
         app = self.apps.get(app_id)
@@ -234,9 +231,13 @@ class SimEngine:
     def last_allocations(self):
         """(app_id, task_id, dim, demand, reserved, effective) of the last tick:
         node by node, cpu and memory task by task, then each best-effort
-        dimension across the node's tasks."""
+        dimension across the node's tasks. Between a granted adjustment and
+        the next tick, the reserved column shows each app's current
+        reservation for every one of its tasks."""
         out = []
-        for rows in self._alloc_rows:
+        for members in self._alloc_rows:
+            rows = [(app.app_id, task.task_id, task.demand, app.reserved, task.effective)
+                    for app, task, _ in members]
             out += [(a, t, ALLOC_DIMS[i], d[i], r[i], e[i])
                     for a, t, d, r, e in rows for i in (0, 1)]
             out += [(a, t, ALLOC_DIMS[i], d[i], r[i], e[i])
@@ -255,28 +256,27 @@ class SimEngine:
                 by_node[task.node_id].append((app, task, wire_free))
             by_app.append((app, tasks))
         self._layout = by_app, by_node
-        self._alloc_rows = [[task.row for _, task, _ in members] for members in by_node.values()]
+        self._alloc_rows = list(by_node.values())
 
     def _fill(self, nid, members):
-        """Recompute the rows and templates of node `nid`'s tasks, and its sample tail."""
-        rows = []
+        """Recompute the rates and templates of node `nid`'s tasks, and its sample tail."""
+        rows = []  # (demand, reserved) per task
         for app, task, wire_free in members:
-            demand = _task_demand(app, task, wire_free)
-            task.row[:] = app.app_id, task.task_id, demand, app.reserved, None
-            rows.append(task.row)
+            task.demand = _task_demand(app, task, wire_free)
+            rows.append((task.demand, app.reserved))
         cap = self.capacity[nid]
         # hard dimensions: never more than reserved
-        effs = [[min(d[0], r[0]), min(d[1], r[1])] for _, _, d, r, _ in rows]
+        effs = [[min(d[0], r[0]), min(d[1], r[1])] for d, r in rows]
         # contended rate dimensions: guarantee + max-min split of residual
         for i in range(2, len(ALLOC_DIMS)):
-            guaranteed = ([min(d[i], r[i]) for _, _, d, r, _ in rows] if self.io_guarantees
+            guaranteed = ([min(d[i], r[i]) for d, r in rows] if self.io_guarantees
                           else [0] * len(rows))
-            extras = [max(0, row[2][i] - g) for row, g in zip(rows, guaranteed)]
+            extras = [max(0, d[i] - g) for (d, _), g in zip(rows, guaranteed)]
             shares = water_fill(cap[i] - sum(guaranteed), extras)
             for e, g, share in zip(effs, guaranteed, shares):
                 e.append(g + share)
         for (app, task, wire_free), e in zip(members, effs):
-            task.row[4] = e
+            task.effective = e
             self._build_template(app, task, wire_free, e)
         used = [sum(col) for col in zip(*effs)] if effs else _IDLE
         storage = sum(task.storage_used for _, task, _ in members)

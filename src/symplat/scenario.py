@@ -55,8 +55,25 @@ def _checked(name, value, fieldpath=None, **kwargs):
 
 def _require(obj, key, fieldpath):
     if key not in _checked("entry", obj, fieldpath, kinds=(dict,)):
-        raise ValidationError(f"missing required field {key!r}", fieldpath)
+        raise ValidationError(f"missing field {key!r}", fieldpath)
     return obj[key]
+
+
+def _parsed(cls, entry, fieldpath, validate=True):
+    """`cls.from_json(entry)`, validated unless `validate` is false, or a
+    ValidationError at `fieldpath`: an entry that is not a mapping is refused
+    as `_checked` refuses it, one that lacks a field as `missing field 'x'`,
+    and a bad value with its own message."""
+    _checked("entry", entry, fieldpath, kinds=(dict,))
+    try:
+        obj = cls.from_json(entry)
+        if validate:
+            obj.validate()
+    except KeyError as exc:
+        raise ValidationError(f"missing field {exc}", fieldpath) from exc
+    except (InvalidValue, TypeError) as exc:
+        raise ValidationError(str(exc), fieldpath) from exc
+    return obj
 
 
 def scenario_from_dict(doc, name="<scenario>"):
@@ -73,25 +90,14 @@ def scenario_from_dict(doc, name="<scenario>"):
     limits = {key: _checked(key, doc.get(key, default), least=least)
               for key, default, least in (("grace_s", 60, 0), ("retention_s", 3600, 1))}
 
-    nodes = []
-    for i, n in enumerate(_checked("cluster", doc.get("cluster", []), kinds=(list,))):
-        try:
-            node = NodeSpec.from_json(n)
-            node.validate()
-        except (InvalidValue, KeyError, TypeError) as exc:
-            raise ValidationError(str(exc), f"cluster[{i}]") from exc
-        nodes.append(node)
+    nodes = [_parsed(NodeSpec, n, f"cluster[{i}]")
+             for i, n in enumerate(_checked("cluster", doc.get("cluster", []), kinds=(list,)))]
     if len({n.node_id for n in nodes}) != len(nodes):
         raise ValidationError("node_ids must be unique", "cluster")
 
-    images = []
-    for i, img in enumerate(_checked("images", doc.get("images", []), kinds=(list,))):
-        try:
-            images.append(EnvironmentImage.from_json(img))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"missing field {exc}", f"images[{i}]") from exc
-        except InvalidValue as exc:
-            raise ValidationError(str(exc), f"images[{i}]") from exc
+    # an image's from_json checks each field as it reads it
+    images = [_parsed(EnvironmentImage, img, f"images[{i}]", validate=False)
+              for i, img in enumerate(_checked("images", doc.get("images", []), kinds=(list,)))]
     image_ids = {img.image_id for img in images}
     if len(image_ids) != len(images):
         raise ValidationError("image_ids must be unique", "images")
@@ -99,11 +105,7 @@ def scenario_from_dict(doc, name="<scenario>"):
     apps = []
     for i, entry in enumerate(_checked("apps", doc.get("apps", []), kinds=(list,))):
         fieldpath = f"apps[{i}]"
-        try:
-            spec = ApplicationSpec.from_json(_require(entry, "spec", fieldpath))
-            spec.validate()
-        except (InvalidValue, KeyError, TypeError) as exc:
-            raise ValidationError(str(exc), fieldpath) from exc
+        spec = _parsed(ApplicationSpec, _require(entry, "spec", fieldpath), fieldpath)
         if spec.kind == "container" and spec.image not in image_ids:
             raise ValidationError(f"unknown image {spec.image!r}", fieldpath)
         submit_at = _checked("submit_at_s", entry.get("submit_at_s", 0), fieldpath,

@@ -144,36 +144,35 @@ def _message(item):
 class Channel:
     """Bounded ordered message queue with gap markers.
 
-    Beyond CHANNEL_DEPTH droppable messages, the oldest sample is dropped,
-    and the oldest other droppable message (an event or alarm) only when no
-    sample waits; the next poll then starts with a {"type": "gap",
-    "dropped": n} marker. Non-droppable messages are never dropped and do
-    not count toward the depth. Samples are held as they are and encoded by
-    poll.
+    A `str` is a response line and is never dropped; it does not count
+    toward the depth. Beyond CHANNEL_DEPTH other messages, the oldest sample
+    is dropped, and the oldest event or alarm only when no sample waits; the
+    next poll then starts with a {"type": "gap", "dropped": n} marker.
+    Samples are held as they are and encoded by poll.
     """
 
     def __init__(self):
-        self._items = deque()  # (msg, droppable)
+        self._items = deque()
         self._droppable = 0
         self._gap = 0
 
-    def put(self, msg, droppable=True):
-        if droppable:
-            self.put_many([msg])
+    def put(self, msg):
+        if type(msg) is str:
+            self._items.append(msg)
         else:
-            self._items.append((msg, False))
+            self.put_many([msg])
 
     def put_many(self, msgs):
-        """Put each of `msgs` droppable, as successive `put`s would: beyond
-        CHANNEL_DEPTH droppable messages, queued or in `msgs`, the oldest
-        samples are dropped, then the oldest other droppable messages.
+        """Put each of `msgs`, none a `str`, as successive `put`s would:
+        beyond CHANNEL_DEPTH droppable messages, queued or in `msgs`, the
+        oldest samples are dropped, then the oldest other droppable messages.
 
         Successive puts drop a sample only when it is the oldest waiting, and
         another message only when no sample waits, so they keep the newest
         other messages, at most CHANNEL_DEPTH, and the newest samples in the
         room left: the messages kept here."""
         items = self._items
-        items.extend(zip(msgs, itertools.repeat(True)))
+        items.extend(msgs)
         excess = self._droppable + len(msgs) - CHANNEL_DEPTH
         if excess <= 0:
             self._droppable += len(msgs)
@@ -182,8 +181,7 @@ class Channel:
         self._droppable = CHANNEL_DEPTH
         passed = 0  # messages moved from the head to the tail, in order
         for _ in range(len(items)):
-            msg, droppable = items[0]
-            if droppable and type(msg) in _SAMPLE_KINDS:  # O(1) while the head is a sample
+            if type(items[0]) in _SAMPLE_KINDS:  # O(1) while the head is a sample
                 items.popleft()
                 excess -= 1
                 if not excess:
@@ -193,7 +191,7 @@ class Channel:
                 passed += 1
         items.rotate(passed)
         for _ in range(excess):  # no sample waits
-            del items[next(i for i, (_, d) in enumerate(items) if d)]
+            del items[next(i for i, m in enumerate(items) if type(m) is not str)]
 
     def __len__(self):
         """Messages waiting for the next poll, not counting a gap marker."""
@@ -204,7 +202,7 @@ class Channel:
         if self._gap:
             out.append({"type": "gap", "dropped": self._gap})
             self._gap = 0
-        out.extend(_message(msg) for msg, _ in self._items)
+        out.extend(map(_message, self._items))
         self._items.clear()
         self._droppable = 0
         return out
@@ -364,11 +362,10 @@ class MetricBus:
         self.boundaries: dict[str, BoundaryCondition] = {}
         self.alarm_log: list[Alarm] = []
         self._sub_seq = {"sub": itertools.count(1), "evsub": itertools.count(1)}
-        self._fan_order: list[Subscription] = []  # by sub_id, as fan_out delivers
         self._fed: dict[tuple, _Fed] = {}  # subject -> its fed boundaries
         # sample type -> subject id -> (subject, its series, its fed boundaries,
-        # its matching subscriptions in fan-out order); cleared
-        # whenever a subscription or boundary comes or goes
+        # its matching subscriptions); cleared whenever a subscription or
+        # boundary comes or goes
         self._routes = {sample_type: {} for sample_type in _SAMPLE_KINDS}
 
     def _clear_routes(self):
@@ -382,7 +379,8 @@ class MetricBus:
             raise SymplatError("telemetry_error",
                                f"unsupported sample type {type(sample).__name__}")
         subject = (kinds[0], sample[1])  # both sample types: t, then the subject id
-        targets = tuple(sub for sub in self._fan_order if sub.matches(kinds[1], subject))
+        targets = tuple(sub for sub in self.subscriptions.values()
+                        if sub.matches(kinds[1], subject))
         route = (subject, self.series.setdefault(subject, deque()),
                  self._fed.get(subject), targets)
         self._routes[type(sample)][sample[1]] = route
@@ -410,25 +408,24 @@ class MetricBus:
         sub_id = f"{prefix}-{next(self._sub_seq[prefix])}"
         sub = Subscription(sub_id, kinds, subject_kind, subject_id, outbox=outbox)
         self.subscriptions[sub_id] = sub
-        bisect.insort(self._fan_order, sub, key=attrgetter("sub_id"))
         self._clear_routes()
         return sub
 
     def unsubscribe(self, sub_id):
         if sub_id not in self.subscriptions:
             raise UnknownSubscription(f"no subscription {sub_id}")
-        self._fan_order.remove(self.subscriptions.pop(sub_id))
+        del self.subscriptions[sub_id]
         self._clear_routes()
 
     def unsubscribe_outbox(self, outbox):
         """End every subscription that delivers into `outbox`."""
-        for sub in [s for s in self._fan_order if s.outbox is outbox]:
+        for sub in [s for s in self.subscriptions.values() if s.outbox is outbox]:
             self.unsubscribe(sub.sub_id)
 
     def fan_out(self, msg, subject):
         """Deliver `msg`, about `subject`, to the matching subscriptions."""
         kind = msg["type"]
-        for sub in self._fan_order:
+        for sub in self.subscriptions.values():
             if sub.matches(kind, subject):
                 sub.delivered += 1
                 sub.channel.put(msg)

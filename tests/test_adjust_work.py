@@ -97,7 +97,7 @@ def test_wire_clocked_adjusts_neither_replan_nor_refill():
         if op in built and result is not last.get(op):
             built[op] += 1
             last[op] = result
-    # the grants since the last tick changed rows in place: tick once more on them
+    # the grants since the last tick changed reservations in place: tick once more on them
     expected, _ = reference_allocations(engine)
     core.tick()
     assert engine.last_allocations == expected

@@ -270,6 +270,34 @@ class TestWireCodec:
         ids = [json.loads(line)["id"] for line in data.splitlines()]
         assert ids == ["h"] + [f"req-{i}" for i in range(2000)]
 
+    @pytest.mark.parametrize("last, expected", [
+        (b'{"id": "x", "op": "env_model", "payload": {}}', ("x", "result")),
+        (b'{"id": "x", "op": "env_mo', (None, "malformed_message")),
+        (b" \t ", None),
+    ], ids=["request", "truncated", "blank"])
+    def test_last_line_without_newline_is_answered_at_half_close(self, last, expected,
+                                                                 tmp_path):
+        """What follows the last newline when the input ends is a line: a
+        request is answered, truncated JSON refused, and blanks ignored."""
+        path = str(tmp_path / "symplat.sock")
+        srv = WireServer(PlatformCore(cluster(), images=[IMAGE]), path).start()
+        try:
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                sock.settimeout(5.0)
+                sock.connect(path)
+                sock.sendall(b'{"id": "h", "op": "hello", "payload": {}}\n' + last)
+                sock.shutdown(socket.SHUT_WR)
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+        finally:
+            srv.stop()
+        msgs = [json.loads(line) for line in data.splitlines()]
+        assert msgs[0]["id"] == "h" and "result" in msgs[0]
+        replies = [(m["id"], "result" if "result" in m else m["error"]["code"])
+                   for m in msgs[1:]]
+        assert replies == ([expected] if expected else [])
+
     def test_client_that_never_reads_is_held_at_the_bound(self, tmp_path):
         """The server stops answering a connection whose channel is full and
         resumes once the client reads; no response is lost or reordered."""

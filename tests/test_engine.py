@@ -1,6 +1,7 @@
 import os
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symplat.engine import BEST_EFFORT_DIMS, SimEngine, water_fill
@@ -13,7 +14,7 @@ from symplat.model import (
     PlatformEnvEvent,
     ResourceVector,
 )
-from symplat.scenario import load_scenario
+from symplat.scenario import load_scenario, scenario_from_dict
 
 from oracles import waterfill_oracle
 
@@ -309,6 +310,37 @@ class TestProgressAndCompletion:
         result = engine.step_tick(1000)  # 200e6 > 150e6
         assert result.errors == ["s"]
         assert engine.apps["s"].status.state == "Error"
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    def test_an_error_phase_terminates_its_app_one_tick_later(self, mode):
+        """Both tasks of "e" end a phase that emits Error on the tick starting
+        at 1 s; the platform terminates the app on the next tick."""
+        trace = [{"kind": "compute", "work_amount": 8, "demand": {"cpu_cores": 4},
+                  "emits_state": "Error", "progress_at_end": 0.5},
+                 {"kind": "compute", "work_amount": 400, "demand": {"cpu_cores": 4}}]
+        doc = {"schema": 1, "duration_s": 30, "mode": mode,
+               "cluster": [{"node_id": "n01",
+                            "capacity": {"cpu_cores": 32, "memory_bytes": 64 * GIB}}],
+               "images": [{"image_id": "img", "name": "i", "owner": "o",
+                           "content_digest": "sha256:0"}],
+               "apps": [{"spec": {"app_id": "e", "kind": "container", "image": "img",
+                                  "task_count": 2, "walltime_limit_s": 600, "trace": trace,
+                                  "per_task_reservation": {"cpu_cores": 4,
+                                                           "memory_bytes": GIB}}}]}
+        scenario = scenario_from_dict(doc)
+        engine = SimEngine(scenario.nodes)
+        engine.add_app(scenario.apps[0][0], {0: "n01", 1: "n01"}, 0)
+        assert engine.step_tick(0).errors == []
+        assert engine.step_tick(1000).errors == ["e"]  # once, for both tasks
+        status = engine.apps["e"].status
+        assert (status.state, status.updated_at) == ("Error", 2000)
+        runner = ScenarioRunner(scenario)
+        report = runner.run()
+        assert [e for e in report.events if e["type"] == "env_event"] == [
+            {"type": "env_event", "event": "Terminating", "app_id": "e",
+             "reason": "logical error state", "effective_at": 2000}]
+        assert report.summary["e"] == {"outcome": "TerminatedError", "started_at_s": 0,
+                                       "finished_at_s": 2, "duration_s": 2}
 
     def test_colocated_net_io_off_the_wire(self):
         spec = ApplicationSpec(

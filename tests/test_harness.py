@@ -52,6 +52,34 @@ def scenario_doc(**overrides):
     return doc
 
 
+# (where the first entry of a section is spoiled, what goes there (None:
+# nothing), the refusal): one form for a missing field and one for an entry
+# that is not a mapping, in every section
+BAD_ENTRIES = [
+    (("cluster", 0, "node_id"), None, "cluster[0]: missing field 'node_id'"),
+    (("cluster", 0), "n01", "cluster[0]: entry must be dict, got 'n01'"),
+    (("images", 0, "name"), None, "images[0]: missing field 'name'"),
+    (("images", 0), 5, "images[0]: entry must be dict, got 5"),
+    (("apps", 0, "spec", "kind"), None, "apps[0]: missing field 'kind'"),
+    (("apps", 0, "spec"), "tiny", "apps[0]: entry must be dict, got 'tiny'"),
+]
+BAD_ENTRY_IDS = ["cluster-missing", "cluster-scalar", "images-missing", "images-scalar",
+                 "apps-missing", "apps-scalar"]
+
+
+def spoiled(path, value):
+    """The minimal scenario with `value` at `path`, or nothing there if it is None."""
+    doc = scenario_doc()
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is None:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return doc
+
+
 class TestScenarioValidation:
     def test_minimal_parses(self):
         scenario = scenario_from_dict(scenario_doc())
@@ -99,6 +127,12 @@ class TestScenarioValidation:
         with pytest.raises(ValidationError) as err:
             load_scenario(str(path))
         assert str(err.value) == "apps[0]: app tiny: task_count must be in [1, 1024]"
+
+    @pytest.mark.parametrize("path, value, refusal", BAD_ENTRIES, ids=BAD_ENTRY_IDS)
+    def test_an_entry_is_refused_in_one_form(self, path, value, refusal):
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(spoiled(path, value))
+        assert (str(err.value), err.value.fieldpath) == (refusal, f"{path[0]}[0]")
 
     @pytest.mark.parametrize("field, value", [
         ("grace_s", "60"), ("grace_s", -1), ("grace_s", True),
@@ -305,6 +339,14 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {entry}[0]: ")
 
+    @pytest.mark.parametrize("path, value, refusal", BAD_ENTRIES, ids=BAD_ENTRY_IDS)
+    def test_validate_refuses_a_bad_entry_in_one_form(self, path, value, refusal,
+                                                     tmp_path, capsys):
+        scenario = tmp_path / "bad-entry.yaml"
+        scenario.write_text(json.dumps(spoiled(path, value)))
+        assert main(["validate", str(scenario)]) == 2
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -386,6 +428,48 @@ class TestCli:
             assert records[-1]["event"] == "Draining"
         finally:
             server.stop()
+
+    def test_submit_of_a_spec_file_and_a_refused_request(self, tmp_path, capsys):
+        scen = scenario_from_dict(MINIMAL)
+        spec = tmp_path / "tiny.yaml"
+        spec.write_text(json.dumps(MINIMAL["apps"][0]["spec"]))  # JSON is YAML
+        sock = str(tmp_path / "symplat.sock")
+        server = WireServer(PlatformCore(scen.nodes, scen.images), sock).start()  # no clock
+        try:
+            assert main(["submit", str(spec), "--connect", sock, "--tenant", "alice"]) == 0
+            reservation = json.loads(capsys.readouterr().out)["reservation"]
+            assert (reservation["app_id"], reservation["status"]) == ("tiny", "Queued")
+            assert server.core.owners["tiny"] == "alice"
+            assert main(["status", "ghost", "--connect", sock]) == 1
+            assert capsys.readouterr().err.startswith("error [no_such_app]: ")
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("mode", [["--duration", "1"], ["--follow"]],
+                             ids=["duration", "follow"])
+    def test_metrics_prints_the_pushes_of_its_app(self, mode, tmp_path, capsys):
+        doc = scenario_doc()
+        doc["apps"][0]["spec"]["trace"][0]["work_amount"] = 4000  # runs past the test
+        scen = scenario_from_dict(doc)
+        core = PlatformCore(scen.nodes, scen.images)
+        spec, _, tenant = scen.apps[0]
+        core.handle("submit", {"spec": spec.to_json()}, tenant=tenant)
+        sock = str(tmp_path / "symplat.sock")
+        server = WireServer(core, sock, speedup=50).start()
+        codes = []
+        reader = threading.Thread(target=lambda: codes.append(main(
+            ["metrics", "--app-id", "tiny", "--events", *mode, "--connect", sock])))
+        reader.start()
+        try:
+            reader.join(1.2)  # a follower streams until the server stops
+        finally:
+            server.stop()
+        reader.join(5.0)
+        assert not reader.is_alive() and codes == [0]
+        pushes = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        samples = [p for p in pushes if p["type"] == "sample"]
+        assert samples and {p["app_id"] for p in samples} == {"tiny"}
+        assert {p["type"] for p in pushes} <= {"sample", "event"}
 
     def test_metrics_follow_waits_out_a_quiet_stream(self, tmp_path, monkeypatch):
         # a client timeout shorter than the wait: following must outlast it

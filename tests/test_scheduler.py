@@ -359,6 +359,18 @@ class TestUtilizationReport:
         assert rep["per_node"]["n01"]["cpu_cores"] <= 1
 
 
+class TestFitCounts:
+    def test_a_full_table_starts_over_and_counts_as_a_fresh_one(self):
+        need, limit = (2, 0, 3), 5
+        table = scheduler._FitCounts(need, limit)
+        frees = [(i, i % 7, i // 2) for i in range(scheduler._FIT_TABLE_SIZE + 1000)]
+        for free in frees:
+            assert table[free] == scheduler._FitCounts(need, limit)[free]
+            assert len(table) <= scheduler._FIT_TABLE_SIZE
+        assert len(table) == 1000  # emptied once, at the 4097th vector
+        assert all(table[free] == scheduler._FitCounts(need, limit)[free] for free in frees)
+
+
 class TestKeptUsage:
     def test_integral_sums_the_step_function(self):
         profile = AvailabilityProfile([_ORIGIN], [(10, 4)])

@@ -154,25 +154,27 @@ class TestSubscriptions:
 
 class TestChannel:
     def test_mixed_queue_drops_only_oldest_droppable_in_order(self, monkeypatch):
+        """Response lines are `str`s; the pushes here are ints."""
         monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 2)
         ch = Channel()
-        ch.put("p1")
-        ch.put("r1", droppable=False)
-        ch.put("p2")
-        ch.put("p3")  # drops p1 from the head
-        ch.put("r2", droppable=False)
-        ch.put("p4")  # drops p2, behind the non-droppable r1
-        assert ch.poll() == [{"type": "gap", "dropped": 2}, "r1", "p3", "r2", "p4"]
+        ch.put(1)
+        ch.put("r1")
+        ch.put(2)
+        ch.put(3)  # drops 1 from the head
+        ch.put("r2")
+        ch.put(4)  # drops 2, behind the response r1
+        assert ch.poll() == [{"type": "gap", "dropped": 2}, "r1", 3, "r2", 4]
         assert ch.poll() == []
 
     def test_non_droppable_messages_are_never_dropped(self, monkeypatch):
         monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 1)
         ch = Channel()
         for i in range(5):
-            ch.put(i, droppable=False)
-        ch.put("p1")
-        ch.put("p2")
-        assert ch.poll() == [{"type": "gap", "dropped": 1}, 0, 1, 2, 3, 4, "p2"]
+            ch.put(f"r{i}")
+        ch.put({"type": "event", "n": 1})
+        ch.put({"type": "event", "n": 2})
+        assert ch.poll() == [{"type": "gap", "dropped": 1}, "r0", "r1", "r2", "r3", "r4",
+                             {"type": "event", "n": 2}]
 
     @given(depth=st.integers(1, 4),
            rounds=st.lists(st.tuples(st.lists(st.sampled_from(("response", "event", "sample")),
@@ -181,30 +183,30 @@ class TestChannel:
                            min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_put_many_equals_successive_puts(self, depth, rounds):
-        """After any prior mix of non-droppable messages, events and samples,
-        and as a list that drops the oldest sample, else the oldest droppable
-        message, after each put."""
+        """After any prior mix of response lines, events and samples, and as a
+        list that drops the oldest sample, else the oldest message that is no
+        response line, after each put."""
         # patched in the body: Hypothesis refuses function-scoped fixtures
         with mock.patch.object(telemetry, "CHANNEL_DEPTH", depth):
             one, many = Channel(), Channel()
-            reference, dropped = [], 0  # (message, droppable)
+            reference, dropped = [], 0
             n = 0
 
-            def put(msg, droppable=True):
+            def put(msg):
                 nonlocal dropped
-                one.put(msg, droppable)
-                reference.append((msg, droppable))
-                queued = [i for i, (_, d) in enumerate(reference) if d]
+                one.put(msg)
+                reference.append(msg)
+                queued = [i for i, m in enumerate(reference) if not isinstance(m, str)]
                 if len(queued) > depth:
-                    samples = [i for i in queued if isinstance(reference[i][0], PhysicalSample)]
+                    samples = [i for i in queued if isinstance(reference[i], PhysicalSample)]
                     del reference[(samples or queued)[0]]
                     dropped += 1
 
             for prior, batch in rounds:
                 for kind in prior:
-                    msg = app_sample(n) if kind == "sample" else n
-                    put(msg, kind != "response")
-                    many.put(msg, kind != "response")
+                    msg = {"sample": app_sample(n), "event": n, "response": f"r{n}"}[kind]
+                    put(msg)
+                    many.put(msg)
                     n += 1
                 batch = [app_sample(n + i) if sample else n + i for i, sample in enumerate(batch)]
                 n += len(batch)
@@ -213,7 +215,7 @@ class TestChannel:
                 many.put_many(batch)
                 assert len(many) == len(one) == len(reference)
             expected = [{"type": "gap", "dropped": dropped}] if dropped else []
-            expected += [telemetry._message(msg) for msg, _ in reference]
+            expected += [telemetry._message(msg) for msg in reference]
             assert many.poll() == one.poll() == expected
 
     def test_metric_subscriptions_receive_no_events(self):
