@@ -23,12 +23,13 @@ from .scenario import ParseError, ValidationError, load_scenario
 DEFAULT_LISTEN = "127.0.0.1:7077"
 
 
-def _listen(args):
-    return args.connect or os.environ.get("CHPC_LISTEN") or DEFAULT_LISTEN
+def _listen(address):
+    """The address given, else $CHPC_LISTEN, else DEFAULT_LISTEN."""
+    return address or os.environ.get("CHPC_LISTEN") or DEFAULT_LISTEN
 
 
 def _client(args, **kwargs):
-    return WireClient(_listen(args), tenant=args.tenant, **kwargs)
+    return WireClient(_listen(args.connect), tenant=args.tenant, **kwargs)
 
 
 def _load(path):
@@ -59,7 +60,7 @@ def cmd_serve(args):
     scenario = _load(args.scenario)
     core = PlatformCore(scenario.nodes, scenario.images, mode=args.mode or scenario.mode,
                         grace_s=scenario.grace_s, retention_s=scenario.retention_s)
-    listen = args.listen or os.environ.get("CHPC_LISTEN") or DEFAULT_LISTEN
+    listen = _listen(args.listen)
     try:
         server = WireServer(core, listen, speedup=args.speedup,
                             duration_ms=scenario.duration_ms or None)

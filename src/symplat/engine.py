@@ -335,17 +335,21 @@ class SimEngine:
         errors = []
         for app, tasks in by_app:
             finished = 0
+            ended = ()  # the phases its tasks completed, in task order
+            overran = False
             for task in tasks:
-                if task.writes:
-                    self._write(app, task, now, errors)
+                if task.writes and self._write(app, task):
+                    overran = True
                 if task.left:
                     task.work_done += task.advance
                     task.left -= 1
                     if not task.left:
-                        self._complete_phase(app, task, now, errors)
+                        ended += (self._complete_phase(app, task),)
                 append(new(PhysicalSample, stamp + task.tail))
                 if task.done:
                     finished += 1
+            if (ended or overran) and app.status.state != "Error":
+                self._settle(app, ended, overran, now, errors)
             if tasks and finished == len(tasks):
                 completions.append(app.app_id)
 
@@ -363,9 +367,9 @@ class SimEngine:
         return [tuple.__new__(PhysicalSample, stamp + task.tail)
                 for task in app.tasks.values() if task.tail]
 
-    def _write(self, app, task, now, errors):
-        """Add a storage writer's advance to its storage and its node's; storage
-        is a stock, so writing past the reservation is an application failure."""
+    def _write(self, app, task):
+        """Add a storage writer's advance to its storage and its node's.
+        Returns whether the task's storage now exceeds its reservation."""
         advance = task.advance
         task.storage_used += advance
         tail = task.tail
@@ -373,11 +377,7 @@ class SimEngine:
         node = self._node_tails[task.node_id]
         self._node_tails[task.node_id] = (node[:_NODE_STORAGE] + (node[_NODE_STORAGE] + advance,)
                                           + node[_NODE_STORAGE + 1:])
-        if (app.reserved.storage_bytes > 0
-                and task.storage_used > app.reserved.storage_bytes
-                and app.status.state != "Error"):
-            app.status = LogicalStatus(state="Error", progress=app.status.progress, updated_at=now)
-            errors.append(app.app_id)
+        return 0 < app.reserved.storage_bytes < task.storage_used
 
     @staticmethod
     def _task_progress(app, task):
@@ -387,24 +387,38 @@ class SimEngine:
             return 0.0
         return app.trace[task.phase_index - 1].progress_at_end
 
-    def _complete_phase(self, app, task, now, errors):
-        """Move `task` past the phase it completes on the tick starting `now`."""
+    def _complete_phase(self, app, task):
+        """Move `task` past the phase it completes this tick; returns that phase."""
         phase = app.trace[task.phase_index]
-        completed_at = now + TICK_MS
         self._stale.add(task.node_id)
         task.work_done = 0
         task.phase_index += 1
         if task.phase_index >= len(app.trace):
             task.done = True
             task.phase_index = len(app.trace) - 1
-        if app.status.state != "Error":
-            # the app-level view tracks the least-advanced task
-            progress = min(self._task_progress(app, t) for t in app.tasks.values())
-            app.status = LogicalStatus(
-                state=phase.emits_state, progress=progress, updated_at=completed_at,
-            )
+        return phase
+
+    def _settle(self, app, ended, overran, now, errors):
+        """Set the status of `app`, not in Error, once all its tasks have
+        stepped on the tick starting `now`, from the phases they completed
+        (`ended`, in task order) and whether one overran its storage.
+
+        Storage is a stock, so writing past the reservation is an application
+        failure: the state is Error if a completed phase emits Error or
+        storage overran, else the last completed phase's. The progress is the
+        least-advanced task's, and the checkpoint fields come from the last
+        checkpoint phase completed. A status set from a completed phase is
+        stamped at the end of the tick, one set by an overrun alone at `now`.
+        """
+        updated_at = now + TICK_MS if ended else now
+        error = overran or any(phase.emits_state == "Error" for phase in ended)
+        if error:
+            errors.append(app.app_id)
+        for phase in ended:
             if phase.kind == "checkpoint":
                 app.last_checkpoint_progress = phase.progress_at_end
-                app.last_checkpoint_t = completed_at
-            if app.status.state == "Error":
-                errors.append(app.app_id)
+                app.last_checkpoint_t = updated_at
+        app.status = LogicalStatus(
+            state="Error" if error else ended[-1].emits_state,
+            progress=min(self._task_progress(app, t) for t in app.tasks.values()),
+            updated_at=updated_at)

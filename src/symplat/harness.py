@@ -23,18 +23,7 @@ class Report:
     summary: dict
 
     def to_json(self):
-        return {
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "seed": self.seed,
-            "finished_at_ms": self.finished_at_ms,
-            "events": self.events,
-            "apps": dict(sorted(self.apps.items())),
-            "utilization": self.utilization,
-            "alarms": self.alarms,
-            "op_log": self.op_log,
-            "summary": self.summary,
-        }
+        return dict(vars(self))
 
     def to_json_str(self):
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

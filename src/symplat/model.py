@@ -135,7 +135,7 @@ class NodeSpec:
     capacity: ResourceVector
 
     def validate(self):
-        if not self.node_id:
+        if not checked("node_id", self.node_id, (str,)):
             raise InvalidValue("node_id must be non-empty")
         if not self.capacity.is_nonnegative():
             raise InvalidValue(f"node {self.node_id}: capacity components must be >= 0")

@@ -345,7 +345,9 @@ class ReservationScheduler:
         but never later. A greedy replan alone can break that -- a job slotting
         into freed capacity can push a later job past its promise -- so the
         greedy pass is repaired by pinning the moved-up jobs back at their
-        promised starts until every promise holds again.
+        promised starts until every promise holds again. A job whose promised
+        start is before `now` is no pin candidate: it can start at `now` at
+        the earliest, so its promised window is no longer one it can hold.
 
         The result is kept until a mutation clears it and reused for every
         later `now` up to the earliest start that any pass computed (one
@@ -404,7 +406,8 @@ class ReservationScheduler:
             cutoff = order.index(violators[0])
             newly = {
                 a for a in order[:cutoff]
-                if a in self._promised and a not in pinned and planned[a] != self._promised[a]
+                if a in self._promised and a not in pinned and self._promised[a][0] >= now
+                and planned[a] != self._promised[a]
             }
             if not newly:
                 break
@@ -472,12 +475,29 @@ class ReservationScheduler:
         granted up to the largest amount that fits the current plan without
         delaying any planned start; extensions as the largest feasible prefix.
 
-        Two kinds of grant, on a plan that pinned no job, keep the plan's
-        starts and patch its profiles in place: the job's new usage over its
-        new window replaces its old usage in the profiles of its nodes.
-        Nothing was pinned, so in both the greedy pass is the whole
-        computation, and with the same starts and promises the span is the
-        same. Any other grant clears the plan.
+        A grant on a plan that pinned no job keeps the plan's starts and
+        patches its profiles in place, the job's new usage over its new window
+        replacing its old usage in the profiles of its nodes, unless it
+        reduces some dimension and a task of some queued job fits on one of
+        the job's nodes beside the job's new usage U' there. Any other grant
+        clears the plan.
+
+        Let end' be the job's new end_t. The grant changes free capacity only
+        on the job's nodes over [start_t, end'), and start_t <= now. When no
+        queued job's per-task need fits beside U' on any of those nodes, a
+        window [s, s + wall) with s >= now that meets [now, end') on one of
+        them holds an instant at which U' is committed, beside usage that the
+        greedy pass only adds to, so after the grant it fits 0 tasks. Every
+        other window sees the same free vectors as before. So no fit count
+        from `now` on rises; when nothing is reduced none can, since the grant
+        only takes capacity. The increases and the extension were checked
+        against the plan's own profiles, so every planned job still fits at
+        its planned start, and first fit, whose counts can only have fallen,
+        takes the same counts on the same nodes there and finds no earlier
+        start. (No planned job has a task on those nodes while U' is held, or
+        that task would fit beside U'.) Nothing was pinned, so the greedy pass
+        is the whole computation; the starts, the promises and the span are
+        the same.
 
         A kept plan keeps its `due` (see `enforce_walltime` for its terms):
         with the same starts and span only this job's term can move, through
@@ -485,25 +505,6 @@ class ReservationScheduler:
         grant un-drains the job, from the old end_t to the new end_t - grace,
         earlier for an extension shorter than the grace window, so that grant
         lowers `due` to the job's new drain instant.
-
-        A grant that reduces nothing: it was checked against the plan's own
-        profiles, so every planned job still fits at its planned start, on
-        the same nodes in the same first-fit counts. The grant only takes
-        capacity, so no profile a fresh computation builds has more room
-        than the plan's, and no job can start earlier.
-
-        A pure reduction (no dimension raised, no extension granted) after
-        which no queued job's per-task need fits on any of the job's nodes
-        beside the job's new usage there. The grant frees capacity only on
-        those nodes over [start_t, end_t), and start_t <= now. A window
-        [s, s + wall) with s >= now that meets [now, end_t) on one of them
-        holds an instant at which the job's new usage is committed, and
-        before the grant its larger old usage, beside usage that the greedy
-        pass only adds to. So every such window fits 0 tasks of each queued
-        job, both before and after the grant. Every other window sees
-        identical free vectors. So each node's fit counts from `now` on are
-        the same step function, the greedy pass finds the same starts and
-        placements, and the promises and the span are unchanged.
         """
         if app_id not in self.reservations:
             raise NoSuchApp(f"no app {app_id}")
@@ -559,9 +560,8 @@ class ReservationScheduler:
         self._commit(res, 1)
         new_usage = node_usage(self.effective_per_task(res.per_task), res.placement)
         self._plan = None
-        if not plan.pinned and (min(granted_delta) >= 0 or (
-                granted_ext == 0 and max(granted_delta) <= 0
-                and not self._fits_beside(plan.order, new_usage))):
+        if not plan.pinned and (min(granted_delta) >= 0
+                                or not self._fits_beside(plan.order, new_usage)):
             for nid, usage in new_usage.items():
                 others[nid].reserve(res.start_t, res.end_t, usage)
                 plan.profile[nid] = others[nid]

@@ -271,10 +271,11 @@ class _Boundary:
         self.satisfied_since = None
 
     def violates(self, value):
-        """Whether a window of `value` alone violates the condition. The mean
-        is a correctly rounded float, so a window whose values all lie on one
-        side of the threshold as floats has its mean on that side too; as
-        ints they may not (a window of 2**53 + 3 has the mean 2**53 + 4)."""
+        """Whether `value`, a window's mean or a value that fills a window
+        alone, violates the condition. The mean is a correctly rounded float,
+        so a window whose values all lie on one side of the threshold as
+        floats has its mean on that side too; as ints they may not (a window
+        of 2**53 + 3 has the mean 2**53 + 4)."""
         bc = self.bc
         return float(value) < bc.threshold if bc.bound == "min" else float(value) > bc.threshold
 
@@ -530,7 +531,7 @@ class MetricBus:
             bc = b.bc
             # integer sums: equal to sum(values) / len(values) of a rescan
             mean = b.total / b.count
-            if mean < bc.threshold if bc.bound == "min" else mean > bc.threshold:
+            if b.violates(mean):
                 if b.armed:
                     alarm = Alarm(bc_id=bc.bc_id, subject=subject, t=t,
                                   observed=mean, threshold=bc.threshold)

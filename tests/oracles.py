@@ -476,7 +476,8 @@ def reference_plan(sched, now):
             break
         cutoff = order.index(violators[0])
         newly = {a for a in order[:cutoff]
-                 if a in promised and a not in pinned and planned[a] != promised[a]}
+                 if a in promised and a not in pinned and promised[a][0] >= now
+                 and planned[a] != promised[a]}
         if not newly:
             break
         pinned |= newly

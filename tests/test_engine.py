@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from symplat.engine import BEST_EFFORT_DIMS, SimEngine, water_fill
 from symplat.harness import ScenarioRunner
 from symplat.model import (
+    MAX_TASKS,
     ApplicationSpec,
     LogicalStatus,
     NodeSpec,
@@ -263,6 +264,21 @@ class TestCheckpoints:
         assert app.last_checkpoint_t is None
 
 
+def error_phase_scenario(mode):
+    """One 2-task app "e" whose first phase emits Error at progress 0.5; both
+    tasks end it on the tick starting at 1 s."""
+    trace = [{"kind": "compute", "work_amount": 8, "demand": {"cpu_cores": 4},
+              "emits_state": "Error", "progress_at_end": 0.5},
+             {"kind": "compute", "work_amount": 400, "demand": {"cpu_cores": 4}}]
+    return scenario_from_dict({
+        "schema": 1, "duration_s": 30, "mode": mode,
+        "cluster": [{"node_id": "n01", "capacity": {"cpu_cores": 32, "memory_bytes": 64 * GIB}}],
+        "images": [{"image_id": "img", "name": "i", "owner": "o", "content_digest": "sha256:0"}],
+        "apps": [{"spec": {"app_id": "e", "kind": "container", "image": "img",
+                           "task_count": 2, "walltime_limit_s": 600, "trace": trace,
+                           "per_task_reservation": {"cpu_cores": 4, "memory_bytes": GIB}}}]})
+
+
 class TestProgressAndCompletion:
     def test_completion_tick_exact(self):
         engine = SimEngine(one_node())
@@ -315,19 +331,7 @@ class TestProgressAndCompletion:
     def test_an_error_phase_terminates_its_app_one_tick_later(self, mode):
         """Both tasks of "e" end a phase that emits Error on the tick starting
         at 1 s; the platform terminates the app on the next tick."""
-        trace = [{"kind": "compute", "work_amount": 8, "demand": {"cpu_cores": 4},
-                  "emits_state": "Error", "progress_at_end": 0.5},
-                 {"kind": "compute", "work_amount": 400, "demand": {"cpu_cores": 4}}]
-        doc = {"schema": 1, "duration_s": 30, "mode": mode,
-               "cluster": [{"node_id": "n01",
-                            "capacity": {"cpu_cores": 32, "memory_bytes": 64 * GIB}}],
-               "images": [{"image_id": "img", "name": "i", "owner": "o",
-                           "content_digest": "sha256:0"}],
-               "apps": [{"spec": {"app_id": "e", "kind": "container", "image": "img",
-                                  "task_count": 2, "walltime_limit_s": 600, "trace": trace,
-                                  "per_task_reservation": {"cpu_cores": 4,
-                                                           "memory_bytes": GIB}}}]}
-        scenario = scenario_from_dict(doc)
+        scenario = error_phase_scenario(mode)
         engine = SimEngine(scenario.nodes)
         engine.add_app(scenario.apps[0][0], {0: "n01", 1: "n01"}, 0)
         assert engine.step_tick(0).errors == []
@@ -341,6 +345,40 @@ class TestProgressAndCompletion:
              "reason": "logical error state", "effective_at": 2000}]
         assert report.summary["e"] == {"outcome": "TerminatedError", "started_at_s": 0,
                                        "finished_at_s": 2, "duration_s": 2}
+
+    @pytest.mark.parametrize("mode", ["symmetric", "asymmetric"])
+    def test_a_status_is_set_once_all_tasks_have_stepped(self, mode):
+        """Both tasks end the Error phase on one tick: the status reads their
+        progress after the tick, 0.5, not the 0.0 of the second task before
+        it stepped."""
+        statuses = []
+
+        def watch(core):
+            if "e" in core.engine.apps:
+                statuses.append(core.engine.apps["e"].status)
+
+        ScenarioRunner(error_phase_scenario(mode)).run(on_tick=watch)
+        assert statuses == [LogicalStatus("Running", 0.0, 0), LogicalStatus("Error", 0.5, 2000)]
+
+    def test_a_wide_phase_end_reads_each_task_progress_once(self, monkeypatch):
+        """On the tick on which all tasks of a MAX_TASKS-task app end a phase
+        together, the app's progress is computed once, not once per task."""
+        spec = compute_app("w", cores=1, work=2, tasks=MAX_TASKS)
+        engine = SimEngine(one_node(cpu=MAX_TASKS))
+        engine.add_app(spec, dict.fromkeys(range(MAX_TASKS), "n01"), 0)
+        reads = 0
+        progress = SimEngine._task_progress
+
+        def counted(app, task):
+            nonlocal reads
+            reads += 1
+            return progress(app, task)
+
+        monkeypatch.setattr(SimEngine, "_task_progress", staticmethod(counted))
+        engine.step_tick(0)
+        assert engine.step_tick(1000).completions == ["w"]
+        assert engine.apps["w"].status == LogicalStatus("Running", 1.0, 2000)
+        assert reads <= 2 * MAX_TASKS
 
     def test_colocated_net_io_off_the_wire(self):
         spec = ApplicationSpec(

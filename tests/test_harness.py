@@ -54,17 +54,18 @@ def scenario_doc(**overrides):
 
 # (where the first entry of a section is spoiled, what goes there (None:
 # nothing), the refusal): one form for a missing field and one for an entry
-# that is not a mapping, in every section
+# that is not a mapping, in every section, and a value of the wrong type
 BAD_ENTRIES = [
     (("cluster", 0, "node_id"), None, "cluster[0]: missing field 'node_id'"),
+    (("cluster", 0, "node_id"), 5, "cluster[0]: node_id must be str, got 5"),
     (("cluster", 0), "n01", "cluster[0]: entry must be dict, got 'n01'"),
     (("images", 0, "name"), None, "images[0]: missing field 'name'"),
     (("images", 0), 5, "images[0]: entry must be dict, got 5"),
     (("apps", 0, "spec", "kind"), None, "apps[0]: missing field 'kind'"),
     (("apps", 0, "spec"), "tiny", "apps[0]: entry must be dict, got 'tiny'"),
 ]
-BAD_ENTRY_IDS = ["cluster-missing", "cluster-scalar", "images-missing", "images-scalar",
-                 "apps-missing", "apps-scalar"]
+BAD_ENTRY_IDS = ["cluster-missing", "cluster-int-node-id", "cluster-scalar", "images-missing",
+                 "images-scalar", "apps-missing", "apps-scalar"]
 
 
 def spoiled(path, value):
@@ -314,6 +315,16 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: apps[0]: ")
+
+    def test_run_refuses_a_node_id_that_is_no_string(self, tmp_path, capsys):
+        """Node ids are sorted, so a node_id 5 beside n01 must be refused
+        before the run."""
+        doc = scenario_doc()
+        doc["cluster"].insert(0, {**doc["cluster"][0], "node_id": 5})
+        path = tmp_path / "int-node.yaml"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err == "error: cluster[0]: node_id must be str, got 5\n"
 
     def test_validate_bounds_task_count_at_1024(self, tmp_path, capsys):
         doc = scenario_doc()

@@ -108,6 +108,33 @@ def test_skipped_ticks_of_random_scenarios(kind):
     assert 0 < skipped < ticks
 
 
+def test_no_computation_sees_a_past_promise():
+    """A job starts at its planned start when the platform consults on time,
+    so no plan computation finds a queued job whose promised start lies
+    before `now` (promise repair would pin none: see `plan`). Over the report
+    corpus, the deep-backlog benchmark input and busy generated scenarios."""
+    runners = [make() for _, make in corpus_runners()]
+    runners.append(ScenarioRunner(load_scenario(
+        os.path.join(ROOT, "perfbench", "inputs", "deep-backlog.yaml"))))
+    seeds, shape = RANDOM_SETS["busy"]
+    runners += [ScenarioRunner(random_scenario(seed, **shape)) for seed in seeds[:10]]
+    computations = 0
+    for runner in runners:
+        sched = runner.core.scheduler
+
+        def plan(now, sched=sched, real_plan=sched.plan, name=runner.scenario.name):
+            nonlocal computations
+            if sched._plan is None or now > sched._plan.until:
+                computations += 1
+                past = sorted(a for a, (start, _) in sched._promised.items() if start < now)
+                assert not past, f"{name} at {now}: promises of {past} are past"
+            return real_plan(now)
+
+        sched.plan = plan
+        runner.run()
+    assert computations >= 100
+
+
 def test_a_grant_that_undrains_its_job_moves_its_drain_earlier():
     """The grant un-drains the job, whose due term falls from its old end_t
     (100 s) to its new drain instant (130 s - 60 s): the kept plan's `due`

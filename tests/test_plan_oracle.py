@@ -11,12 +11,16 @@ kept plan carries forward (a grant patches them in place of a recomputation).
 (c) checks on the random histories that a computation which renewed a
 promise and pinned no job is its own fixed point, which is why it is kept.
 (d) repeats (a) on grow-heavy histories, whose grants reduce nothing, the
-case in which a grant keeps the plan; (a) itself counts the pure reductions
-that kept it, which it must reach. (e) compares `utilization_report` over
-random windows, and again over the previous one, with
-`oracles.reference_utilization` on histories like (a)'s.
+case in which a grant keeps the plan, and on the platform's runs of large
+generated scenarios, which reach grants on a plan that pinned a job; (a)
+itself counts the grants that reduce some dimension and kept the plan, pure
+reductions and those that also raise or extend, which it must reach. (e)
+compares `utilization_report` over random windows, and again over the
+previous one, with `oracles.reference_utilization` on histories like (a)'s.
 Every random history and every corpus tick also compares the committed usage
-the scheduler keeps, `_active` and `_ledger`, with rebuilds from scratch.
+the scheduler keeps, `_active` and `_ledger`, with rebuilds from scratch, and
+every step of a random history checks that no node is overcommitted from
+`now` on.
 """
 
 import copy
@@ -70,6 +74,13 @@ def assert_kept_usage(sched, context):
         for nid in sched.node_ids:
             assert steps_from(kept[nid], _ORIGIN) == steps_from(rebuilt[nid], _ORIGIN), \
                 f"{context}: {nid}"
+
+
+def assert_no_overcommit(sched, now, context):
+    """No node's committed usage exceeds its capacity from `now` on."""
+    for nid in sched.node_ids:
+        for t, free in steps_from(sched._active[nid], now):
+            assert min(free) >= 0, f"{context}: {nid} overcommitted at {t}"
 
 
 def assert_same_plan(sched, now, context):
@@ -158,8 +169,8 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler,
                      step=random_step):
     """Run 500 random histories of `step`s on schedulers from `make`,
     calling check(sched, now, context) after every step and at quiet
-    instants, and checking the kept usage after every step. Returns how many
-    checks were made."""
+    instants, and checking the kept usage and that no node is overcommitted
+    after every step. Returns how many checks were made."""
     rng = random.Random(seed)
     checks = 0
     for trial in range(500):
@@ -168,6 +179,7 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler,
         for i in range(rng.randint(3, 10)):
             step(rng, sched, now, i)
             assert_kept_usage(sched, f"trial {trial} step {i} at {now}")
+            assert_no_overcommit(sched, now, f"trial {trial} step {i} at {now}")
             check(sched, now, f"trial {trial} step {i} at {now}")
             checks += 1
             # quiet instants, where the plan may come from the cache: some
@@ -185,18 +197,22 @@ def random_histories(seed, io_reservations, check, make=ReservationScheduler,
 
 
 class ReductionCountingScheduler(ReservationScheduler):
-    """Counts the pure reductions (no dimension raised, no extension
-    granted) that kept the plan."""
+    """Counts the grants that reduce some dimension and kept the plan: the
+    pure reductions (no dimension raised, no extension granted) and the
+    mixed ones (one dimension raised or the walltime extended too)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.kept_reductions = 0
+        self.kept_reductions = self.kept_mixed = 0
 
     def request_adjustment(self, app_id, delta_per_task, extension_s, now):
         decision, granted, ext, reason = super().request_adjustment(
             app_id, delta_per_task, extension_s, now)
-        if decision != "Denied" and max(granted) <= 0 and ext == 0 and self._plan is not None:
-            self.kept_reductions += 1
+        if decision != "Denied" and min(granted) < 0 and self._plan is not None:
+            if max(granted) <= 0 and ext == 0:
+                self.kept_reductions += 1
+            else:
+                self.kept_mixed += 1
         return decision, granted, ext, reason
 
 
@@ -211,8 +227,10 @@ def test_random_queues_match_reference(io_reservations):
 
     assert random_histories(seed, io_reservations, check,
                             make=ReductionCountingScheduler) >= 1000
-    # the reduction keep: a reduction that frees no room a queued job can use
+    # the reduction keep: a grant that reduces and frees no room a queued job
+    # can use, with or without an increase or an extension
     assert sum(s.kept_reductions for s in schedulers) > 0
+    assert sum(s.kept_mixed for s in schedulers) > 0
 
 
 @pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
@@ -254,7 +272,14 @@ class GrantCountingScheduler(ReservationScheduler):
 
 @pytest.mark.parametrize("io_reservations", [True, False], ids=["symmetric", "asymmetric"])
 def test_grow_heavy_histories_match_reference(io_reservations):
-    """The grant keep: a grant that reduces nothing keeps the plan, patched."""
+    """The grant keep: a grant that reduces nothing keeps the plan, patched.
+
+    A grant on a plan that pinned a job clears it. These histories pin
+    no job (a pin needs a promise not yet past, a job moved up to before it
+    and a later job pushed past its own), so the platform's own calls reach
+    it: the runs of the first ten large generated scenarios of acceptance
+    criterion 1 (seeds 0, 10, ..., 90), on a scheduler with this test's I/O
+    accounting (the platform adjusts only in symmetric mode)."""
     schedulers = set()
 
     def check(sched, now, context):
@@ -264,6 +289,13 @@ def test_grow_heavy_histories_match_reference(io_reservations):
     random_histories(31 if io_reservations else 32, io_reservations, check,
                      make=GrantCountingScheduler, step=grow_step)
     assert sum(s.grants for s in schedulers) >= 500
+    for seed in range(0, 100, 10):
+        scenario = random_scenario(seed, max_nodes=16, max_apps=64, duration_s=30)
+        runner = ScenarioRunner(scenario)
+        runner.core.scheduler = GrantCountingScheduler(
+            scenario.nodes, grace_s=scenario.grace_s, io_reservations=io_reservations)
+        runner.run(on_tick=lambda core: check(core.scheduler, core.now,
+                                              f"{scenario.name} at {core.now}"))
     # and some on a pinned plan, which the grant clears
     assert sum(s.pinned_grants for s in schedulers) >= 1
 

@@ -466,6 +466,30 @@ class TestEventDrivenReplan:
         assert sched.plan(1_200_000).planned["wide"][0] == 3_600_000
         assert sched.replans == replans
 
+    def test_a_grant_that_frees_no_usable_room_keeps_the_plan(self):
+        """A grant that reduces one dimension and raises another, and one that
+        reduces and extends, each keep the plan when no queued job fits
+        beside the job's new usage: "wide" needs 16 cores per task, and "long"
+        holds 12, then 10, of n01's 16."""
+        sched = ReservationScheduler(two_node_cluster())
+        sched.submit(make_spec("long", cores=8, walltime=3600, fs_bps=100_000_000), now=0)
+        sched.submit(make_spec("other", cores=12, walltime=7200), now=0)
+        sched.submit(make_spec("wide", cores=16, tasks=2, walltime=600), now=0)
+        assert sched.activate_due(0) == ["long", "other"]
+        for now, delta, ext in ((1000, ResourceVector(cpu_cores=4, fs_bps=-50_000_000), 0),
+                                (2000, ResourceVector(cpu_cores=-2), 600)):
+            plan = sched.plan(now)
+            replans = sched.replans
+            assert sched.request_adjustment("long", delta, ext, now)[:3] == ("Granted", delta, ext)
+            assert sched.plan(now) is plan and sched.replans == replans
+            fresh = copy.copy(sched)
+            fresh._plan, fresh._promised, fresh._fits = None, dict(sched._promised), {}
+            expected = ReservationScheduler.plan(fresh, now)
+            assert plan.planned == expected.planned == {"wide": (7_200_000, {0: "n01", 1: "n02"})}
+            for nid in sched.node_ids:
+                assert [plan.profile[nid].min_free(t, t) for t in range(now, 8_000_000, 100_000)] \
+                    == [expected.profile[nid].min_free(t, t) for t in range(now, 8_000_000, 100_000)]
+
     def test_a_reduction_that_frees_room_for_a_queued_job_replans(self):
         sched = ReservationScheduler(two_node_cluster())
         sched.submit(make_spec("a", cores=12, walltime=3600), now=0)
