@@ -6,9 +6,10 @@ wire service and the scenario runner drive. It keeps no copy of its layers'
 state, only its last `env_model` answer (see there). A tick consults the
 scheduler (`activate_due`, `enforce_walltime`) only once `now` reaches the
 scheduler's own `next_due`; a quiet tick only steps the engine, which
-emits cached sample templates, and publishes the samples in one call. The
-engine keeps each app's last samples, also after the app has left it. The
-core keeps no history: it hands each env event and lifecycle record to
+hands out its cached sample templates, and publishes them to the metric bus
+in one call, which builds a sample only for a reader. The engine keeps each
+app's last samples, also after the app has left it. The core keeps no
+history: it hands each env event and lifecycle record to
 `record` (by default a discard), pushes every platform event to event
 subscribers and applies it to the running app in one place. In asymmetric
 mode (the static baseline) adjustment, boundary conditions and subscriptions
@@ -110,7 +111,7 @@ class PlatformCore:
 
         result = self.last_tick_result = self.engine.step_tick(now)
         if self.mode == "symmetric":
-            self.bus.publish(*result.samples, *result.node_samples)
+            self.bus.publish(now, result.tails, result.node_tails)
         self.now = now + TICK_MS
         return result
 

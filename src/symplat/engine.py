@@ -14,9 +14,12 @@ dimension. A granted adjustment that moves no task's guaranteed rate on a
 node re-fills nothing there: its tasks' rates and templates stand. A re-fill
 also rebuilds each of the node's tasks' template: its sample after `t`, its
 work advance per tick, the ticks left in its phase and whether the phase
-writes storage. A quiet tick emits every cached template stamped with `now`
-and counts each advancing task down; only a storage-writing task adds storage
-and checks its overrun per tick.
+writes storage. A quiet tick counts each advancing task down; only a
+storage-writing task adds storage and checks its overrun per tick. A tick
+builds no sample: its `TickResult` holds each task's sample tail (the same
+object tick after tick until a re-fill or a storage write replaces it) and
+each node's, which the metric bus stores as they are, and builds its samples,
+stamped `now`, only when they are read.
 """
 
 from __future__ import annotations
@@ -132,10 +135,23 @@ class AppRuntime:
 
 @dataclass
 class TickResult:
-    samples: list
-    node_samples: list
+    now: int
+    tails: list  # each task's template, in task order: its sample after `t`
+    node_tails: list  # each node's sample after `t`, in node_id order
     completions: list  # app_ids that finished their whole trace this tick
     errors: list  # app_ids that entered logical Error this tick
+
+    @property
+    def samples(self):
+        """The tick's task samples, built from its templates when read."""
+        stamp = (self.now,)
+        return [tuple.__new__(PhysicalSample, stamp + tail) for tail in self.tails]
+
+    @property
+    def node_samples(self):
+        """The tick's node samples, built from their tails when read."""
+        stamp = (self.now,)
+        return [tuple.__new__(NodeSample, stamp + tail) for tail in self.node_tails]
 
 
 class SimEngine:
@@ -315,7 +331,8 @@ class SimEngine:
         task.advance, task.left, task.writes = advance, left, writes
 
     def step_tick(self, now):
-        """Advance all tasks over [now, now+1000). Samples are stamped `now`."""
+        """Advance all tasks over [now, now+1000). The result holds the
+        tick's templates; its samples, stamped `now`, are built when read."""
         if self._layout is None:
             self._lay_out()
         by_app, by_node = self._layout
@@ -327,10 +344,8 @@ class SimEngine:
             stale.clear()
         self.last_t = now
 
-        new = tuple.__new__
-        stamp = (now,)
-        samples = []
-        append = samples.append
+        tails = []
+        append = tails.append
         completions = []
         errors = []
         for app, tasks in by_app:
@@ -345,7 +360,7 @@ class SimEngine:
                     task.left -= 1
                     if not task.left:
                         ended += (self._complete_phase(app, task),)
-                append(new(PhysicalSample, stamp + task.tail))
+                append(task.tail)
                 if task.done:
                     finished += 1
             if (ended or overran) and app.status.state != "Error":
@@ -353,8 +368,7 @@ class SimEngine:
             if tasks and finished == len(tasks):
                 completions.append(app.app_id)
 
-        node_samples = [new(NodeSample, stamp + tail) for tail in self._node_tails.values()]
-        return TickResult(samples, node_samples, completions, errors)
+        return TickResult(now, tails, list(self._node_tails.values()), completions, errors)
 
     def last_samples(self, app_id):
         """The samples the last tick emitted for `app_id`'s tasks, in task

@@ -1,23 +1,32 @@
 """Metric bus, retained-sample store, and boundary-condition analytics.
 
-Publishing is one serialized pipeline: `publish` takes a tick's samples in
-one call and, for each in order, stores it, delivers it to the matching
-subscriptions, then evaluates its subject's boundary conditions. A subject's
-route (its series, its boundaries and its subscriptions' channels) is cached
-and made again whenever a subscription or boundary comes or goes.
-Deliveries are collected per channel and handed over in one `put_many`:
-before an alarm is fanned out and at the end of the call, so every reader
-sees what one `publish` per sample would show. Each subject's samples are
-kept once, as published; a query reads one metric out of them and is empty
-for a metric those samples lack. Subscriptions are handed the sample itself,
-which is encoded as a message only when it is read: by `poll`, or for a wire
+Publishing is one serialized pipeline: `publish(t, tails, node_tails)` takes
+a tick's templates in one call, the fields after `t` of each task's and each
+node's sample, and for each in order stores it, delivers its sample to the
+matching subscriptions, then evaluates its subject's boundary conditions.
+The store keeps runs of templates, not samples: a subject's series holds one
+stream per task (app subjects) or one stream (node subjects), and a stream
+is a deque of runs [first_t, last_t, template], which stand for the samples
+stamped first_t, first_t + 1000, ..., last_t. A template that is its
+stream's open run's, one tick on, extends that run in O(1); the engine hands
+out the same template object tick after tick until its rates or storage
+change. A sample object is built from a template only for a reader: once per
+template and tick when a subscription matches or a boundary must be
+evaluated, and by `query`, which expands only the runs inside its window.
+A subject's route (its series, its stream, its boundaries and its
+subscriptions' channels) is cached per stream and made again whenever a
+subscription or boundary comes or goes. Deliveries are collected per
+channel and handed over in one `put_many`: before an alarm is fanned out
+and at the end of the call, so every reader sees what one `publish` per
+sample would show. Subscriptions are handed the sample itself, which is
+encoded as a message only when it is read: by `poll`, or for a wire
 subscription by the wire service's loop. A delivery dropped from a full
 buffer is never encoded. Each boundary owns its window, kept as runs of
 one value every 1000 ms that `evaluate` feeds and evicts arithmetically, and
 its alarm state; alarms are edge-triggered on the windowed mean and re-arm
 only after a full window of continuous satisfaction. A subject's alarm state
-is evaluated only when it can change: `publish` skips `evaluate` for a
-sample that repeats its predecessor's fed metrics 1000 ms later, before the
+is evaluated only when it can change: on a subject with one stream,
+`publish` skips `evaluate` for a template that extends its run, before the
 subject's quiet instant (see `_Fed`), and the windows take the skipped
 samples in when they next slide.
 """
@@ -27,8 +36,9 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
-from math import inf
+from math import ceil, inf
 from operator import attrgetter, itemgetter
 
 from .model import (
@@ -250,8 +260,9 @@ class _Boundary:
     every 1000 ms. It keeps their exact integer `total`, their `count`, and
     how many of them are `violating` alone.
     `width` is min(window_s, retention) in ms: samples older than retention
-    are evicted from the store, so no wider window could see them. It starts
-    from `retained`, the subject's samples already stored, oldest first.
+    are not retained, so no wider window could see them. It starts from
+    `retained`, the (t, value) points of the subject's retained samples
+    inside the window, in t order.
     """
 
     __slots__ = ("bc", "index", "width", "runs", "total", "count", "violating",
@@ -263,10 +274,8 @@ class _Boundary:
         self.width = width
         self.runs = deque()
         self.total = self.count = self.violating = 0
-        lo = retained[-1][0] - width if retained else 0
-        for s in retained:
-            if s[0] > lo:
-                self.feed(s[0], s[index])
+        for t, value in retained:
+            self.feed(t, value)
         self.armed = True
         self.satisfied_since = None
 
@@ -334,14 +343,16 @@ class _Boundary:
 class _Fed(list):
     """A subject's fed boundaries, by bc_id, and its quiet state.
 
-    `key` reads the fed metrics out of a sample; `last_key` and `last_t` are
-    those of the subject's newest sample, and `quiet_until` is the instant
-    before which no boundary's alarm state can change while the samples
-    repeat `last_key` every 1000 ms. `publish` skips `evaluate` for such a
-    sample; `evaluate` slides the windows over it before it feeds the next.
+    `last_t` is the t of the subject's newest sample, and `quiet_until` is
+    the instant before which no boundary's alarm state can change while that
+    sample repeats every 1000 ms. On a subject with one stream, `publish`
+    skips `evaluate` for a template that extends its run, so repeats the
+    newest sample; `evaluate` slides the windows over the skipped samples
+    before it feeds the next. A subject with more streams is always
+    evaluated.
     """
 
-    __slots__ = ("key", "last_key", "last_t", "quiet_until")
+    __slots__ = ("last_t", "quiet_until")
 
     def __init__(self):
         super().__init__()
@@ -350,56 +361,123 @@ class _Fed(list):
 
     def reset(self):
         """Forget the quiet state, after the boundaries changed."""
-        self.key = itemgetter(*{b.index for b in self}) if self else None
-        self.last_key = None
         self.quiet_until = -inf
+
+
+# sample type -> the fields of its template that name its stream: the app
+# and task id, or the node id
+_STREAM_KEY_WIDTH = {PhysicalSample: 2, NodeSample: 1}
+_LAST_T = itemgetter(1)  # a run's last t
+
+
+def _check_template(sample_type, tail):
+    """Refuse `tail` unless it is a template of `sample_type`: a tuple of
+    the sample's fields after `t`."""
+    if not isinstance(tail, tuple) or len(tail) != len(sample_type._fields) - 1:
+        raise SymplatError("telemetry_error",
+                           f"not a {sample_type.__name__} template: {tail!r}")
+
+
+class _Series:
+    """A subject's retained samples, as runs of templates.
+
+    `streams` maps each of its streams, in the order they first published,
+    to its deque of runs [first_t, last_t, template]: the samples
+    type(t, *template) at t = first_t, first_t + 1000, ..., last_t, in t
+    order. `last_t` is the subject's newest t. A sample at or before
+    last_t - retention is not retained: a stream drops the runs that end
+    there when it opens a run, and a head run partly there is clipped when
+    read. Its length is the number of samples it retains.
+    """
+
+    __slots__ = ("subject", "streams", "last_t", "retention_ms")
+
+    def __init__(self, subject, retention_ms):
+        self.subject = subject
+        self.streams: dict[tuple, deque] = {}
+        self.last_t = -inf
+        self.retention_ms = retention_ms
+
+    def __len__(self):
+        horizon = self.last_t - self.retention_ms
+        n = 0
+        for runs in self.streams.values():
+            for first_t, last_t, _ in runs:
+                if last_t > horizon:
+                    # less the run's points at or before the horizon
+                    n += (last_t - first_t) // 1000 + 1 - max(0, (horizon - first_t) // 1000 + 1)
+        return n
+
+    def points(self, index, t0, t1):
+        """The retained (t, sample[index]) points with t in [t0, t1), in t
+        order, and at one t in stream order."""
+        horizon = self.last_t - self.retention_ms
+        out = []
+        for runs in self.streams.values():
+            # the runs that end before t0 are skipped, not read
+            for first_t, last_t, tail in islice(runs, bisect.bisect_left(runs, t0, key=_LAST_T), None):
+                if first_t >= t1:
+                    break
+                # the run's points first_t + 1000 * k for k in [lo, hi)
+                lo = max(0, ceil((t0 - first_t) / 1000), (horizon - first_t) // 1000 + 1)
+                hi = min((last_t - first_t) // 1000 + 1, ceil((t1 - first_t) / 1000))
+                value = tail[index - 1]
+                out += [(first_t + 1000 * k, value) for k in range(lo, hi)]
+        if len(self.streams) > 1:
+            out.sort(key=itemgetter(0))  # stable: stream order at one t
+        return out
 
 
 class MetricBus:
     def __init__(self, retention_s=3600):
         self.retention_ms = retention_s * 1000
-        self.series: dict[tuple, deque] = {}  # subject -> its retained samples, by t
+        self.series: dict[tuple, _Series] = {}  # subject -> its retained samples
         self.subscriptions: dict[str, Subscription] = {}
         self.boundaries: dict[str, BoundaryCondition] = {}
         self.alarm_log: list[Alarm] = []
         self._sub_seq = {"sub": itertools.count(1), "evsub": itertools.count(1)}
         self._fed: dict[tuple, _Fed] = {}  # subject -> its fed boundaries
-        # sample type -> subject id -> (subject, its series, its fed boundaries,
-        # its matching subscriptions); cleared whenever a subscription or
-        # boundary comes or goes
+        # sample type -> stream key -> (its subject's series, its runs, its
+        # subject's fed boundaries, its matching subscriptions); cleared
+        # whenever a subscription or boundary comes or goes
         self._routes = {sample_type: {} for sample_type in _SAMPLE_KINDS}
 
     def _clear_routes(self):
         for routes in self._routes.values():
             routes.clear()
 
-    def _route(self, sample):
-        """The route of `sample`'s subject, made and cached."""
-        kinds = _SAMPLE_KINDS.get(type(sample))
-        if kinds is None:
-            raise SymplatError("telemetry_error",
-                               f"unsupported sample type {type(sample).__name__}")
-        subject = (kinds[0], sample[1])  # both sample types: t, then the subject id
+    def _route(self, sample_type, tail):
+        """The route of the stream of `tail`, a template of `sample_type`,
+        made and cached. A new stream joins its series when its first run
+        opens."""
+        _check_template(sample_type, tail)
+        kind, message = _SAMPLE_KINDS[sample_type]
+        subject = (kind, tail[0])  # both templates: the subject id first
+        series = self.series.get(subject)
+        if series is None:
+            series = self.series[subject] = _Series(subject, self.retention_ms)
+        key = tail[:_STREAM_KEY_WIDTH[sample_type]]
         targets = tuple(sub for sub in self.subscriptions.values()
-                        if sub.matches(kinds[1], subject))
-        route = (subject, self.series.setdefault(subject, deque()),
-                 self._fed.get(subject), targets)
-        self._routes[type(sample)][sample[1]] = route
+                        if sub.matches(message, subject))
+        route = (series, series.streams.get(key, deque()), self._fed.get(subject), targets)
+        self._routes[sample_type][key] = route
         return route
 
     # -- store -------------------------------------------------------------
 
     def query(self, subject, metric, t0, t1):
         """Retained (t, value) points of `metric` with t in [t0, t1),
-        time-ordered; [] for a metric `subject`'s samples lack."""
+        time-ordered, and at one t in the order the subject's streams first
+        published; [] for a metric `subject`'s samples lack."""
         if not t0 < t1:
             raise EmptyRange(f"invalid range [{t0}, {t1})")
-        if subject not in self.series:
+        series = self.series.get(subject)
+        if series is None:
             raise UnknownSubject(f"no samples ever published for {subject}")
         i = _METRIC_INDEX[subject[0]].get(metric)
         if i is None:
             return []
-        return [(s[0], s[i]) for s in self.series[subject] if t0 <= s[0] < t1]
+        return series.points(i, t0, t1)
 
     # -- pub/sub -------------------------------------------------------------
 
@@ -433,50 +511,78 @@ class MetricBus:
 
     # -- pipeline --------------------------------------------------------
 
-    def publish(self, *samples):
-        """Store each sample, deliver it, and evaluate its subject's
+    def publish(self, t, tails, node_tails):
+        """Store the templates of a tick at `t`, `tails` (task templates) then
+        `node_tails`, deliver their samples and evaluate their subjects'
         boundaries, in order; returns the alarms raised.
+
+        A template extends its stream's open run when it is that run's
+        template and `t` is one tick on; otherwise it opens a run, and only
+        then are the stream's runs that end at or before t - retention
+        dropped. A template behind its subject's newest t is refused, and so
+        is one of the wrong shape when it opens a run. A template's sample is
+        built only when a subscription matches or a boundary must be
+        evaluated, and all its matching subscriptions share it.
 
         Deliveries are collected per target channel and handed over in one
         `put_many` each: before any alarm is fanned out, so a reader sees a
-        sample before its alarms, and at the end, also when a sample is
+        sample before its alarms, and at the end, also when a template is
         refused, so the samples before it are delivered as if published alone.
         """
-        routes = self._routes
         retention_ms = self.retention_ms
+        new = tuple.__new__
+        stamp = (t,)
         pending = {}  # channel -> its deliveries, in order
         alarms = []
         try:
-            for sample in samples:
-                try:
-                    subject, dq, fed, targets = routes[type(sample)][sample[1]]
-                except KeyError:
-                    subject, dq, fed, targets = self._route(sample)
-                t = sample[0]
-                if dq and t < dq[-1][0]:
-                    raise OutOfOrderSample(f"sample at {t} behind {dq[-1][0]} for {subject}")
-                dq.append(sample)
-                horizon = t - retention_ms
-                while dq[0][0] <= horizon:
-                    dq.popleft()
-                for sub in targets:
-                    sub.delivered += 1
-                    batch = pending.get(sub.channel)
-                    if batch is None:
-                        pending[sub.channel] = [sample]  # encoded when read
+            for sample_type, templates in ((PhysicalSample, tails), (NodeSample, node_tails)):
+                routes = self._routes[sample_type]
+                key_width = _STREAM_KEY_WIDTH[sample_type]
+                for tail in templates:
+                    try:
+                        series, runs, fed, targets = routes[tail[:key_width]]
+                    except (KeyError, TypeError):  # TypeError: no template's key
+                        series, runs, fed, targets = self._route(sample_type, tail)
+                    if t < series.last_t:
+                        raise OutOfOrderSample(
+                            f"sample at {t} behind {series.last_t} for {series.subject}")
+                    run = runs[-1] if runs else None
+                    extends = (run is not None and run[1] == t - 1000
+                               and (run[2] is tail or run[2] == tail))
+                    if extends:
+                        run[1] = t
                     else:
-                        batch.append(sample)
-                if fed:
-                    if (t == fed.last_t + 1000 and t < fed.quiet_until
-                            and fed.key(sample) == fed.last_key):
-                        fed.last_t = t
-                        continue
-                    raised = self.evaluate(sample, subject)
-                    if raised:
-                        _hand_over(pending)
-                        for alarm in raised:
-                            self.fan_out(alarm.to_json(), subject)
-                        alarms += raised
+                        _check_template(sample_type, tail)
+                        if not runs:  # the stream's first run
+                            series.streams[tail[:key_width]] = runs
+                        runs.append([t, t, tail])
+                        horizon = t - retention_ms
+                        while runs[0][1] <= horizon:
+                            runs.popleft()
+                    series.last_t = t
+                    sample = None
+                    if targets:
+                        sample = new(sample_type, stamp + tail)
+                        for sub in targets:
+                            sub.delivered += 1
+                            batch = pending.get(sub.channel)
+                            if batch is None:
+                                pending[sub.channel] = [sample]  # encoded when read
+                            else:
+                                batch.append(sample)
+                    if fed:
+                        # on a one-stream subject, a template that extends
+                        # its run repeats the subject's newest sample
+                        if t < fed.quiet_until and extends and len(series.streams) == 1:
+                            fed.last_t = t
+                            continue
+                        raised = self.evaluate(sample or new(sample_type, stamp + tail),
+                                               series.subject)
+                        if raised:
+                            _hand_over(pending)
+                            for alarm in raised:
+                                self.fan_out(alarm.to_json(), series.subject)
+                            alarms += raised
         finally:
             _hand_over(pending)
         return alarms
@@ -494,9 +600,12 @@ class MetricBus:
         self.boundaries[bc.bc_id] = bc
         index = _METRIC_INDEX[bc.subject[0]].get(bc.metric)
         if index is not None:
-            series = self.series.get(bc.subject, ())
+            width = min(bc.window_s * 1000, self.retention_ms)
+            series = self.series.get(bc.subject)
+            retained = (() if series is None else
+                        series.points(index, series.last_t - width + 1, series.last_t + 1))
             fed = self._fed.setdefault(bc.subject, _Fed())
-            b = _Boundary(bc, index, min(bc.window_s * 1000, self.retention_ms), series)
+            b = _Boundary(bc, index, width, retained)
             bisect.insort(fed, b, key=attrgetter("bc.bc_id"))
             fed.reset()
             self._clear_routes()
@@ -506,9 +615,8 @@ class MetricBus:
         if bc_id not in self.boundaries:
             raise InvalidBoundary(f"no boundary condition {bc_id}")
         bc = self.boundaries.pop(bc_id)
-        # what stays is fed as before: its key reads a superset of its
-        # metrics and its quiet instant is at most its own, so what publish
-        # skips stays safe to skip
+        # what stays is fed as before: the subject's quiet instant is at
+        # most each boundary's own, so what publish skips stays safe to skip
         fed = self._fed.get(bc.subject, [])
         fed[:] = [b for b in fed if b.bc is not bc]
         self._clear_routes()
@@ -547,7 +655,6 @@ class MetricBus:
                     b.armed = True
                     b.satisfied_since = None
             quiet_until = min(quiet_until, b.quiet_until())
-        fed.last_key = fed.key(sample)
         fed.last_t = t
         fed.quiet_until = quiet_until
         return alarms

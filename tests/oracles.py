@@ -9,12 +9,13 @@ from __future__ import annotations
 import copy
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from types import SimpleNamespace
 
 from symplat.engine import ALLOC_DIMS, _task_demand, water_fill
-from symplat.model import RV_DIMS, TICK_MS, ZERO, PhysicalSample, ResourceVector
+from symplat.model import (NODE_METRICS, RV_DIMS, SAMPLE_METRICS, TICK_MS, ZERO, NodeSample,
+                           PhysicalSample, ResourceVector)
 from symplat.scheduler import _ORIGIN, AvailabilityProfile, node_usage
 
 
@@ -101,6 +102,80 @@ def reference_window_mean(bus, subject, metric, t, window_s):
     if not vals:
         return None
     return sum(vals) / len(vals)
+
+
+def publish_samples(bus, *samples):
+    """Publish `samples` to `bus` as ticks of templates, in order: each
+    stretch of consecutive samples with one t, task samples before node
+    samples, goes in one `MetricBus.publish`. Returns the alarms raised."""
+    alarms = []
+    i = 0
+    while i < len(samples):
+        t = samples[i][0]
+        tails, node_tails = [], []
+        while i < len(samples) and samples[i][0] == t:
+            if isinstance(samples[i], NodeSample):
+                node_tails.append(tuple(samples[i][1:]))
+            elif node_tails:
+                break
+            else:
+                tails.append(tuple(samples[i][1:]))
+            i += 1
+        alarms += bus.publish(t, tails, node_tails)
+    return alarms
+
+
+class ReferenceStore:
+    """The metric store as it kept one sample per point: a deque of samples
+    per subject, which drops those at or before t - retention whenever the
+    subject gets a sample at t, and refuses a sample behind the subject's
+    newest. `query` orders the points of one t by the order in which their
+    streams (an app's task, or a node) first published."""
+
+    def __init__(self, retention_s=3600):
+        self.retention_ms = retention_s * 1000
+        self.series = {}  # subject -> its retained samples, by t
+        self.rank = {}  # (subject, task id or None) -> its order of first publish
+        self.streams = Counter()  # subject -> its streams
+
+    @staticmethod
+    def subject(sample):
+        return ("app" if isinstance(sample, PhysicalSample) else "node", sample[1])
+
+    def store(self, sample):
+        """Store `sample`; False if it is refused."""
+        subject = self.subject(sample)
+        dq = self.series.setdefault(subject, deque())
+        t = sample[0]
+        if dq and t < dq[-1][0]:
+            return False
+        dq.append(sample)
+        horizon = t - self.retention_ms
+        while dq[0][0] <= horizon:
+            dq.popleft()
+        stream = (subject, getattr(sample, "task_id", None))
+        if stream not in self.rank:
+            self.rank[stream] = len(self.rank)
+            self.streams[subject] += 1
+        return True
+
+    def query(self, subject, metric, t0, t1):
+        """Retained (t, value) points of `metric` with t in [t0, t1)."""
+        sample_type = PhysicalSample if subject[0] == "app" else NodeSample
+        if metric not in (SAMPLE_METRICS if subject[0] == "app" else NODE_METRICS):
+            return []
+        i = sample_type._fields.index(metric)
+        points = []
+        for s in reversed(self.series[subject]):  # newest first: a trailing window stops early
+            if s[0] < t0:
+                break
+            if s[0] < t1:
+                points.append(s)
+        points.reverse()
+        if self.streams[subject] > 1:
+            rank = self.rank
+            points.sort(key=lambda s: (s[0], rank[(subject, s[2])]))
+        return [(s[0], s[i]) for s in points]
 
 
 class ReferenceBoundaries:

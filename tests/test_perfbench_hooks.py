@@ -121,10 +121,11 @@ def test_the_bus_totals_read_real_figures():
     bus = MetricBus()
     sub = bus.subscribe()  # a library subscription, never polled
     for t in range(0, (CHANNEL_DEPTH + 3) * 1000, 1000):
-        bus.publish(NodeSample(t, "n01", *[0] * (len(NodeSample._fields) - 2)))
+        bus.publish(t, [], [("n01", *[0] * (len(NodeSample._fields) - 2))])
     for name in bus_attrs:
         assert hasattr(bus, name), f"perfbench reads MetricBus.{name}"
     for name in sub_attrs | sub_getattrs:
         assert hasattr(sub, name), f"perfbench reads Subscription.{name}"
     # read with a default of 0: only a figure shows that the name is right
     assert (sub.delivered, sub._gap) == (CHANNEL_DEPTH + 3, 3)
+    assert sum(len(s) for s in bus.series.values()) == CHANNEL_DEPTH + 3

@@ -17,6 +17,8 @@ itself counts the grants that reduce some dimension and kept the plan, pure
 reductions and those that also raise or extend, which it must reach. (e)
 compares `utilization_report` over random windows, and again over the
 previous one, with `oracles.reference_utilization` on histories like (a)'s.
+(f) checks that a run checked on every tick is the run the platform makes
+alone: the checks read the plan off a copy.
 Every random history and every corpus tick also compares the committed usage
 the scheduler keeps, `_active` and `_ledger`, with rebuilds from scratch, and
 every step of a random history checks that no node is overcommitted from
@@ -56,6 +58,17 @@ def fresh_copy(sched):
     return fresh
 
 
+def kept_copy(sched):
+    """A copy of `sched` that keeps its cached plan, on which `plan` finds
+    what `sched.plan` would and leaves `sched` as it was. A computation
+    writes only the promises, the cached plan, the fit tables and the
+    counter, so the copy holds its own of those and shares the rest."""
+    kept = copy.copy(sched)
+    kept._promised = dict(sched._promised)
+    kept._fits = copy.deepcopy(sched._fits)
+    return kept
+
+
 def steps_from(profile, now):
     """The step function of `profile` over [now, inf) as [(t, free)], with
     no two neighbours equal."""
@@ -84,10 +97,13 @@ def assert_no_overcommit(sched, now, context):
 
 
 def assert_same_plan(sched, now, context):
-    # both before plan(): it may renew promises
+    """`sched`'s plan at `now` equals the reference's, and its profiles a
+    fresh computation's. A computation may renew promises, so the plan is
+    read off a copy that keeps the cached plan: the checked scheduler goes
+    on as it would unchecked."""
     expected = reference_plan(sched, now)
     fresh = ReservationScheduler.plan(fresh_copy(sched), now)
-    got = sched.plan(now)
+    got = kept_copy(sched).plan(now)
     assert got.order == expected.order, context
     assert got.planned == expected.planned, context
     for nid in sched.node_ids:
@@ -298,6 +314,44 @@ def test_grow_heavy_histories_match_reference(io_reservations):
                                               f"{scenario.name} at {core.now}"))
     # and some on a pinned plan, which the grant clears
     assert sum(s.pinned_grants for s in schedulers) >= 1
+
+
+class AdjustCountingScheduler(ReservationScheduler):
+    """Counts the adjustments it grants."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.granted = 0
+
+    def request_adjustment(self, app_id, delta_per_task, extension_s, now):
+        out = super().request_adjustment(app_id, delta_per_task, extension_s, now)
+        self.granted += out[0] != "Denied"
+        return out
+
+
+def test_a_checked_run_is_the_run_the_platform_makes_alone():
+    """`assert_same_plan` computes no plan on the scheduler it checks: on the
+    50 large generated scenarios of acceptance criterion 1 (seeds 0, 10, ...,
+    490), on a scheduler without I/O reservations, a run checked on every
+    tick grants as many adjustments as the run unchecked, and reports the
+    same."""
+    granted = {}
+    for checked in (False, True):
+        granted[checked] = []
+        for seed in range(0, 500, 10):
+            scenario = random_scenario(seed, max_nodes=16, max_apps=64, duration_s=30)
+            runner = ScenarioRunner(scenario)
+            sched = runner.core.scheduler = AdjustCountingScheduler(
+                scenario.nodes, grace_s=scenario.grace_s, io_reservations=False)
+
+            def check(core):
+                assert_same_plan(core.scheduler, core.now, scenario.name)
+
+            report = runner.run(on_tick=check if checked else None)
+            granted[checked].append((sched.granted, report.to_json_str()))
+    assert sum(g for g, _ in granted[False]) > 0
+    assert [g for g, _ in granted[True]] == [g for g, _ in granted[False]]
+    assert granted[True] == granted[False]
 
 
 class FixedPointScheduler(ReservationScheduler):

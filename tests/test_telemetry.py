@@ -1,6 +1,8 @@
 import collections
+import dataclasses
 import os
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -30,7 +32,7 @@ from symplat.telemetry import (
     UnknownSubscription,
 )
 
-from oracles import alarm_oracle
+from oracles import alarm_oracle, publish_samples
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -54,48 +56,48 @@ class TestStore:
     def test_query_half_open_bounds(self):
         bus = MetricBus()
         for t in (0, 1000, 2000, 3000):
-            bus.publish(app_sample(t, cpu=t // 1000))
+            publish_samples(bus, app_sample(t, cpu=t // 1000))
         pts = bus.query(("app", "app-1"), "cpu_cores_used", 1000, 3000)
         assert pts == [(1000, 1), (2000, 2)]
 
     def test_retention_evicts_old_points(self):
         bus = MetricBus(retention_s=3600)
         for t in range(0, 10_000_000, 1000):  # 10000 samples at 1 Hz
-            bus.publish(app_sample(t))
+            publish_samples(bus, app_sample(t))
         pts = bus.query(("app", "app-1"), "cpu_cores_used", 0, 10_000_000)
         assert len(pts) == 3600
         assert pts[0][0] == 10_000_000 - 1000 - 3599 * 1000
 
     def test_unknown_subject_distinct_from_empty_window(self):
         bus = MetricBus()
-        bus.publish(app_sample(5000))
+        publish_samples(bus, app_sample(5000))
         assert bus.query(("app", "app-1"), "cpu_cores_used", 0, 1000) == []
         with pytest.raises(UnknownSubject):
             bus.query(("app", "ghost"), "cpu_cores_used", 0, 1000)
 
     def test_empty_range_rejected(self):
         bus = MetricBus()
-        bus.publish(app_sample(0))
+        publish_samples(bus, app_sample(0))
         with pytest.raises(EmptyRange):
             bus.query(("app", "app-1"), "cpu_cores_used", 1000, 1000)
 
     def test_out_of_order_rejected(self):
         bus = MetricBus()
-        bus.publish(app_sample(2000))
+        publish_samples(bus, app_sample(2000))
         with pytest.raises(OutOfOrderSample):
-            bus.publish(app_sample(1000))
+            publish_samples(bus, app_sample(1000))
         # equal timestamps are allowed (distinct tasks may share one)
-        bus.publish(app_sample(2000))
+        publish_samples(bus, app_sample(2000))
 
     def test_read_your_writes(self):
         bus = MetricBus()
-        bus.publish(app_sample(0, cpu=7))
+        publish_samples(bus, app_sample(0, cpu=7))
         assert bus.query(("app", "app-1"), "cpu_cores_used", 0, 1) == [(0, 7)]
 
     def test_query_of_a_field_that_is_no_metric_is_empty(self):
         bus = MetricBus()
-        bus.publish(app_sample(0, cpu=7))
-        bus.publish(node_sample(0))
+        publish_samples(bus, app_sample(0, cpu=7))
+        publish_samples(bus, node_sample(0))
         for field in ("t", "app_id", "task_id", "node_id"):
             assert bus.query(("app", "app-1"), field, 0, 1) == [], field
         # node samples carry no interprocess traffic
@@ -108,16 +110,16 @@ class TestSubscriptions:
         bus = MetricBus()
         s1 = bus.subscribe(subject_kind="app")
         s2 = bus.subscribe(subject_kind="app")
-        bus.publish(app_sample(0))
+        publish_samples(bus, app_sample(0))
         m1, m2 = s1.poll(), s2.poll()
         assert m1 == m2 and len(m1) == 1 and m1[0]["type"] == "sample"
 
     def test_filter_by_subject(self):
         bus = MetricBus()
         only_a = bus.subscribe(subject_kind="app", subject_id="app-a")
-        bus.publish(app_sample(0, app_id="app-a"))
-        bus.publish(app_sample(0, app_id="app-b"))
-        bus.publish(node_sample(0))
+        publish_samples(bus, app_sample(0, app_id="app-a"))
+        publish_samples(bus, app_sample(0, app_id="app-b"))
+        publish_samples(bus, node_sample(0))
         msgs = only_a.poll()
         assert [m["app_id"] for m in msgs] == ["app-a"]
 
@@ -125,7 +127,7 @@ class TestSubscriptions:
         bus = MetricBus()
         sub = bus.subscribe()
         for t in range(0, 50_000, 1000):
-            bus.publish(app_sample(t))
+            publish_samples(bus, app_sample(t))
         msgs = sub.poll()
         assert [m["t"] for m in msgs] == list(range(0, 50_000, 1000))
 
@@ -134,19 +136,19 @@ class TestSubscriptions:
         bus = MetricBus()
         sub = bus.subscribe()
         for t in range(0, 20_000, 1000):  # 20 messages into a 16-deep channel
-            bus.publish(app_sample(t))
+            publish_samples(bus, app_sample(t))
         msgs = sub.poll()
         assert msgs[0] == {"type": "gap", "dropped": 4}
         assert [m["t"] for m in msgs[1:]] == list(range(4000, 20_000, 1000))
         # channel drained: next poll has no stale gap marker
-        bus.publish(app_sample(20_000))
+        publish_samples(bus, app_sample(20_000))
         assert [m["t"] for m in sub.poll()] == [20_000]
 
     def test_unsubscribe_stops_delivery(self):
         bus = MetricBus()
         sub = bus.subscribe()
         bus.unsubscribe(sub.sub_id)
-        bus.publish(app_sample(0))
+        publish_samples(bus, app_sample(0))
         assert sub.poll() == []
         with pytest.raises(UnknownSubscription):
             bus.unsubscribe(sub.sub_id)
@@ -223,7 +225,7 @@ class TestChannel:
         metrics = bus.subscribe()
         events = bus.subscribe(kinds=("event",))
         bus.fan_out({"type": "event", "event": "Freezing", "app_id": "app-1"}, ("app", "app-1"))
-        bus.publish(app_sample(0))
+        publish_samples(bus, app_sample(0))
         assert [m["type"] for m in metrics.poll()] == ["sample"]
         assert [m["type"] for m in events.poll()] == ["event"]
         assert (metrics.sub_id, events.sub_id) == ("sub-1", "evsub-1")
@@ -238,8 +240,8 @@ class TestMessages:
         bus.register_boundary(BoundaryCondition("bc-n", ("node", "n01"), "cpu_cores_used",
                                                 "max", 4, 1))
         s, ns = app_sample(0, cpu=3), node_sample(0, cpu=8)
-        assert bus.publish(s) == []
-        (alarm,) = bus.publish(ns)
+        assert publish_samples(bus, s) == []
+        (alarm,) = publish_samples(bus, ns)
         assert sub.poll() == [
             {**s._asdict(), "type": "sample"},
             {**ns._asdict(), "type": "node_sample"},
@@ -257,7 +259,7 @@ class TestMessages:
         sub = bus.subscribe()
         samples = [app_sample(t, cpu=t // 1000) for t in range(0, 5000, 1000)]
         for s in samples:
-            bus.publish(s)
+            publish_samples(bus, s)
         assert sub.poll() == [{"type": "gap", "dropped": 3},
                               *({**s._asdict(), "type": "sample"} for s in samples[3:])]
 
@@ -265,7 +267,7 @@ class TestMessages:
         bus = MetricBus()
         s1, s2 = bus.subscribe(), bus.subscribe(subject_kind="node")
         ns = node_sample(0)
-        bus.publish(ns)
+        publish_samples(bus, ns)
         (m1,), (m2,) = s1.poll(), s2.poll()
         assert m1 == m2 == {**ns._asdict(), "type": "node_sample"}
         m1["cpu_cores_used"] = -1
@@ -274,11 +276,27 @@ class TestMessages:
     def test_publishing_a_non_sample_is_a_telemetry_error(self):
         bus = MetricBus()
         bus.subscribe()
-        for bogus in ({"t": 0, "app_id": "app-1"}, (0, "app-1"), tuple(app_sample(0))):
+        tail = tuple(app_sample(0))[1:]
+        node_tail = tuple(node_sample(0))[1:]
+        for tails, node_tails in (([{"t": 0, "app_id": "app-1"}], []), ([list(tail)], []),
+                                  ([tail[:2]], []), ([tuple(app_sample(0))], []),
+                                  ([tail + (0,)], []), ([], [node_tail[:-1]]),
+                                  ([], [{"node_id": "n01"}]), ([], [list(node_tail)])):
             with pytest.raises(SymplatError) as err:
-                bus.publish(bogus)
+                bus.publish(0, tails, node_tails)
             assert err.value.code == "telemetry_error"
         assert bus.series == {}
+
+    def test_a_bogus_template_is_refused_when_it_opens_a_run(self):
+        bus = MetricBus()
+        tail = tuple(app_sample(0))[1:]
+        bus.publish(0, [tail], [])
+        for bogus in (tail[:2], tail + (0,), list(tail)):
+            with pytest.raises(SymplatError) as err:
+                bus.publish(1000, [bogus], [])
+            assert err.value.code == "telemetry_error"
+        assert bus.query(("app", "app-1"), "cpu_cores_used", 0, 5000) == [(0, 4)]
+        assert len(bus.series[("app", "app-1")]) == 1
 
 
 def job(app_id, cores, seconds, tasks=1):
@@ -374,7 +392,7 @@ class TestDeliveryAccounting:
         metrics, events = bus.subscribe(), bus.subscribe(kinds=("event",))
         counts = {sub: collections.Counter() for sub in (metrics, events)}
         for i in range(60):
-            bus.publish(*tick(i * 1000, 8 if i % 2 else 1))  # an alarm every other tick
+            publish_samples(bus, *tick(i * 1000, 8 if i % 2 else 1))  # an alarm every other tick
             if i % 3 == 0:
                 for event in ("Freezing", "Thawed"):
                     bus.fan_out({"type": "event", "event": event, "app_id": "app-1"},
@@ -421,9 +439,9 @@ class TestRoutes:
 
     def test_subscription_made_between_ticks_gets_the_next_tick(self):
         bus = MetricBus()
-        bus.publish(*tick(0, 1))
+        publish_samples(bus, *tick(0, 1))
         sub, node_sub = bus.subscribe(), bus.subscribe(subject_kind="node")
-        bus.publish(*tick(1000, 1))
+        publish_samples(bus, *tick(1000, 1))
         assert [(m["type"], m["t"]) for m in sub.poll()] == \
             [("sample", 1000), ("sample", 1000), ("node_sample", 1000)]
         assert [m["t"] for m in node_sub.poll()] == [1000]
@@ -432,9 +450,9 @@ class TestRoutes:
     def test_unsubscribed_gets_nothing_more(self):
         bus = MetricBus()
         sub, other = bus.subscribe(), bus.subscribe()
-        bus.publish(*tick(0, 1))
+        publish_samples(bus, *tick(0, 1))
         bus.unsubscribe(sub.sub_id)
-        bus.publish(*tick(1000, 1))
+        publish_samples(bus, *tick(1000, 1))
         assert [m["t"] for m in sub.poll()] == [0, 0, 0]
         assert [m["t"] for m in other.poll()] == [0, 0, 0, 1000, 1000, 1000]
         assert (sub.delivered, other.delivered) == (3, 6)
@@ -442,10 +460,10 @@ class TestRoutes:
     def test_boundary_registered_between_ticks_alarms_on_the_next(self):
         bus = MetricBus()
         sub = bus.subscribe(kinds=("alarm",))
-        assert bus.publish(*tick(0, 9)) == []
+        assert publish_samples(bus, *tick(0, 9)) == []
         bus.register_boundary(BoundaryCondition("hot", ("node", "n01"), "cpu_cores_used",
                                                 "max", 8, 1))
-        assert [(a.bc_id, a.t) for a in bus.publish(*tick(1000, 9))] == [("hot", 1000)]
+        assert [(a.bc_id, a.t) for a in publish_samples(bus, *tick(1000, 9))] == [("hot", 1000)]
         assert [m["bc_id"] for m in sub.poll()] == ["hot"]
 
     @pytest.mark.parametrize("drop", [False, True])
@@ -453,26 +471,26 @@ class TestRoutes:
         bus = MetricBus()
         bus.register_boundary(BoundaryCondition("hot", ("app", "app-1"), "cpu_cores_used",
                                                 "max", 8, 1))
-        fired = bus.publish(*tick(0, 9)) + bus.publish(*tick(1000, 1))  # alarm, re-arm
+        fired = publish_samples(bus, *tick(0, 9)) + publish_samples(bus, *tick(1000, 1))  # alarm, re-arm
         assert [a.t for a in fired] == [0]
         if drop:
             bus.drop_boundary("hot")
-        assert [a.t for a in bus.publish(*tick(2000, 9))] == ([] if drop else [2000])
+        assert [a.t for a in publish_samples(bus, *tick(2000, 9))] == ([] if drop else [2000])
 
     def test_refused_sample_keeps_the_samples_before_it(self):
         bus = MetricBus()
         sub = bus.subscribe()
-        bus.publish(app_sample(2000))
+        publish_samples(bus, app_sample(4000))
         sub.poll()
-        a, b, c = app_sample(3000, app_id="app-2"), app_sample(1000), app_sample(4000, app_id="app-3")
+        a, b, c = app_sample(3000, app_id="app-2"), app_sample(3000), app_sample(3000, app_id="app-3")
         with pytest.raises(OutOfOrderSample):
-            bus.publish(a, b, c)
+            bus.publish(3000, [tuple(s)[1:] for s in (a, b, c)], [])
         # as a single publish of `a` would have: stored and delivered
         assert bus.query(("app", "app-2"), "cpu_cores_used", 0, 5000) == [(3000, 4)]
         assert sub.poll() == [{**a._asdict(), "type": "sample"}]
         assert sub.delivered == 2
         # the call stops at `b`
-        assert bus.query(("app", "app-1"), "cpu_cores_used", 0, 5000) == [(2000, 4)]
+        assert bus.query(("app", "app-1"), "cpu_cores_used", 0, 5000) == [(4000, 4)]
         assert ("app", "app-3") not in bus.series
 
 
@@ -503,7 +521,7 @@ class TestBoundaryConditions:
         bus.register_boundary(self._bc(threshold=8, window_s=1))
         fired = []
         for i, v in enumerate([4, 9, 9, 4, 9]):
-            fired += bus.publish(app_sample(i * 1000, cpu=v))
+            fired += publish_samples(bus, app_sample(i * 1000, cpu=v))
         assert [a.t for a in fired] == [1000, 4000]
 
     def test_window_smooths_spikes(self):
@@ -512,11 +530,11 @@ class TestBoundaryConditions:
         bus.register_boundary(self._bc(threshold=13, window_s=3))
         fired = []
         for i, v in enumerate([4, 4, 30, 4, 4]):
-            fired += bus.publish(app_sample(i * 1000, cpu=v))
+            fired += publish_samples(bus, app_sample(i * 1000, cpu=v))
         assert fired == []
         # three consecutive highs do breach it
         for i, v in enumerate([30, 30, 30], start=5):
-            fired += bus.publish(app_sample(i * 1000, cpu=v))
+            fired += publish_samples(bus, app_sample(i * 1000, cpu=v))
         assert len(fired) == 1
 
     def test_min_bound(self):
@@ -524,14 +542,14 @@ class TestBoundaryConditions:
         bus.register_boundary(self._bc(bound="min", threshold=2, window_s=1))
         fired = []
         for i, v in enumerate([4, 1, 4]):
-            fired += bus.publish(app_sample(i * 1000, cpu=v))
+            fired += publish_samples(bus, app_sample(i * 1000, cpu=v))
         assert [a.t for a in fired] == [1000]
 
     def test_alarm_carries_observed_mean_and_subject(self):
         bus = MetricBus()
         bus.register_boundary(self._bc(threshold=8, window_s=2))
-        bus.publish(app_sample(0, cpu=10))
-        alarms = bus.publish(app_sample(1000, cpu=10))
+        publish_samples(bus, app_sample(0, cpu=10))
+        alarms = publish_samples(bus, app_sample(1000, cpu=10))
         # mean of window (−1000, 1000] = 10 > 8, single alarm
         assert len(bus.alarm_log) >= 1
         a = bus.alarm_log[0]
@@ -541,7 +559,7 @@ class TestBoundaryConditions:
         bus = MetricBus()
         bus.register_boundary(self._bc(threshold=8))
         bus.drop_boundary("bc-1")
-        assert bus.publish(app_sample(0, cpu=100)) == []
+        assert publish_samples(bus, app_sample(0, cpu=100)) == []
         with pytest.raises(InvalidBoundary):
             bus.drop_boundary("bc-1")
 
@@ -549,7 +567,7 @@ class TestBoundaryConditions:
         bus = MetricBus()
         sub = bus.subscribe(kinds=("alarm",))
         bus.register_boundary(self._bc(threshold=8))
-        bus.publish(app_sample(0, cpu=10))
+        publish_samples(bus, app_sample(0, cpu=10))
         msgs = sub.poll()
         assert len(msgs) == 1 and msgs[0]["type"] == "alarm"
         assert msgs[0]["bc_id"] == "bc-1"
@@ -571,6 +589,41 @@ class TestBoundaryConditions:
         runner.run()
         assert len(evaluated) <= 1400
         assert len(bus.alarm_log) == 6
+
+    def test_fleet_telemetry_stores_at_most_650_runs(self):
+        # 29 934 retained samples in 601 runs: most templates stand for
+        # hundreds of ticks
+        runner = ScenarioRunner(load_scenario(
+            os.path.join(ROOT, "perfbench", "inputs", "fleet-telemetry.yaml")))
+        runner.run()
+        series = runner.core.bus.series.values()
+        assert sum(len(runs) for s in series for runs in s.streams.values()) <= 650
+        assert sum(map(len, series)) == 29_934
+
+
+class TestBoundedStore:
+    def test_a_constant_app_keeps_one_run_per_stream(self):
+        """10**5 ticks of one app that never changes: each stream keeps one
+        run, and what the bus holds does not grow after 2 * 10**4 ticks."""
+        held = []  # bytes allocated in telemetry.py and still held, at each mark
+        tracemalloc.start()
+        try:
+            cap = ResourceVector(cpu_cores=8, memory_bytes=16 << 30)
+            core = PlatformCore([NodeSpec("n01", cap)])
+            spec = job("steady", 2, 10**6, tasks=2)
+            submit(core, dataclasses.replace(spec, walltime_limit_s=10**6))
+            for mark in (2 * 10**4, 10**5):
+                while core.now < mark * 1000:
+                    core.tick()
+                held.append(sum(stat.size for stat in tracemalloc.take_snapshot().filter_traces(
+                    [tracemalloc.Filter(True, telemetry.__file__)]).statistics("filename")))
+        finally:
+            tracemalloc.stop()
+        bus = core.bus
+        assert 0 < held[1] <= held[0]
+        assert {s: [len(runs) for runs in bus.series[s].streams.values()] for s in bus.series} \
+            == {("app", "steady"): [1, 1], ("node", "n01"): [1]}
+        assert len(bus.series[("app", "steady")]) == 2 * 3600
 
 
 def random_stream(rng, n):
@@ -598,6 +651,6 @@ class TestOracleEquivalence:
             bus.register_boundary(bc)
             got = []
             for t, v in stream:
-                got += [(a.bc_id, a.t) for a in bus.publish(app_sample(t, cpu=v))]
+                got += [(a.bc_id, a.t) for a in publish_samples(bus, app_sample(t, cpu=v))]
             want = [(bc.bc_id, t) for t in alarm_oracle(stream, bc)]
             assert got == want, f"trial {trial}: {got} != {want}"

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from symplat.model import NODE_METRICS, SAMPLE_METRICS, NodeSample, PhysicalSample
 from symplat.telemetry import BoundaryCondition, MetricBus
 
-from oracles import ReferenceBoundaries
+from oracles import ReferenceBoundaries, publish_samples
 
 
 class Harness:
@@ -37,7 +37,7 @@ class Harness:
 
     def publish(self, sample):
         got = [(a.bc_id, a.subject, a.t, a.observed, a.threshold)
-               for a in self.bus.publish(sample)]
+               for a in publish_samples(self.bus, sample)]
         subject = (("app", sample.app_id) if isinstance(sample, PhysicalSample)
                    else ("node", sample.node_id))
         want = self.ref.evaluate(self.bus, sample, subject)
