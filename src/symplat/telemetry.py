@@ -21,14 +21,17 @@ and at the end of the call, so every reader sees what one `publish` per
 sample would show. Subscriptions are handed the sample itself, which is
 encoded as a message only when it is read: by `poll`, or for a wire
 subscription by the wire service's loop. A delivery dropped from a full
-buffer is never encoded. Each boundary owns its window, kept as runs of
-one value every 1000 ms that `evaluate` feeds and evicts arithmetically, and
-its alarm state; alarms are edge-triggered on the windowed mean and re-arm
-only after a full window of continuous satisfaction. A subject's alarm state
-is evaluated only when it can change: on a subject with one stream,
-`publish` skips `evaluate` for a template that extends its run, before the
-subject's quiet instant (see `_Fed`), and the windows take the skipped
-samples in when they next slide.
+buffer is never encoded. Each boundary keeps no samples: only the exact
+integer sums of its window, the window's bounds and its alarm state; the
+samples that enter and leave its window are read from the store's runs,
+which `publish` prunes of what is past retention only after `evaluate`, so a
+window as wide as retention can still take out what it leaves. Alarms are
+edge-triggered on the windowed mean and re-arm only after a full window of
+continuous satisfaction. A subject's alarm state is evaluated only when it
+can change: on a subject with one stream, `publish` skips `evaluate` for a
+template that extends its run, before the subject's quiet instant (see
+`_Fed`), and the windows read the skipped samples from the store when they
+are next evaluated.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections import deque
-from itertools import islice
 from dataclasses import dataclass
-from math import ceil, inf
+from math import inf
 from operator import attrgetter, itemgetter
 
 from .model import (
@@ -254,28 +256,24 @@ class _Boundary:
     """A registered boundary on a metric its subject's samples carry: the
     condition, its window and its alarm state.
 
-    The window holds metric `index` of the subject's samples with t in
-    (newest - width, newest] as a deque of runs
-    [first_t, last_t, value, n, violates(value)]: n samples of one value, one
-    every 1000 ms. It keeps their exact integer `total`, their `count`, and
-    how many of them are `violating` alone.
-    `width` is min(window_s, retention) in ms: samples older than retention
-    are not retained, so no wider window could see them. It starts from
-    `retained`, the (t, value) points of the subject's retained samples
-    inside the window, in t order.
+    The window is the subject's stored samples with t in [lo, hi): those in
+    (newest - width, newest] for the newest sample it has taken, and none
+    (lo = hi = inf) while the subject has no sample. It keeps no samples,
+    only metric `index`'s exact integer `total` over them, their `count`, and
+    how many of them are `violating` alone; what enters and leaves it is read
+    from the store. `width` is min(window_s, retention) in ms: samples older
+    than retention are not retained, so no wider window could see them.
     """
 
-    __slots__ = ("bc", "index", "width", "runs", "total", "count", "violating",
+    __slots__ = ("bc", "index", "width", "lo", "hi", "total", "count", "violating",
                  "armed", "satisfied_since")
 
-    def __init__(self, bc, index, width, retained):
+    def __init__(self, bc, index, width):
         self.bc = bc
         self.index = index
         self.width = width
-        self.runs = deque()
+        self.lo = self.hi = inf
         self.total = self.count = self.violating = 0
-        for t, value in retained:
-            self.feed(t, value)
         self.armed = True
         self.satisfied_since = None
 
@@ -288,44 +286,20 @@ class _Boundary:
         bc = self.bc
         return float(value) < bc.threshold if bc.bound == "min" else float(value) > bc.threshold
 
-    def feed(self, t, value, n=1):
-        """Add `n` samples of `value`, one every 1000 ms up to `t`."""
-        runs = self.runs
-        run = runs[-1] if runs else None
-        if run is not None and run[2] == value and run[1] == t - n * 1000:
-            run[1] = t
-            run[3] += n
-        else:
-            run = [t - (n - 1) * 1000, t, value, n, self.violates(value)]
-            runs.append(run)
+    def count_in(self, value, n=1):
+        """Count `n` samples of `value` into the window, or out of it for a
+        negative `n`."""
         self.total += n * value
         self.count += n
-        if run[4]:
+        if self.violates(value):
             self.violating += n
 
-    def slide(self, t):
-        """Repeat the newest value every 1000 ms up to `t`: the samples that
-        `publish` skipped."""
-        runs = self.runs
-        if runs and runs[-1][1] < t:
-            self.feed(t, runs[-1][2], (t - runs[-1][1]) // 1000)
-
-    def evict(self, lo):
-        """Drop the samples at or before `lo`."""
-        runs = self.runs
-        while runs and runs[0][0] <= lo:
-            head = runs[0]
-            first_t, last_t, value, n, violating = head
-            if last_t <= lo:
-                runs.popleft()
-            else:
-                n = (lo - first_t) // 1000 + 1
-                head[0] += n * 1000
-                head[3] -= n
-            self.total -= n * value
-            self.count -= n
-            if violating:
-                self.violating -= n
+    def count_stored(self, series, t0, t1, sign):
+        """Count `series`' stored samples with t in [t0, t1) into the window
+        (`sign` 1) or out of it (-1)."""
+        i = self.index - 1  # a template lacks the sample's t
+        for _, n, tail in series.pieces(t0, t1):
+            self.count_in(tail[i], sign * n)
 
     def quiet_until(self):
         """The instant before which the alarm state cannot change while the
@@ -347,9 +321,9 @@ class _Fed(list):
     the instant before which no boundary's alarm state can change while that
     sample repeats every 1000 ms. On a subject with one stream, `publish`
     skips `evaluate` for a template that extends its run, so repeats the
-    newest sample; `evaluate` slides the windows over the skipped samples
-    before it feeds the next. A subject with more streams is always
-    evaluated.
+    newest sample; a window whose end is at or before `last_t` reads the
+    skipped samples from the store when it is next evaluated. A subject with
+    more streams is always evaluated.
     """
 
     __slots__ = ("last_t", "quiet_until")
@@ -386,8 +360,9 @@ class _Series:
     type(t, *template) at t = first_t, first_t + 1000, ..., last_t, in t
     order. `last_t` is the subject's newest t. A sample at or before
     last_t - retention is not retained: a stream drops the runs that end
-    there when it opens a run, and a head run partly there is clipped when
-    read. Its length is the number of samples it retains.
+    there when it opens a run (after the subject's boundaries took out what
+    left their windows), and a head run partly there is clipped when read.
+    Its length is the number of samples it retains.
     """
 
     __slots__ = ("subject", "streams", "last_t", "retention_ms")
@@ -398,31 +373,35 @@ class _Series:
         self.last_t = -inf
         self.retention_ms = retention_ms
 
-    def __len__(self):
-        horizon = self.last_t - self.retention_ms
-        n = 0
+    def pieces(self, t0, t1):
+        """(t, n, template) for the stored samples with t in [t0, t1), the n
+        samples t, t + 1000, ... of one run each, stream by stream and in t
+        order within a stream. Samples past retention that are still stored
+        are included."""
         for runs in self.streams.values():
-            for first_t, last_t, _ in runs:
-                if last_t > horizon:
-                    # less the run's points at or before the horizon
-                    n += (last_t - first_t) // 1000 + 1 - max(0, (horizon - first_t) // 1000 + 1)
-        return n
+            # the runs before the first that ends at or after t0 are not read
+            for i in range(bisect.bisect_left(runs, t0, key=_LAST_T), len(runs)):
+                first_t, last_t, tail = runs[i]
+                if first_t >= t1:
+                    break
+                if first_t < t0:  # from the run's first sample at or after t0
+                    first_t -= (first_t - t0) // 1000 * 1000
+                if last_t >= t1:
+                    last_t = t1 - 1
+                if first_t <= last_t:
+                    yield first_t, (last_t - first_t) // 1000 + 1, tail
+
+    def __len__(self):
+        return sum(n for _, n, _ in self.pieces(self.last_t - self.retention_ms + 1,
+                                                self.last_t + 1))
 
     def points(self, index, t0, t1):
         """The retained (t, sample[index]) points with t in [t0, t1), in t
         order, and at one t in stream order."""
-        horizon = self.last_t - self.retention_ms
         out = []
-        for runs in self.streams.values():
-            # the runs that end before t0 are skipped, not read
-            for first_t, last_t, tail in islice(runs, bisect.bisect_left(runs, t0, key=_LAST_T), None):
-                if first_t >= t1:
-                    break
-                # the run's points first_t + 1000 * k for k in [lo, hi)
-                lo = max(0, ceil((t0 - first_t) / 1000), (horizon - first_t) // 1000 + 1)
-                hi = min((last_t - first_t) // 1000 + 1, ceil((t1 - first_t) / 1000))
-                value = tail[index - 1]
-                out += [(first_t + 1000 * k, value) for k in range(lo, hi)]
+        for t, n, tail in self.pieces(max(t0, self.last_t - self.retention_ms + 1), t1):
+            value = tail[index - 1]
+            out += [(t + 1000 * k, value) for k in range(n)]
         if len(self.streams) > 1:
             out.sort(key=itemgetter(0))  # stable: stream order at one t
         return out
@@ -430,7 +409,8 @@ class _Series:
 
 class MetricBus:
     def __init__(self, retention_s=3600):
-        self.retention_ms = retention_s * 1000
+        # at least 1 s: a run just opened is never past retention
+        self.retention_ms = checked("retention_s", retention_s, least=1) * 1000
         self.series: dict[tuple, _Series] = {}  # subject -> its retained samples
         self.subscriptions: dict[str, Subscription] = {}
         self.boundaries: dict[str, BoundaryCondition] = {}
@@ -518,11 +498,12 @@ class MetricBus:
 
         A template extends its stream's open run when it is that run's
         template and `t` is one tick on; otherwise it opens a run, and only
-        then are the stream's runs that end at or before t - retention
-        dropped. A template behind its subject's newest t is refused, and so
-        is one of the wrong shape when it opens a run. A template's sample is
-        built only when a subscription matches or a boundary must be
-        evaluated, and all its matching subscriptions share it.
+        then, once its subject's boundaries are evaluated, are the stream's
+        runs that end at or before t - retention dropped. A template behind
+        its subject's newest t is refused, and so is one of the wrong shape
+        when it opens a run. A template's sample is built only when a
+        subscription matches or a boundary must be evaluated, and all its
+        matching subscriptions share it.
 
         Deliveries are collected per target channel and handed over in one
         `put_many` each: before any alarm is fanned out, so a reader sees a
@@ -556,9 +537,6 @@ class MetricBus:
                         if not runs:  # the stream's first run
                             series.streams[tail[:key_width]] = runs
                         runs.append([t, t, tail])
-                        horizon = t - retention_ms
-                        while runs[0][1] <= horizon:
-                            runs.popleft()
                     series.last_t = t
                     sample = None
                     if targets:
@@ -575,14 +553,19 @@ class MetricBus:
                         # its run repeats the subject's newest sample
                         if t < fed.quiet_until and extends and len(series.streams) == 1:
                             fed.last_t = t
-                            continue
-                        raised = self.evaluate(sample or new(sample_type, stamp + tail),
-                                               series.subject)
-                        if raised:
-                            _hand_over(pending)
-                            for alarm in raised:
-                                self.fan_out(alarm.to_json(), series.subject)
-                            alarms += raised
+                        else:
+                            raised = self.evaluate(sample or new(sample_type, stamp + tail),
+                                                   series.subject)
+                            if raised:
+                                _hand_over(pending)
+                                for alarm in raised:
+                                    self.fan_out(alarm.to_json(), series.subject)
+                                alarms += raised
+                    if not extends:
+                        # after evaluate: the windows read what they leave
+                        horizon = t - retention_ms
+                        while runs[0][1] <= horizon:
+                            runs.popleft()
         finally:
             _hand_over(pending)
         return alarms
@@ -593,19 +576,19 @@ class MetricBus:
         """Add `bc`, or replace the boundary with its bc_id and reset its state.
 
         Its window starts from the samples already retained. A boundary on a
-        metric the subject's samples lack is kept but never fed or evaluated."""
+        metric the subject's samples lack is kept but never evaluated."""
         bc.validate()
         if bc.bc_id in self.boundaries:
             self.drop_boundary(bc.bc_id)
         self.boundaries[bc.bc_id] = bc
         index = _METRIC_INDEX[bc.subject[0]].get(bc.metric)
         if index is not None:
-            width = min(bc.window_s * 1000, self.retention_ms)
+            b = _Boundary(bc, index, min(bc.window_s * 1000, self.retention_ms))
             series = self.series.get(bc.subject)
-            retained = (() if series is None else
-                        series.points(index, series.last_t - width + 1, series.last_t + 1))
+            if series is not None:
+                b.lo, b.hi = series.last_t - b.width + 1, series.last_t + 1
+                b.count_stored(series, b.lo, b.hi, 1)
             fed = self._fed.setdefault(bc.subject, _Fed())
-            b = _Boundary(bc, index, width, retained)
             bisect.insort(fed, b, key=attrgetter("bc.bc_id"))
             fed.reset()
             self._clear_routes()
@@ -615,27 +598,37 @@ class MetricBus:
         if bc_id not in self.boundaries:
             raise InvalidBoundary(f"no boundary condition {bc_id}")
         bc = self.boundaries.pop(bc_id)
-        # what stays is fed as before: the subject's quiet instant is at
+        # what stays is evaluated as before: the subject's quiet instant is at
         # most each boundary's own, so what publish skips stays safe to skip
         fed = self._fed.get(bc.subject, [])
         fed[:] = [b for b in fed if b.bc is not bc]
         self._clear_routes()
 
     def evaluate(self, sample, subject):
-        """Feed `sample` to the windows of the boundaries on `subject`, its
-        subject, and return the alarms they raise, in bc_id order.
+        """Take `sample`, stored, into the windows of the boundaries on
+        `subject`, its subject, and return the alarms they raise, in bc_id
+        order.
 
-        Each window first slides over the samples `publish` skipped, so it
-        then holds the subject's samples up to this one, and each windowed
-        mean is as of this sample."""
+        A window whose end is at or before the subject's last evaluated or
+        skipped t reads the samples `publish` skipped, and this one, from the
+        store; any other takes this sample alone. Each window then takes out
+        the stored samples at or before t - width, reading them from the
+        store, so each windowed mean is as of this sample."""
         alarms = []
         fed = self._fed[subject]
+        series = self.series[subject]
         t = sample[0]
         quiet_until = inf
         for b in fed:
-            b.slide(fed.last_t)
-            b.feed(t, sample[b.index])
-            b.evict(t - b.width)
+            if fed.last_t >= b.hi:  # publish skipped samples since b's last evaluation
+                b.count_stored(series, b.hi, t + 1, 1)
+            else:
+                b.count_in(sample[b.index])
+            b.hi = t + 1
+            lo = t + 1 - b.width
+            if b.lo < lo:
+                b.count_stored(series, b.lo, lo, -1)
+            b.lo = lo
             bc = b.bc
             # integer sums: equal to sum(values) / len(values) of a rescan
             mean = b.total / b.count

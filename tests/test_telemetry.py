@@ -52,6 +52,24 @@ def node_sample(t, node_id="n01", cpu=8):
                       storage_bytes_used=0, net_in_bps_used=0, net_out_bps_used=0)
 
 
+class CountedRuns(collections.deque):
+    """A stream's runs that count each run read from them, by index or by
+    iteration."""
+
+    def __init__(self, runs):
+        super().__init__(runs)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for run in super().__iter__():
+            self.reads += 1
+            yield run
+
+
 class TestStore:
     def test_query_half_open_bounds(self):
         bus = MetricBus()
@@ -67,6 +85,44 @@ class TestStore:
         pts = bus.query(("app", "app-1"), "cpu_cores_used", 0, 10_000_000)
         assert len(pts) == 3600
         assert pts[0][0] == 10_000_000 - 1000 - 3599 * 1000
+
+    @pytest.mark.parametrize("make", [
+        lambda retention_s: MetricBus(retention_s=retention_s),
+        lambda retention_s: PlatformCore([NodeSpec("n01", ResourceVector(cpu_cores=8))],
+                                         retention_s=retention_s),
+    ], ids=["bus", "core"])
+    @pytest.mark.parametrize("retention_s", [0, -5, 1.5, True, "60"])
+    def test_retention_below_one_second_is_refused(self, make, retention_s):
+        """A run just opened must never be past retention."""
+        with pytest.raises(SymplatError, match="retention_s"):
+            make(retention_s)
+
+    def test_one_second_of_retention_keeps_the_newest_sample(self):
+        bus = MetricBus(retention_s=1)
+        for t in (0, 1000, 1000, 2500):
+            publish_samples(bus, node_sample(t, cpu=t))
+        assert bus.query(("node", "n01"), "cpu_cores_used", 0, 3000) == [(2500, 2500)]
+
+    def test_a_read_skips_the_runs_before_its_window(self):
+        """A storage writer opens a run every tick. A query of its last 5 s,
+        and the seed of a 5 s boundary, read the runs there and the probes of
+        one bisection, not the 3600 runs before."""
+        bus = MetricBus()
+        for t in range(0, 3_600_000, 1000):
+            publish_samples(bus, app_sample(t, storage_bytes_used=t))
+        series = bus.series[("app", "app-1")]
+        (key, runs), = series.streams.items()
+        assert len(runs) == 3600
+        counted = series.streams[key] = CountedRuns(runs)
+        assert len(bus.query(("app", "app-1"), "storage_bytes_used",
+                             3_595_000, 3_600_000)) == 5
+        # 5 runs read, and at most 12 probes: 2**12 > 3600
+        assert counted.reads <= 5 + 12
+        counted.reads = 0
+        bus.register_boundary(BoundaryCondition(
+            "bc", ("app", "app-1"), "storage_bytes_used", "max", 0, window_s=5))
+        assert counted.reads <= 5 + 12
+        assert bus._fed[("app", "app-1")][0].count == 5
 
     def test_unknown_subject_distinct_from_empty_window(self):
         bus = MetricBus()
