@@ -16,10 +16,12 @@ also rebuilds each of the node's tasks' template: its sample after `t`, its
 work advance per tick, the ticks left in its phase and whether the phase
 writes storage. A quiet tick counts each advancing task down; only a
 storage-writing task adds storage and checks its overrun per tick. A tick
-builds no sample: its `TickResult` holds each task's sample tail (the same
-object tick after tick until a re-fill or a storage write replaces it) and
-each node's, which the metric bus stores as they are, and builds its samples,
-stamped `now`, only when they are read.
+builds no sample: its `TickResult` holds a tuple of each task's sample tail
+(the same object tick after tick until a re-fill or a storage write replaces
+it) and a tuple of each node's, which the metric bus stores as they are, and
+builds its samples, stamped `now`, only when they are read. A tick with no
+re-fill, no change of layout and no storage write returns the previous
+tick's two tuples themselves, by which the bus knows the tick repeats.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class AppRuntime:
 @dataclass
 class TickResult:
     now: int
-    tails: list  # each task's template, in task order: its sample after `t`
-    node_tails: list  # each node's sample after `t`, in node_id order
+    tails: tuple  # each task's template, in task order: its sample after `t`
+    node_tails: tuple  # each node's sample after `t`, in node_id order
     completions: list  # app_ids that finished their whole trace this tick
     errors: list  # app_ids that entered logical Error this tick
 
@@ -166,6 +168,7 @@ class SimEngine:
         self._alloc_rows = []  # per node: its tasks as laid out for the last tick
         # per node: its sample after `t`, as of its last fill plus the storage written since
         self._node_tails = {nid: (nid, 0, 0, 0, 0, 0, 0, 0) for nid in self.capacity}
+        self._tails = None  # the last tick's (tails, node_tails)
         self.last_t = None  # the `now` of the last tick
         # the samples of each removed app's last tick, in task order
         self._final_samples: dict[str, list[PhysicalSample]] = {}
@@ -332,7 +335,9 @@ class SimEngine:
 
     def step_tick(self, now):
         """Advance all tasks over [now, now+1000). The result holds the
-        tick's templates; its samples, stamped `now`, are built when read."""
+        tick's templates; its samples, stamped `now`, are built when read.
+        Its two tuples are the last tick's own when no template changed."""
+        quiet = self._layout is not None and not self._stale
         if self._layout is None:
             self._lay_out()
         by_app, by_node = self._layout
@@ -353,8 +358,9 @@ class SimEngine:
             ended = ()  # the phases its tasks completed, in task order
             overran = False
             for task in tasks:
-                if task.writes and self._write(app, task):
-                    overran = True
+                if task.writes:
+                    quiet = False
+                    overran = self._write(app, task) or overran
                 if task.left:
                     task.work_done += task.advance
                     task.left -= 1
@@ -368,7 +374,9 @@ class SimEngine:
             if tasks and finished == len(tasks):
                 completions.append(app.app_id)
 
-        return TickResult(now, tails, list(self._node_tails.values()), completions, errors)
+        if not quiet:
+            self._tails = tuple(tails), tuple(self._node_tails.values())
+        return TickResult(now, *self._tails, completions, errors)
 
     def last_samples(self, app_id):
         """The samples the last tick emitted for `app_id`'s tasks, in task

@@ -10,18 +10,25 @@ is a deque of runs [first_t, last_t, template], which stand for the samples
 stamped first_t, first_t + 1000, ..., last_t. A template that is its
 stream's open run's, one tick on, extends that run in O(1); the engine hands
 out the same template object tick after tick until its rates or storage
-change. A sample object is built from a template only for a reader: once per
-template and tick when a subscription matches or a boundary must be
-evaluated, and by `query`, which expands only the runs inside its window.
+change. A sample object is built from a template only for a reader: when a
+boundary must be evaluated, when a channel is polled, and by `query`, which
+expands only the runs inside its window.
 A subject's route (its series, its stream, its boundaries and its
 subscriptions' channels) is cached per stream and made again whenever a
 subscription or boundary comes or goes. Deliveries are collected per
-channel and handed over in one `put_many`: before an alarm is fanned out
-and at the end of the call, so every reader sees what one `publish` per
-sample would show. Subscriptions are handed the sample itself, which is
-encoded as a message only when it is read: by `poll`, or for a wire
-subscription by the wire service's loop. A delivery dropped from a full
-buffer is never encoded. Each boundary keeps no samples: only the exact
+channel and handed over as one `_Samples` batch, the tick's t and the
+(sample type, template) pairs delivered: before an alarm is fanned out and
+at the end of the call, so every reader sees what one `publish` per sample
+would show. A batch's samples are built and encoded as messages only when
+read: by `poll`, or for a wire subscription by the wire service's loop; a
+drop trims the oldest batch, so a delivery dropped from a full buffer is
+never built. The engine hands out the same two tuples of templates again on
+a tick where none changed, and a call with the last call's two objects, one
+tick on, takes the quiet path when that call held each stream once and no
+route was cleared since: from a plan made on the first such repeat, it
+extends every open run, evaluates only the subjects whose alarm state may
+change, and hands each channel one batch, split at an alarm as the full
+path splits it. Each boundary keeps no samples: only the exact
 integer sums of its window, the window's bounds and its alarm state; the
 samples that enter and leave its window are read from the store's runs,
 which `publish` prunes of what is past retention only after `evaluate`, so a
@@ -142,35 +149,50 @@ class Alarm:
 _SAMPLE_KINDS = {PhysicalSample: ("app", "sample"), NodeSample: ("node", "node_sample")}
 
 
-def _message(item):
-    """A channel item as its reader sees it: a sample encoded as a message,
-    anything else as it was put."""
-    kinds = _SAMPLE_KINDS.get(type(item))
-    if kinds is None:
-        return item
-    msg = item._asdict()
-    msg["type"] = kinds[1]
-    return msg
+class _Samples:
+    """Samples handed to a channel together: for each (sample type,
+    template) of `pairs`, in order, the sample type(t, *template). They are
+    built and encoded as messages only when polled. A channel trims its
+    oldest batch's `pairs` when it drops samples, so no two channels share a
+    batch."""
+
+    __slots__ = ("t", "pairs")
+
+    def __init__(self, t, pairs):
+        self.t = t
+        self.pairs = pairs
+
+    def messages(self):
+        stamp = (self.t,)
+        out = []
+        for sample_type, tail in self.pairs:
+            msg = tuple.__new__(sample_type, stamp + tail)._asdict()
+            msg["type"] = _SAMPLE_KINDS[sample_type][1]
+            out.append(msg)
+        return out
 
 
 class Channel:
     """Bounded ordered message queue with gap markers.
 
     A `str` is a response line and is never dropped; it does not count
-    toward the depth. Beyond CHANNEL_DEPTH other messages, the oldest sample
-    is dropped, and the oldest event or alarm only when no sample waits; the
-    next poll then starts with a {"type": "gap", "dropped": n} marker.
-    Samples are held as they are and encoded by poll.
+    toward the depth. Samples come in `_Samples` batches, each of whose
+    samples counts as a message. Beyond CHANNEL_DEPTH other messages, the
+    oldest sample is dropped, and the oldest event or alarm only when no
+    sample waits; the next poll then starts with a {"type": "gap",
+    "dropped": n} marker. Samples are built and encoded by poll.
     """
 
     def __init__(self):
         self._items = deque()
         self._droppable = 0
+        self._responses = 0
         self._gap = 0
 
     def put(self, msg):
         if type(msg) is str:
             self._items.append(msg)
+            self._responses += 1
         else:
             self.put_many([msg])
 
@@ -185,38 +207,44 @@ class Channel:
         room left: the messages kept here."""
         items = self._items
         items.extend(msgs)
-        excess = self._droppable + len(msgs) - CHANNEL_DEPTH
+        self._droppable += sum(len(m.pairs) if type(m) is _Samples else 1 for m in msgs)
+        excess = self._droppable - CHANNEL_DEPTH
         if excess <= 0:
-            self._droppable += len(msgs)
             return
         self._gap += excess
         self._droppable = CHANNEL_DEPTH
-        passed = 0  # messages moved from the head to the tail, in order
-        for _ in range(len(items)):
-            if type(items[0]) in _SAMPLE_KINDS:  # O(1) while the head is a sample
-                items.popleft()
-                excess -= 1
-                if not excess:
-                    break
+        i = 0  # the oldest item that may hold a sample
+        while i < len(items):
+            batch = items[i]
+            if type(batch) is not _Samples:
+                i += 1
+            elif len(batch.pairs) > excess:
+                del batch.pairs[:excess]
+                return
             else:
-                items.rotate(-1)
-                passed += 1
-        items.rotate(passed)
+                excess -= len(batch.pairs)
+                del items[i]
+                if not excess:
+                    return
         for _ in range(excess):  # no sample waits
             del items[next(i for i, m in enumerate(items) if type(m) is not str)]
 
     def __len__(self):
         """Messages waiting for the next poll, not counting a gap marker."""
-        return len(self._items)
+        return self._droppable + self._responses
 
     def poll(self):
         out = []
         if self._gap:
             out.append({"type": "gap", "dropped": self._gap})
             self._gap = 0
-        out.extend(map(_message, self._items))
+        for item in self._items:
+            if type(item) is _Samples:
+                out += item.messages()
+            else:
+                out.append(item)
         self._items.clear()
-        self._droppable = 0
+        self._droppable = self._responses = 0
         return out
 
 
@@ -421,10 +449,15 @@ class MetricBus:
         # subject's fed boundaries, its matching subscriptions); cleared
         # whenever a subscription or boundary comes or goes
         self._routes = {sample_type: {} for sample_type in _SAMPLE_KINDS}
+        # (tails, node_tails, t) of the last publish, while it may repeat
+        # quietly: it was done in full and no route was cleared since
+        self._last = None
+        self._plan = None  # the quiet plan of the repeats of the last publish
 
     def _clear_routes(self):
         for routes in self._routes.values():
             routes.clear()
+        self._last = self._plan = None
 
     def _route(self, sample_type, tail):
         """The route of the stream of `tail`, a template of `sample_type`,
@@ -502,14 +535,25 @@ class MetricBus:
         runs that end at or before t - retention dropped. A template behind
         its subject's newest t is refused, and so is one of the wrong shape
         when it opens a run. A template's sample is built only when a
-        subscription matches or a boundary must be evaluated, and all its
-        matching subscriptions share it.
+        boundary must be evaluated, or when polled from a channel.
 
-        Deliveries are collected per target channel and handed over in one
-        `put_many` each: before any alarm is fanned out, so a reader sees a
+        Deliveries are collected per target channel as one `_Samples` batch
+        and handed over: before any alarm is fanned out, so a reader sees a
         sample before its alarms, and at the end, also when a template is
         refused, so the samples before it are delivered as if published alone.
+
+        A call with the last call's two objects, one tick on, repeats it
+        quietly (see `_publish_quiet`) when that call held each stream once
+        and no route was cleared since.
         """
+        last = self._last
+        if last is not None and last[0] is tails and last[1] is node_tails \
+                and t == last[2] + 1000:
+            plan = self._plan or self._quiet_plan(tails, node_tails)
+            if plan:
+                self._last, self._plan = (tails, node_tails, t), plan
+                return self._publish_quiet(t, plan)
+        self._last = self._plan = None
         retention_ms = self.retention_ms
         new = tuple.__new__
         stamp = (t,)
@@ -538,23 +582,22 @@ class MetricBus:
                             series.streams[tail[:key_width]] = runs
                         runs.append([t, t, tail])
                     series.last_t = t
-                    sample = None
                     if targets:
-                        sample = new(sample_type, stamp + tail)
+                        pair = (sample_type, tail)
                         for sub in targets:
                             sub.delivered += 1
                             batch = pending.get(sub.channel)
                             if batch is None:
-                                pending[sub.channel] = [sample]  # encoded when read
+                                pending[sub.channel] = _Samples(t, [pair])
                             else:
-                                batch.append(sample)
+                                batch.pairs.append(pair)
                     if fed:
                         # on a one-stream subject, a template that extends
                         # its run repeats the subject's newest sample
                         if t < fed.quiet_until and extends and len(series.streams) == 1:
                             fed.last_t = t
                         else:
-                            raised = self.evaluate(sample or new(sample_type, stamp + tail),
+                            raised = self.evaluate(new(sample_type, stamp + tail),
                                                    series.subject)
                             if raised:
                                 _hand_over(pending)
@@ -568,6 +611,75 @@ class MetricBus:
                             runs.popleft()
         finally:
             _hand_over(pending)
+        self._last = (tails, node_tails, t)
+        return alarms
+
+    def _quiet_plan(self, tails, node_tails):
+        """What `publish` of `tails` and `node_tails`, just published, does
+        again one tick on, read from their routes; None if a stream is among
+        them twice. The plan holds the open runs and the series they extend;
+        for each template of a fed subject, in template order, its position,
+        the fed boundaries, whether the subject has one stream, the subject
+        and the template; each target channel's (sample type, template)
+        pairs in template order and their positions; and each
+        subscription's deliveries per tick."""
+        runs, series, fed_at, channels, counts = [], {}, [], {}, {}
+        for sample_type, templates in ((PhysicalSample, tails), (NodeSample, node_tails)):
+            routes = self._routes[sample_type]
+            key_width = _STREAM_KEY_WIDTH[sample_type]
+            for tail in templates:
+                s, stream, fed, targets = routes[tail[:key_width]]
+                i = len(runs)
+                runs.append(stream[-1])
+                series[s] = None
+                if fed:
+                    fed_at.append((i, fed, len(s.streams) == 1, s.subject, sample_type, tail))
+                for sub in targets:
+                    counts[sub] = counts.get(sub, 0) + 1
+                    positions, pairs = channels.setdefault(sub.channel, ([], []))
+                    positions.append(i)
+                    pairs.append((sample_type, tail))
+        if len(set(map(id, runs))) < len(runs):
+            return None
+        return runs, list(series), fed_at, list(channels.items()), list(counts.items())
+
+    def _publish_quiet(self, t, plan):
+        """`publish` of the last call's templates again, at `t`, one tick on,
+        from their `_quiet_plan`: every template extends its stream's open
+        run; a fed subject with one stream is evaluated only from its quiet
+        instant on; and each target channel is handed its deliveries as one
+        batch, split before each alarm fanned out, as the full path splits
+        them."""
+        runs, series, fed_at, channels, counts = plan
+        for run in runs:
+            run[1] = t
+        for s in series:
+            s.last_t = t
+        for sub, n in counts:
+            sub.delivered += n
+        handed = [0] * len(channels)  # per channel: the pairs handed over
+
+        def hand_over(end):
+            """Hand over each channel's pairs before position `end`."""
+            for k, (channel, (positions, pairs)) in enumerate(channels):
+                cut = bisect.bisect_left(positions, end)
+                if cut > handed[k]:
+                    channel.put(_Samples(t, pairs[handed[k]:cut]))
+                    handed[k] = cut
+
+        stamp = (t,)
+        alarms = []
+        for i, fed, single, subject, sample_type, tail in fed_at:
+            if single and t < fed.quiet_until:
+                fed.last_t = t
+                continue
+            raised = self.evaluate(tuple.__new__(sample_type, stamp + tail), subject)
+            if raised:
+                hand_over(i + 1)
+                for alarm in raised:
+                    self.fan_out(alarm.to_json(), subject)
+                alarms += raised
+        hand_over(len(runs))
         return alarms
 
     # -- analytics ---------------------------------------------------------
@@ -656,5 +768,5 @@ class MetricBus:
 def _hand_over(pending):
     """Put each channel's pending deliveries on it, and forget them."""
     for channel, batch in pending.items():
-        channel.put_many(batch)
+        channel.put(batch)
     pending.clear()

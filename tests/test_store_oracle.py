@@ -60,6 +60,7 @@ class Mirrored:
         self.boundaries.drop(bc_id)
 
     def publish(self, t, tails, node_tails):
+        """Publish on both; returns whether the bus refused a template."""
         refused = False
         for sample in ([PhysicalSample(t, *tail) for tail in tails]
                        + [NodeSample(t, *tail) for tail in node_tails]):
@@ -76,6 +77,7 @@ class Mirrored:
         else:
             assert not refused, f"not refused at {t}"
         self.check(t)
+        return refused
 
     def check(self, t):
         bus, store = self.bus, self.store
@@ -163,8 +165,10 @@ STREAMS = (("a1", 0), ("a1", 1), ("a2", 0), ("n01",), ("n02",))
 # what a stream does on a tick: absent, its template again (the same object,
 # or an equal copy), a changed metric, or a storage write
 ACTION = st.sampled_from(["absent", "same", "same", "same", "copy", "change", "write"])
-TICK = st.tuples(st.just("tick"), st.sampled_from([1000, 1000, 1000, 2000, 0, 500, -1000, -3000]),
-                 st.tuples(*[ACTION] * len(STREAMS)), st.integers(0, 3))
+DT = st.sampled_from([1000, 1000, 1000, 2000, 0, 500, -1000, -3000])
+TICK = st.tuples(st.just("tick"), DT, st.tuples(*[ACTION] * len(STREAMS)), st.integers(0, 3))
+# the previous publish's two tuples again, `dt` after it
+REPEAT = st.tuples(st.just("repeat"), DT)
 REGISTER = st.tuples(st.just("register"), st.sampled_from(["b1", "b2", "b3"]),
                      st.sampled_from([("app", "a1"), ("app", "a2"), ("node", "n01")]),
                      st.sampled_from(["cpu_cores_used", "storage_bytes_used", "interproc_bps_used"]),
@@ -181,15 +185,39 @@ def template(stream, cpu, storage):
 
 
 @given(retention_s=st.sampled_from([3, 10, 3600]),
-       ops=st.lists(st.one_of(TICK, TICK, TICK, REGISTER, DROP), min_size=1, max_size=60))
+       ops=st.lists(st.one_of(TICK, TICK, TICK, REPEAT, REPEAT, REGISTER, DROP),
+                    min_size=1, max_size=60))
 @settings(derandomize=True, deadline=None, max_examples=300)
 def test_template_streams_match_the_reference(retention_s, ops):
+    """Each tick passes tuples, as the engine does. A repeat of the previous
+    call's tuple objects one tick on, with no template refused and no route
+    cleared since that call, takes the quiet path; any other call takes the
+    full path, or is refused."""
     mirrored = Mirrored(MetricBus(retention_s=retention_s))
     bus = mirrored.bus
+    publish_quiet, clear_routes, quiet = bus._publish_quiet, bus._clear_routes, []
+
+    def counted(t, plan):
+        quiet.append(t)
+        return publish_quiet(t, plan)
+
+    def cleared():
+        nonlocal repeatable
+        repeatable = False
+        clear_routes()
+
+    bus._publish_quiet, bus._clear_routes = counted, cleared
     state = {s: [0, 0, template(s, 0, 0)] for s in STREAMS}  # cpu, storage, template
     t = 10_000
+    previous = None  # (t, tails, node_tails) of the previous publish
+    repeatable = False  # whether a repeat of it one tick on is quiet
     for op in ops:
-        if op[0] == "tick":
+        if op[0] == "repeat":
+            if previous is None:
+                continue
+            t_op, tails, node_tails = previous[0] + op[1], previous[1], previous[2]
+            expect_quiet = repeatable and op[1] == 1000
+        elif op[0] == "tick":
             _, dt, actions, value = op
             t_op = t + dt
             tails, node_tails = [], []
@@ -204,7 +232,15 @@ def test_template_streams_match_the_reference(retention_s, ops):
                 if action != "same":
                     cpu_storage_tail[2] = template(stream, *cpu_storage_tail[:2])
                 (node_tails if len(stream) == 1 else tails).append(cpu_storage_tail[2])
-            bus.publish(t_op, tails, node_tails)
+            tails, node_tails = tuple(tails), tuple(node_tails)
+            # () is one object: a tick of no template repeats one of none
+            expect_quiet = (repeatable and t_op == previous[0] + 1000
+                            and tails is previous[1] and node_tails is previous[2])
+        if op[0] in ("tick", "repeat"):
+            calls = len(quiet)
+            refused = mirrored.publish(t_op, tails, node_tails)
+            assert len(quiet) - calls == expect_quiet, (op, t_op)
+            previous, repeatable = (t_op, tails, node_tails), not refused
             t = max(t, t_op)
         elif op[0] == "register":
             _, bc_id, subject, metric, bound, threshold, window_s = op

@@ -46,6 +46,11 @@ def app_sample(t, app_id="app-1", cpu=4, **kw):
                           cpu_cores_used=cpu, **fields)
 
 
+def sample_batch(*samples):
+    """`samples`, all stamped one t, as `publish` hands them to a channel."""
+    return telemetry._Samples(samples[0].t, [(type(s), tuple(s)[1:]) for s in samples])
+
+
 def node_sample(t, node_id="n01", cpu=8):
     return NodeSample(t=t, node_id=node_id, cpu_cores_used=cpu,
                       memory_bytes_used=0, fs_bps_used=0, fs_iops_used=0,
@@ -237,13 +242,16 @@ class TestChannel:
     @given(depth=st.integers(1, 4),
            rounds=st.lists(st.tuples(st.lists(st.sampled_from(("response", "event", "sample")),
                                               max_size=6),
-                                     st.lists(st.booleans(), max_size=8)),
+                                     st.lists(st.booleans(), max_size=8),
+                                     st.booleans()),
                            min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_put_many_equals_successive_puts(self, depth, rounds):
         """After any prior mix of response lines, events and samples, and as a
         list that drops the oldest sample, else the oldest message that is no
-        response line, after each put."""
+        response line, after each put. A round puts its batch in one
+        `put_many`, each sample a batch of one; or, when `batched`, its
+        samples alone as one batch, as `publish` hands over a tick's."""
         # patched in the body: Hypothesis refuses function-scoped fixtures
         with mock.patch.object(telemetry, "CHANNEL_DEPTH", depth):
             one, many = Channel(), Channel()
@@ -252,7 +260,7 @@ class TestChannel:
 
             def put(msg):
                 nonlocal dropped
-                one.put(msg)
+                one.put(sample_batch(msg) if isinstance(msg, PhysicalSample) else msg)
                 reference.append(msg)
                 queued = [i for i, m in enumerate(reference) if not isinstance(m, str)]
                 if len(queued) > depth:
@@ -260,21 +268,50 @@ class TestChannel:
                     del reference[(samples or queued)[0]]
                     dropped += 1
 
-            for prior, batch in rounds:
+            for prior, batch, batched in rounds:
                 for kind in prior:
                     msg = {"sample": app_sample(n), "event": n, "response": f"r{n}"}[kind]
                     put(msg)
-                    many.put(msg)
+                    many.put(sample_batch(msg) if kind == "sample" else msg)
                     n += 1
-                batch = [app_sample(n + i) if sample else n + i for i, sample in enumerate(batch)]
+                if batched:
+                    batch = [app_sample(n, cpu=i) for i in range(len(batch))]
+                    if batch:
+                        many.put_many([sample_batch(*batch)])
+                else:
+                    batch = [app_sample(n + i) if sample else n + i
+                             for i, sample in enumerate(batch)]
+                    many.put_many([sample_batch(m) if isinstance(m, PhysicalSample) else m
+                                   for m in batch])
                 n += len(batch)
                 for msg in batch:
                     put(msg)
-                many.put_many(batch)
                 assert len(many) == len(one) == len(reference)
+                assert many._gap == one._gap == dropped
             expected = [{"type": "gap", "dropped": dropped}] if dropped else []
-            expected += [telemetry._message(msg) for msg in reference]
+            expected += [{**m._asdict(), "type": "sample"} if isinstance(m, PhysicalSample) else m
+                         for m in reference]
             assert many.poll() == one.poll() == expected
+
+    def test_a_drop_trims_the_head_batch(self, monkeypatch):
+        """Samples handed over together stay one batch; a drop takes the
+        oldest samples from the head batch, past a response line, and the
+        whole batch once none of it is left."""
+        monkeypatch.setattr(telemetry, "CHANNEL_DEPTH", 4)
+        ch = Channel()
+        first = [app_sample(0, cpu=i) for i in range(3)]
+        second = [app_sample(1000, cpu=i) for i in range(3)]
+        head = sample_batch(*first)
+        ch.put(head)
+        ch.put("r1")
+        ch.put_many([sample_batch(*second)])  # two over the depth
+        assert (len(ch), ch._gap, len(ch._items)) == (5, 2, 3)
+        assert head.pairs == [(PhysicalSample, tuple(first[2])[1:])]
+        ch.put(7)  # an event: the head batch's last sample goes
+        assert (len(ch), ch._gap, len(ch._items)) == (5, 3, 3)
+        assert ch.poll() == [{"type": "gap", "dropped": 3}, "r1",
+                             *[{**s._asdict(), "type": "sample"} for s in second], 7]
+        assert len(ch) == 0 and ch.poll() == []
 
     def test_metric_subscriptions_receive_no_events(self):
         bus = MetricBus()
@@ -680,6 +717,52 @@ class TestBoundedStore:
         assert {s: [len(runs) for runs in bus.series[s].streams.values()] for s in bus.series} \
             == {("app", "steady"): [1, 1], ("node", "n01"): [1]}
         assert len(bus.series[("app", "steady")]) == 2 * 3600
+
+
+def counted_publishes(runner):
+    """Run `runner`, counting its bus's publishes and how many were quiet."""
+    bus = runner.core.bus
+    publish, publish_quiet = bus.publish, bus._publish_quiet
+    counts = collections.Counter()
+
+    def counted(*args):
+        counts["publish"] += 1
+        return publish(*args)
+
+    def counted_quiet(*args):
+        counts["quiet"] += 1
+        return publish_quiet(*args)
+
+    bus.publish, bus._publish_quiet = counted, counted_quiet
+    runner.run()
+    return counts
+
+
+class TestQuietPublish:
+    """A tick whose templates all stand still repeats the last publish from
+    a plan, and a channel holds the samples of a hand-over as one batch."""
+
+    def test_fleet_telemetry_repeats_most_ticks_in_batches(self):
+        runner = ScenarioRunner(load_scenario(
+            os.path.join(ROOT, "perfbench", "inputs", "fleet-telemetry.yaml")))
+        counts = counted_publishes(runner)
+        assert counts["publish"] == 1008 and counts["quiet"] >= 800
+        # the script's subscription, never polled
+        (sub,) = runner.core.bus.subscriptions.values()
+        assert (sub.delivered, sub._gap, len(sub)) == (52_596, 51_572, 1024)
+        # one batch per tick its samples span, and one more per alarm that
+        # split a tick's: not one item per sample
+        batches = [m for m in sub._items if type(m) is telemetry._Samples]
+        alarms = len(sub._items) - len(batches)
+        span = (batches[-1].t - batches[0].t) // 1000 + 1
+        assert alarms == sum(m["type"] == "alarm" for m in sub._items if type(m) is dict)
+        assert len(batches) <= span + alarms and span < 40
+
+    def test_a_shipped_scenario_repeats_all_but_a_few_ticks(self):
+        runner = ScenarioRunner(load_scenario(os.path.join(ROOT, "scenarios", "io-contention.yaml")),
+                                mode_override="symmetric")
+        counts = counted_publishes(runner)
+        assert counts["publish"] > 300 and counts["quiet"] >= counts["publish"] - 5
 
 
 def random_stream(rng, n):
